@@ -35,7 +35,7 @@ print("plus part window:", g.project("plus").window)
 print("reassembly:", ls.distance(g.project("plus") + g.project("strict_minus"), g))
 
 # truncated inversion: P_[-N,N](g x - I) = 0 by a block-Toeplitz solve;
-# normalized loops take the exact terminating Neumann path instead
+# normalized one-sided loops are inverted exactly by forward substitution
 inv = ls.truncated_inverse(g, N=10)
 print("inverse residual on the window:",
       ls.distance(ls.mul(g, inv).clip(-10, 10), ls.identity(4)))

@@ -30,9 +30,10 @@ print("plus factor recovered:", ls.distance(out.plus, gp))
 torus = ls.from_terms({1: np.diag([1.0, 0, 0, 0]), -1: np.diag([0.0, 1, 0, 0]),
                        0: np.diag([0.0, 0, 1, 1])})
 try:
-    ls.birkhoff_left(torus, N=8)
+    ls.birkhoff_left(torus)
 except ls.BigCellViolation as exc:
     print("\nloop with a nontrivial middle term:", exc)
+    print("cause:", exc.cause, "windows tried:", exc.windows)
 
 # -- tau-Iwasawa --------------------------------------------------------------
 s = ls.SymmetrySpec(2, 1)

@@ -64,8 +64,6 @@ def _load_config(args) -> RunConfig:
         cfg.data["seed"] = args.seed
     if getattr(args, "tol_scale", None) is not None:
         cfg.data["tol_scale"] = args.tol_scale
-    if getattr(args, "threads", None) is not None:
-        cfg.data["threads"] = args.threads
     return cfg
 
 
@@ -109,8 +107,7 @@ def cmd_factorize(args) -> int:
 def cmd_split(args) -> int:
     cfg = _load_config(args)
     F = frame_field_from_obj(load_json(cfg.path("in")))
-    g_minus, f_plus = split(F, N=cfg["window"], tol=cfg.tol("birkhoff"),
-                            threads=cfg["threads"])
+    g_minus, f_plus = split(F, N=cfg["window"], tol=cfg.tol("birkhoff"))
     _write_field(g_minus, cfg.path("out_minus"))
     _write_field(f_plus, cfg.path("out_plus"))
     if cfg.path("diagnostics"):
@@ -144,10 +141,9 @@ def cmd_dress(args) -> int:
     if cfg.path("dressing_plus"):
         g_plus = load_loop(cfg.path("dressing_plus"))
         out = dress_pair(g_minus, g_plus, F, N=cfg["window"],
-                         tol=cfg.tol("birkhoff"), threads=cfg["threads"])
+                         tol=cfg.tol("birkhoff"))
     else:
-        out = dress_plus(g_minus, F, N=cfg["window"], tol=cfg.tol("birkhoff"),
-                         threads=cfg["threads"])
+        out = dress_plus(g_minus, F, N=cfg["window"], tol=cfg.tol("birkhoff"))
     _write_field(out, cfg.path("out"))
     return _field_exit(out)
 
@@ -247,7 +243,6 @@ def build_parser():
         description="Truncated loop-group factorizations, frame-field "
                     "splitting, and constant-curvature immersions.")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (advisory)")
     p.add_argument("--tol-scale", dest="tol_scale", type=float, default=None,
                    help="scale every tolerance by this factor")
     sub = p.add_subparsers(dest="command", required=True)

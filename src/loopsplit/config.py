@@ -33,7 +33,6 @@ DEFAULT_CONFIG = {
     "target": "sphere",
     "window": None,
     "tol_scale": 1.0,
-    "threads": 1,
     "tolerances": dict(DEFAULT_TOLERANCES),
     "grid": {
         "u0": -0.4, "v0": -0.35,
@@ -159,8 +158,6 @@ def validate_config(data) -> RunConfig:
         bad("window", "must be a positive integer or null")
     if not cfg["tol_scale"] > 0:
         bad("tol_scale", "must be positive")
-    if not isinstance(cfg["threads"], int) or cfg["threads"] < 1:
-        bad("threads", "must be a positive integer")
     for name, val in cfg["tolerances"].items():
         if not val > 0:
             bad(f"tolerances.{name}", "must be positive")

@@ -17,22 +17,45 @@ class SingularLoop(LoopsplitError):
     """Truncated inversion failed (residual above tolerance or singular solve)."""
 
 
-class BigCellViolation(LoopsplitError):
-    """Birkhoff factorization failed: singular/ill-conditioned system or large residual.
+ILL_CONDITIONED = "ill_conditioned"
+NOT_CONVERGED = "not_converged"
 
-    Cannot distinguish numerically between a loop genuinely off the big cell
-    and one whose factors need a larger window; the condition number is
-    attached so callers can retry with a larger window.
+
+class BigCellViolation(LoopsplitError):
+    """A factorization failed at every truncation window it tried.
+
+    `cause` says why.  "ill_conditioned": the mode system was singular or its
+    condition estimate exceeded the limit, which marks a loop off the big
+    cell (or too close to its boundary to factor reliably).  "not_converged":
+    the system was well conditioned but the a posteriori residual stayed
+    above the tolerance in every window tried, so the factors' tails are
+    longer than the window budget.  `windows` lists the window radii tried,
+    in order; `residual` and `condition` belong to the last of them.
     """
 
-    def __init__(self, msg, residual=None, condition=None):
+    def __init__(self, msg, residual=None, condition=None, windows=(),
+                 cause=NOT_CONVERGED):
         super().__init__(msg)
         self.residual = residual
         self.condition = condition
+        self.windows = list(windows)
+        self.cause = cause
+
+    def __str__(self):
+        return f"{self.args[0]} [{self.cause}; windows {self.windows}]"
 
 
 class NotInIwasawaCell(LoopsplitError):
-    """The constant middle term admits no solution of k^{-1} (QkQ^{-1}) = a."""
+    """The constant middle term admits no solution of k^{-1} (QkQ^{-1}) = a.
+
+    `residual` is set when the failure is a measured defect that a wider
+    truncation window can reduce (the tau(a) a = I precondition); it is None
+    for structural failures such as a spectrum or signature mismatch.
+    """
+
+    def __init__(self, msg, residual=None):
+        super().__init__(msg)
+        self.residual = residual
 
 
 class IntegrabilityViolation(LoopsplitError):

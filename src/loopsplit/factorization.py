@@ -3,21 +3,30 @@
 The left factorization g = g_- g_+ (g_- normalized to constant term I) is
 computed by solving for y in Lambda^-_1, truncated to degrees [-N, 0], such
 that the modes -1..-N of y g vanish; this is a square block-Toeplitz system,
-solved by dense LU with partial pivoting.  The right factorization is the
+solved by dense LU with partial pivoting, and g_- is the one-sided inverse
+of y, found by block forward substitution.  The right factorization is the
 lambda -> 1/lambda mirror of the left one.  Loops off the big cell surface
 as singular or ill-conditioned systems, reported as BigCellViolation together
 with a one-norm condition estimate.
+
+These are finite sections of block-Toeplitz operators (the projection
+method of Gohberg and Feldman), so the truncation error falls as the window
+N grows.  Without an explicit N, the window is chosen from the residual:
+start from a window read off the input, grow it geometrically, and stop at
+the round-off floor, when the residual stops falling, or when the system
+becomes ill-conditioned.  An explicit N is used as given.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import BigCellViolation, NotInIwasawaCell
+from .errors import ILL_CONDITIONED, BigCellViolation, NotInIwasawaCell
 from .loops import (
     LaurentLoop,
     constant,
@@ -32,12 +41,64 @@ from .symmetry import SymmetrySpec, apply_tau, tau_constant
 CONDITION_LIMIT = 1e12
 TOL_BIRKHOFF = 1e-9
 TOL_IWASAWA = 1e-8
+# residuals below this multiple of the loop's Wiener norm are round-off;
+# windows grow until they get there, not merely to the tolerance, so that
+# results carry no truncation error the trimming threshold would keep
+ROUNDOFF_FLOOR = 1e-13
+# largest block-Toeplitz system (rows of scalars) a window may lead to
+MAX_SYSTEM_ORDER = 1024
+# first adaptive window: this many degrees past the one read off the input
+START_PAD = 2
 
 
 def default_window(*loops, pad=4) -> int:
-    """Window-radius policy: twice the widest input radius plus a pad."""
+    """Fixed window radius: twice the widest input radius plus a pad.
+
+    Used where a caller gives no window and no residual drives the choice:
+    the inverse in `merge` and the inverses in `maurer_cartan`.  The
+    factorizations choose their own window from the residual instead.
+    """
     radius = max((g.radius for g in loops), default=0)
     return 2 * radius + pad
+
+
+def _adaptive_window(attempt, start, limit, scale):
+    """Residual-driven window choice shared by the factorizations.
+
+    attempt(N) returns (result, None) when window N meets the tolerance and
+    (None, failure) otherwise, where the failure is the exception to raise
+    and carries the residual; it raises BigCellViolation itself when the
+    window is ill-conditioned, and lets any failure no wider window can
+    repair propagate.  Windows grow by half from `start` up to `limit`.  The
+    search stops at the first residual within the round-off floor (relative
+    to `scale`), at the first one that does not fall, or at an
+    ill-conditioned window, and returns the result of least residual.
+    Otherwise the last failure is raised, listing every window tried.
+    """
+    floor = ROUNDOFF_FLOOR * scale
+    windows, best, last = [], None, math.inf
+    N = start
+    while True:
+        windows.append(N)
+        try:
+            result, failure = attempt(N)
+        except BigCellViolation as exc:
+            if best is not None:
+                return best
+            exc.windows = windows
+            raise
+        residual = (failure if result is None else result).residual
+        if result is not None and (best is None or residual < best.residual):
+            best = result
+        if not residual > floor or not residual < last or N >= limit:
+            break
+        last = residual
+        N = min(N + (N + 1) // 2, limit)
+    if best is not None:
+        return best
+    if isinstance(failure, BigCellViolation):
+        failure.windows = windows
+    raise failure
 
 
 @dataclass
@@ -83,7 +144,8 @@ def _toeplitz_solve(g: LaurentLoop, N: int):
             warnings.simplefilter("ignore", sla.LinAlgWarning)
             lu, piv = sla.lu_factor(big)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise BigCellViolation(f"singular mode system: {exc}") from exc
+        raise BigCellViolation(f"singular mode system: {exc}",
+                               cause=ILL_CONDITIONED) from exc
     gecon = sla.get_lapack_funcs("gecon", (big,))
     rcond, _ = gecon(lu, anorm)
     condition = np.inf if rcond == 0 else 1.0 / rcond
@@ -95,28 +157,41 @@ def _toeplitz_solve(g: LaurentLoop, N: int):
     return LaurentLoop(-N, coeffs, tol_trim=g.tol_trim), float(condition)
 
 
-def birkhoff_left(g: LaurentLoop, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
-    """g = minus * plus with minus in Lambda^-_1 and plus in Lambda^+."""
-    if g.lo >= 0:
-        return BirkhoffResult(identity(g.n), g, 0.0, 1.0, side="left")
-    if N is None:
-        N = default_window(g)
-    if N < abs(g.lo):
-        N = default_window(g)
+def _birkhoff_left_at(g: LaurentLoop, N: int, tol):
+    """One left factorization at window N, in the form _adaptive_window takes."""
     y, condition = _toeplitz_solve(g, N)
+    if not condition <= CONDITION_LIMIT:
+        raise BigCellViolation(
+            f"left factorization failed: condition {condition:.3e}",
+            condition=condition, cause=ILL_CONDITIONED)
     yg = mul(y, g)
     plus = yg.project("plus")
     tail = yg.project("strict_minus").wiener_norm()
     minus = truncated_inverse(y, N)
     residual = tail + distance(mul(minus, plus), g)
-    if not np.isfinite(residual) or residual > tol or condition > CONDITION_LIMIT:
-        raise BigCellViolation(
-            f"left factorization failed: residual {residual:.3e}, "
-            f"condition {condition:.3e} (window {N})",
-            residual=residual,
-            condition=condition,
-        )
-    return BirkhoffResult(minus, plus, residual, condition, side="left")
+    if np.isfinite(residual) and residual <= tol:
+        return BirkhoffResult(minus, plus, residual, condition, side="left"), None
+    return None, BigCellViolation(
+        f"left factorization failed: residual {residual:.3e}, "
+        f"condition {condition:.3e}",
+        residual=residual, condition=condition)
+
+
+def birkhoff_left(g: LaurentLoop, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
+    """g = minus * plus with minus in Lambda^-_1 and plus in Lambda^+.
+
+    With N given (and at least the depth of g's negative part) only that
+    window is solved; otherwise the window starts just past that depth and
+    grows with the residual (see _adaptive_window).
+    """
+    if g.lo >= 0:
+        return BirkhoffResult(identity(g.n), g, 0.0, 1.0, side="left")
+    if N is not None and N < abs(g.lo):
+        N = default_window(g)
+    start = abs(g.lo) + START_PAD if N is None else N
+    limit = start if N is not None else max(start, MAX_SYSTEM_ORDER // g.n)
+    return _adaptive_window(lambda w: _birkhoff_left_at(g, w, tol),
+                            start, limit, g.wiener_norm())
 
 
 def birkhoff_right(g: LaurentLoop, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
@@ -349,10 +424,12 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None,
         raise NotInIwasawaCell(
             f"middle term has shape {a.shape}, expected ({s.dim},{s.dim})")
     scale = max(1.0, fnorm(a))
-    if fnorm(tau_constant(a, s) @ a - np.eye(m)) > tol_pre * scale * 10:
+    defect = fnorm(tau_constant(a, s) @ a - np.eye(m))
+    if defect > tol_pre * scale * 10:
         raise NotInIwasawaCell(
-            "middle term does not satisfy tau(a) = a^{-1}; "
-            "the loop is not in the Iwasawa cell"
+            f"middle term does not satisfy tau(a) = a^{{-1}} (defect {defect:.3e}); "
+            "the loop is not in the Iwasawa cell",
+            residual=defect,
         )
     if fnorm(a - np.eye(m)) <= tol_post:
         return np.eye(m, dtype=complex)
@@ -386,31 +463,48 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None,
 # -- tau-Iwasawa ---------------------------------------------------------------
 
 
-def tau_iwasawa(x: LaurentLoop, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
-                constant_group="auto", form=None) -> IwasawaResult:
-    """Factor x = z * y_plus with z tau-fixed and y_plus in Lambda^+.
+def _decay_window(x: LaurentLoop) -> int:
+    """Smallest N such that degrees outside [-N, N] carry no more than the
+    round-off floor of x's Wiener norm."""
+    norms = np.linalg.norm(x.coeffs.reshape(x.coeffs.shape[0], -1), axis=1)
+    reach = np.abs(np.arange(x.lo, x.hi + 1))
+    by_reach = np.zeros(x.radius + 2)
+    np.add.at(by_reach, reach, norms)
+    outside = np.cumsum(by_reach[::-1])[::-1][1:]   # outside[N] = mass beyond N
+    return int(np.argmax(outside <= ROUNDOFF_FLOOR * norms.sum()))
 
-    Steps: form w = x^{-1} tau(x); right-Birkhoff w = v_+ a v_- with
-    v_+ in Lambda^+_1 and constant middle a (which must satisfy
-    tau(a) = a^{-1}, reported as a residual); solve a = k^{-1} tau(k);
-    then y_plus = k v_+^{-1} and z = x v_+ k^{-1}.  z is unique up to a
-    constant tau-fixed right factor.
+
+def _tau_iwasawa_at(x, s, N, tol, constant_group, form):
+    """tau-Iwasawa at window N, in the form _adaptive_window takes.
+
+    Failures a wider window can repair carry a residual and are returned:
+    the inner Birkhoff residual, the tau(a) a = I defect of the middle term,
+    and the reconstruction and tau-fixedness postconditions.
     """
-    if N is None:
-        N = default_window(x)
     xi = truncated_inverse(x, N)
     w = mul(xi, apply_tau(x, s))
-    right = birkhoff_right(w, N=max(N, w.radius), tol=tol)
+    try:
+        right = birkhoff_right(w, N=max(N, w.radius), tol=tol)
+    except BigCellViolation as exc:
+        if exc.cause == ILL_CONDITIONED:
+            raise
+        return None, exc
     v_plus = right.plus
     a = right.minus.coeff(0)
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
-        raise BigCellViolation("constant middle term is singular") from exc
+        raise BigCellViolation("constant middle term is singular",
+                               cause=ILL_CONDITIONED) from exc
     v_minus = mul(constant(a_inv), right.minus)
     mid_residual = fnorm(tau_constant(a, s) @ a - np.eye(x.n))
     pair_residual = distance(mul(v_minus, apply_tau(v_plus, s)), identity(x.n))
-    k = solve_constant_tau(a, s, group=constant_group, form=form)
+    try:
+        k = solve_constant_tau(a, s, group=constant_group, form=form)
+    except NotInIwasawaCell as exc:
+        if exc.residual is None:
+            raise
+        return None, exc
     k_inv = np.linalg.inv(k)
     y_plus = mul(constant(k), truncated_inverse(v_plus, N))
     z = mul(x, mul(v_plus, constant(k_inv)))
@@ -423,14 +517,36 @@ def tau_iwasawa(x: LaurentLoop, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
     }
     result = IwasawaResult(z=z, y_plus=y_plus, k_const=k, residuals=residuals)
     if residuals["reconstruction"] > tol or residuals["tau_fixed"] > tol:
-        raise BigCellViolation(
+        return None, BigCellViolation(
             "tau-Iwasawa postconditions failed: "
             f"reconstruction {residuals['reconstruction']:.3e}, "
-            f"tau-fixedness {residuals['tau_fixed']:.3e} (window {N})",
+            f"tau-fixedness {residuals['tau_fixed']:.3e}",
             residual=result.residual,
             condition=right.condition,
         )
-    return result
+    return result, None
+
+
+def tau_iwasawa(x: LaurentLoop, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
+                constant_group="auto", form=None) -> IwasawaResult:
+    """Factor x = z * y_plus with z tau-fixed and y_plus in Lambda^+.
+
+    Steps: form w = x^{-1} tau(x); right-Birkhoff w = v_+ a v_- with
+    v_+ in Lambda^+_1 and constant middle a (which must satisfy
+    tau(a) = a^{-1}, reported as a residual); solve a = k^{-1} tau(k);
+    then y_plus = k v_+^{-1} and z = x v_+ k^{-1}.  z is unique up to a
+    constant tau-fixed right factor.
+
+    With N given only that window is solved.  Otherwise the window starts
+    just past the degree where x's coefficients decay to round-off and
+    grows with the residual (see _adaptive_window); spectrum and signature
+    mismatches of the middle term raise at once.
+    """
+    start = _decay_window(x) + START_PAD if N is None else N
+    limit = start if N is not None else max(start, MAX_SYSTEM_ORDER // (2 * x.n))
+    return _adaptive_window(
+        lambda w: _tau_iwasawa_at(x, s, w, tol, constant_group, form),
+        start, limit, x.wiener_norm())
 
 
 def tau_iwasawa_minus(x: LaurentLoop, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,

@@ -383,39 +383,21 @@ def mc_residual(A: ConnectionForm, per_degree=False):
 # -- splitting and merging ----------------------------------------------------
 
 
-def _map_unmasked(F: FrameField, fn, threads=1):
-    """Apply fn to every valid node value; collect results and failures.
-
-    Pointwise factorizations are independent across nodes, so with threads
-    greater than one the work is spread over a thread pool (the heavy lifting
-    happens inside LAPACK calls, which release the interpreter lock); results
-    are identical to the sequential sweep.
-    """
-    nodes = [(i, j) for i, j in F.grid.nodes() if F.mask[i, j]]
+def _map_unmasked(F: FrameField, fn):
+    """Apply fn to every valid node value; collect results and failures."""
     out = {}
     failures = {}
-
-    def work(node):
+    for node in F.grid.nodes():
+        if not F.mask[node]:
+            continue
         try:
-            return node, fn(F.value(*node)), None
+            out[node] = fn(F.value(*node))
         except (BigCellViolation, SingularLoop, NotInIwasawaCell) as exc:
-            return node, None, str(exc)
-
-    if threads > 1 and len(nodes) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(work, nodes))
-    else:
-        done = [work(node) for node in nodes]
-    for node, val, err in done:
-        if err is None:
-            out[node] = val
-        else:
-            failures[node] = err
+            failures[node] = str(exc)
     return out, failures
 
 
-def split(F: FrameField, N=None, tol=TOL_BIRKHOFF, threads=1):
+def split(F: FrameField, N=None, tol=TOL_BIRKHOFF):
     """Pointwise Birkhoff split into the (a,-1) and (1,b) basic pair.
 
     The left factorization supplies G_minus (normalized in Lambda^-_1), the
@@ -433,7 +415,7 @@ def split(F: FrameField, N=None, tol=TOL_BIRKHOFF, threads=1):
         right = birkhoff_right(g, N=N, tol=tol)
         return left, right
 
-    results, failures = _map_unmasked(F, factor, threads)
+    results, failures = _map_unmasked(F, factor)
     diagnostics = {}
     for (i, j), (left, right) in results.items():
         gm[i][j] = left.minus
@@ -774,7 +756,7 @@ def _holonomy_residual(eta: ConnectionForm) -> float:
 
 
 def dress_plus(g_minus: LaurentLoop, F_plus: FrameField, N=None,
-               tol=TOL_BIRKHOFF, threads=1) -> FrameField:
+               tol=TOL_BIRKHOFF) -> FrameField:
     """Left action of a Lambda^- element on a (1,b) field.
 
     Pointwise right Birkhoff factorization of g_minus F_plus(t); the new
@@ -784,22 +766,22 @@ def dress_plus(g_minus: LaurentLoop, F_plus: FrameField, N=None,
     def act(g):
         return birkhoff_right(mul(g_minus, g), N=N, tol=tol).plus
 
-    return _dress_apply(F_plus, act, threads)
+    return _dress_apply(F_plus, act)
 
 
 def dress_minus(g_plus: LaurentLoop, G_minus: FrameField, N=None,
-                tol=TOL_BIRKHOFF, threads=1) -> FrameField:
+                tol=TOL_BIRKHOFF) -> FrameField:
     """Mirror action of a Lambda^+ element on an (a,-1) field."""
     def act(g):
         return birkhoff_left(mul(g_plus, g), N=N, tol=tol).minus
 
-    return _dress_apply(G_minus, act, threads)
+    return _dress_apply(G_minus, act)
 
 
-def _dress_apply(F: FrameField, act, threads=1):
+def _dress_apply(F: FrameField, act):
     vals = _value_table(F.grid)
     mask = np.zeros(F.grid.shape, dtype=bool)
-    results, failures = _map_unmasked(F, act, threads)
+    results, failures = _map_unmasked(F, act)
     for (i, j), val in results.items():
         vals[i][j] = val
         mask[i, j] = True
@@ -808,7 +790,7 @@ def _dress_apply(F: FrameField, act, threads=1):
 
 
 def dress_pair(g_minus: LaurentLoop, g_plus: LaurentLoop, F: FrameField,
-               N=None, tol=TOL_BIRKHOFF, threads=1) -> FrameField:
+               N=None, tol=TOL_BIRKHOFF) -> FrameField:
     """Action of a (g_-, g_+) pair on an (a,b) field, a < 0 < b.
 
     Computes the dressed (1,b) and (a,-1) pieces from g_- F and g_+ F and
@@ -820,6 +802,6 @@ def dress_pair(g_minus: LaurentLoop, g_plus: LaurentLoop, F: FrameField,
     def minus_part(g):
         return birkhoff_left(mul(g_plus, g), N=N, tol=tol).minus
 
-    f_plus = _dress_apply(F, plus_part, threads)
-    g_minus_field = _dress_apply(F, minus_part, threads)
+    f_plus = _dress_apply(F, plus_part)
+    g_minus_field = _dress_apply(F, minus_part)
     return merge(g_minus_field, f_plus, N=N, tol=tol)

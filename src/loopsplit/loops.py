@@ -280,28 +280,38 @@ def distance(x: LaurentLoop, y: LaurentLoop) -> float:
 
 
 def _neumann_inverse(g: LaurentLoop, N: int, side: str) -> LaurentLoop:
-    # g = I + s with s strictly negative (side "minus") or strictly positive
-    # ("plus") degrees; the alternating series terminates within the window.
-    s = g.project(PART_STRICT_MINUS if side == "minus" else PART_STRICT_PLUS)
-    clip = (lambda h: h.clip(-N, 0)) if side == "minus" else (lambda h: h.clip(0, N))
-    acc = identity(g.n, tol_trim=g.tol_trim)
-    power = identity(g.n, tol_trim=g.tol_trim)
-    for _ in range(N):
-        power = clip((-1.0) * mul(power, s))
-        peak = np.abs(power.coeffs).max()
-        if peak == 0.0 or peak < 1e-17:
-            break
-        acc = acc + power
-    return acc
+    """Inverse of g = I + s, s strictly negative (side "minus") or strictly
+    positive ("plus"), truncated to degree N on that side.
+
+    Sums the terminating Neumann series sum_k (-s)^k by block forward
+    substitution instead of power by power: with degrees counted away from
+    zero, x_0 = I and x_k = -sum_{j=1..min(k,r)} s_j x_{k-j}, which takes
+    O(N r) block products for s of degree r.  The coefficients are exactly
+    those of the truncated series.
+    """
+    n = g.n
+    c = g.coeffs[::-1] if side == "minus" else g.coeffs  # degree |d| at index |d|
+    r = c.shape[0] - 1
+    # s_1 .. s_r side by side, so one product sums the whole recurrence row
+    s_row = np.asarray(c[1:]).transpose(1, 0, 2).reshape(n, r * n)
+    x = np.zeros((N + 1, n, n), dtype=complex)
+    x[0] = np.eye(n)
+    for k in range(1, N + 1):
+        m = min(k, r)
+        x[k] = -(s_row[:, : m * n] @ x[k - m : k][::-1].reshape(m * n, n))
+    if side == "minus":
+        return LaurentLoop(-N, np.ascontiguousarray(x[::-1]), tol_trim=g.tol_trim)
+    return LaurentLoop(0, x, tol_trim=g.tol_trim)
 
 
 def truncated_inverse(g: LaurentLoop, N: int, tol_inv=1e-10) -> LaurentLoop:
     """Inverse truncated to the window [-N, N].
 
-    Certified I + (strictly negative / strictly positive) loops take the exact
-    terminating Neumann path; everything else goes through a square
-    block-Toeplitz least-squares solve for P_[-N,N](g x - I) = 0.  Raises
-    SingularLoop when the in-window residual exceeds tol_inv.
+    Normalized one-sided loops I + (strictly negative / strictly positive)
+    have a one-sided inverse whose coefficients follow from block forward
+    substitution, exactly and without a solve; everything else goes through
+    a square block-Toeplitz least-squares solve for P_[-N,N](g x - I) = 0.
+    Raises SingularLoop when the in-window residual exceeds tol_inv.
     """
     n = g.n
     if g.window == (0, 0):

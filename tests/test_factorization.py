@@ -24,6 +24,7 @@ from loopsplit import (
 )
 from loopsplit.generators import (
     random_fixed_loop,
+    random_matrix,
     random_minus_unipotent,
     random_tau_instance,
     rng_for,
@@ -85,6 +86,31 @@ def test_birkhoff_off_big_cell():
                     0: np.diag([0.0, 0, 1, 1])})
     with pytest.raises(ls.BigCellViolation):
         birkhoff_left(g, N=8)
+    # without a window the first system is already singular: no retry helps
+    with pytest.raises(ls.BigCellViolation) as info:
+        birkhoff_left(g)
+    assert info.value.cause == "ill_conditioned"
+    assert len(info.value.windows) == 1
+    assert "ill_conditioned" in str(info.value)
+
+
+def test_birkhoff_window_follows_residual():
+    # the fixed window 2*radius + 4 = 6 failed on both sides of this loop
+    # (residuals 2.9e-8 and 8.3e-3); the right factor's residual falls about
+    # x0.46 per unit of N and reaches round-off only in the mid thirties
+    rng = rng_for(7)
+    gm = random_minus_unipotent(rng, 4, depth=1)
+    g = mul(gm, from_terms({0: np.eye(4), 1: 0.2 * random_matrix(rng, 4)}))
+    for fn in (birkhoff_left, birkhoff_right):
+        out = fn(g)
+        assert out.residual <= 1e-12
+        assert distance(out.reconstruction(), g) <= 1e-12
+    # twice the old window is still too small, and is reported as such
+    with pytest.raises(ls.BigCellViolation) as info:
+        birkhoff_right(g, N=12)
+    assert info.value.cause == "not_converged"
+    assert info.value.windows == [12]
+    assert info.value.residual > 1e-9
 
 
 def test_birkhoff_reconstruction_property():
@@ -216,6 +242,26 @@ def test_tau_iwasawa_nonuniqueness_is_constant():
     dc = d.coeff(0)
     assert distance(d, constant(dc)) < 1e-8
     assert np.linalg.norm(tau_constant(dc, S) - dc) < 1e-8
+
+
+@pytest.mark.parametrize("residual", [None, 1e-3])
+def test_tau_iwasawa_retries_only_residual_failures(monkeypatch, residual):
+    # a structural middle-term failure raises at the first window; a
+    # precondition defect is retried until it stops falling
+    from loopsplit import factorization
+
+    calls = []
+
+    def failing_solve(a, s, **kw):
+        calls.append(a)
+        raise ls.NotInIwasawaCell("middle term rejected", residual=residual)
+
+    monkeypatch.setattr(factorization, "solve_constant_tau", failing_solve)
+    x, _, _ = random_tau_instance(rng_for(36), S, scale=0.15)
+    with pytest.raises(ls.NotInIwasawaCell) as info:
+        tau_iwasawa(x, S, constant_group="general")
+    assert info.value.residual == residual
+    assert len(calls) == (1 if residual is None else 2)
 
 
 def test_tau_iwasawa_minus_mirror():
