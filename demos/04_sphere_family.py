@@ -35,8 +35,7 @@ print("target curvature:", round(ls.curvature_c(lam, sphere), 6),
 # the connection form in closed form, and the sampled frames' discrete one
 A = ls.assemble_connection(example_sphere_connection(grid))
 A_fd = ls.maurer_cartan(F)
-err = max(ls.distance(A.a_u[i][j], A_fd.a_u[i][j])
-          for i, j in grid.nodes() if A_fd.mask[i, j])
+err = ls.field_distance(A, A_fd)
 print("sampled connection vs closed form (O(h^2) at h=%.3g): %.2e"
       % (grid.h_u, err))
 

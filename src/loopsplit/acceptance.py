@@ -190,12 +190,7 @@ def criterion_5(seed=42) -> CriterionResult:
     F = example_sphere_field(grid)
     A_fd = maurer_cartan(F)
     A_ref = assemble_connection(example_sphere_connection(grid))
-    worst = 0.0
-    for i, j in grid.nodes():
-        if A_fd.mask[i, j]:
-            worst = max(worst, distance(A_fd.a_u[i][j], A_ref.a_u[i][j]),
-                        distance(A_fd.a_v[i][j], A_ref.a_v[i][j]))
-    res.add("connection form vs printed form (h=1e-2)", worst, 1e-3)
+    res.add("connection form vs printed form (h=1e-2)", field_distance(A_fd, A_ref), 1e-3)
 
     grid_b = Grid2D.centered(0.4, 9, 0.35, 9)
     flat = nonflat_to_flat(example_sphere_field(grid_b), s)

@@ -14,14 +14,12 @@ from .fields import Grid2D
 from .loops import GroupSpec
 from .symmetry import REALITY_TAGS, SymmetrySpec
 
+# the tolerances the command line passes to the factorizations; the others
+# in the hierarchy (trimming, inversion, round trips, order, flatness) are
+# fixed by the library
 DEFAULT_TOLERANCES = {
-    "trim": 1e-14,
-    "inverse": 1e-10,
     "birkhoff": 1e-9,
     "iwasawa": 1e-8,
-    "roundtrip": 1e-7,
-    "order": 1e-6,
-    "mc": 1e-6,
 }
 
 DEFAULT_CONFIG = {
@@ -29,7 +27,6 @@ DEFAULT_CONFIG = {
     "n": 2,
     "k": 1,
     "reality": "Rm1",
-    "twists": ["sigma", "tau"],
     "target": "sphere",
     "window": None,
     "tol_scale": 1.0,

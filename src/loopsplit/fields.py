@@ -2,7 +2,10 @@
 
 A FrameField samples a map from a rectangular 2-parameter patch into the
 loop group; a ConnectionForm holds the two directional components of a
-Maurer-Cartan form, one loop per node per direction.  Pointwise
+Maurer-Cartan form, one loop per node per direction.  Each stores one complex
+coefficient array over a degree window shared by the grid, so operations over
+the whole grid (distances, orders, finite differences) are array operations,
+while pointwise factorizations work on per-node LaurentLoop views.  Pointwise
 factorizations never fail a whole field: nodes where a solve breaks are
 masked out and reported, mirroring the restriction to the open subset where
 the decompositions exist.
@@ -13,7 +16,7 @@ Tolerance hierarchy, loosest consumer last: trimming 1e-14 < factorization
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -94,51 +97,124 @@ class Grid2D:
                 yield i, j
 
 
-def _full_mask(grid):
-    return np.ones(grid.shape, dtype=bool)
+def _nodes(mask):
+    """Row-major (i, j) indices of the True entries of a grid mask."""
+    return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
-def _value_table(grid, fill=None):
-    nu, nv = grid.shape
-    return [[fill for _ in range(nv)] for _ in range(nu)]
+def _pack(shape, loops, n):
+    """(lo, coeffs): loops keyed by index into `shape`, re-embedded into one
+    array over the union of their degree windows, zero elsewhere."""
+    lo = min((g.lo for g in loops.values()), default=0)
+    hi = max((g.hi for g in loops.values()), default=0)
+    coeffs = np.zeros(tuple(shape) + (hi - lo + 1, n, n), dtype=complex)
+    for key, g in loops.items():
+        if g.n != n:
+            raise DimensionMismatch(f"loop at {key} has dimension {g.n}, expected {n}")
+        if len(key) != len(shape) or not all(0 <= k < s for k, s in zip(key, shape)):
+            raise DimensionMismatch(f"index {key} outside {tuple(shape)}")
+        coeffs[key][g.lo - lo : g.hi - lo + 1] = g.coeffs
+    return lo, coeffs
 
 
 @dataclass
-class FrameField:
-    """Loop-group values on a grid, with failure mask and declared tags."""
+class _SampledLoops:
+    """One loop per grid node (and per direction, for forms), stored as one
+    complex array: coeffs[i, j, ..., t] is the degree lo + t coefficient.
+
+    The window is shared by the whole grid; `value` returns a node's loop
+    trimmed to its own window.  Arrays are treated as immutable after
+    construction.
+    """
 
     grid: Grid2D
-    values: list
+    lo: int
+    coeffs: np.ndarray
     mask: np.ndarray = None
+
+    _directions = ()  # index axes between the grid axes and the degree axis
+
+    def __post_init__(self):
+        self.lo = int(self.lo)
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        lead = self.grid.shape + self._directions
+        shape = self.coeffs.shape
+        if (len(shape) != len(lead) + 3 or shape[: len(lead)] != lead
+                or shape[-3] == 0 or shape[-1] != shape[-2]):
+            raise DimensionMismatch(
+                f"coefficient array has shape {shape}, expected {lead} + (W, n, n)")
+        if self.mask is None:
+            self.mask = np.ones(self.grid.shape, dtype=bool)
+        self.mask = np.asarray(self.mask, dtype=bool)
+        if self.mask.shape != self.grid.shape:
+            raise DimensionMismatch(
+                f"mask shape {self.mask.shape} does not match grid {self.grid.shape}")
+
+    @classmethod
+    def from_loops(cls, grid, loops, n=None, **kw):
+        """Pack {index: loop} into one array; nodes without loops are masked.
+
+        n is the loop dimension, needed only when `loops` is empty.
+        """
+        if n is None:
+            if not loops:
+                raise ValueError("an empty set of loops needs its dimension n")
+            n = next(iter(loops.values())).n
+        lo, coeffs = _pack(grid.shape + cls._directions, loops, n)
+        mask = np.zeros(grid.shape, dtype=bool)
+        for key in loops:
+            mask[key[:2]] = True
+        return cls(grid, lo, coeffs, mask, **kw)
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.coeffs.shape[-3] - 1
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[-1]
+
+    def value(self, *index) -> LaurentLoop:
+        """The loop at one node (and direction), trimmed to its own window."""
+        return LaurentLoop(self.lo, self.coeffs[index])
+
+    def loops(self) -> dict:
+        """{index: loop} over the unmasked nodes, the inverse of from_loops."""
+        return {node + d: self.value(*node, *d) for node in _nodes(self.mask)
+                for d in np.ndindex(self._directions)}
+
+
+def _coeff_norms(c):
+    """Frobenius norms of a stack of coefficient matrices."""
+    return np.linalg.norm(c.reshape(c.shape[:-2] + (-1,)), axis=-1)
+
+
+def _widen(x: _SampledLoops, lo, width):
+    """x's coefficient array re-embedded into the window [lo, lo + width)."""
+    out = np.zeros(x.coeffs.shape[:-3] + (width,) + x.coeffs.shape[-2:], dtype=complex)
+    out[..., x.lo - lo : x.hi - lo + 1, :, :] = x.coeffs
+    return out
+
+
+@dataclass
+class FrameField(_SampledLoops):
+    """Loop-group values on a grid, with failure mask and declared tags.
+
+    coeffs has shape (nu, nv, W, n, n).
+    """
+
     symmetry: Optional[SymmetrySpec] = None
     target: Optional[GroupSpec] = None
     info: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.mask is None:
-            self.mask = _full_mask(self.grid)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != self.grid.shape:
-            raise DimensionMismatch("mask shape does not match grid")
-
     @classmethod
-    def from_function(cls, grid, fn, symmetry=None, target=None):
-        vals = [[fn(u, v) for v in grid.vs] for u in grid.us]
-        return cls(grid, vals, symmetry=symmetry, target=target)
+    def from_function(cls, grid, fn, **kw):
+        return cls.from_loops(grid, {(i, j): fn(u, v) for i, u in enumerate(grid.us)
+                                     for j, v in enumerate(grid.vs)}, **kw)
 
     @classmethod
     def constant_field(cls, grid, g: LaurentLoop, **kw):
-        return cls(grid, [[g for _ in grid.vs] for _ in grid.us], **kw)
-
-    def value(self, i, j) -> LaurentLoop:
-        return self.values[i][j]
-
-    @property
-    def dim(self):
-        for i, j in self.grid.nodes():
-            if self.mask[i, j]:
-                return self.values[i][j].n
-        raise ValueError("fully masked field")
+        return cls.from_loops(grid, {node: g for node in grid.nodes()}, **kw)
 
     def base_value(self) -> LaurentLoop:
         return self.value(*self.grid.base)
@@ -148,66 +224,37 @@ class FrameField:
         return bool(self.mask[bi, bj]) and distance(
             self.base_value(), identity(self.dim)) <= tol
 
-    def map_values(self, fn, **changes) -> "FrameField":
-        vals = _value_table(self.grid)
-        for i, j in self.grid.nodes():
-            if self.mask[i, j]:
-                vals[i][j] = fn(self.values[i][j])
-        out = replace(self, values=vals, mask=self.mask.copy(), info=dict(self.info))
-        for key, val in changes.items():
-            setattr(out, key, val)
-        return out
+    def map_values(self, fn) -> "FrameField":
+        return FrameField.from_loops(
+            self.grid, {node: fn(g) for node, g in self.loops().items()}, n=self.dim,
+            symmetry=self.symmetry, target=self.target, info=dict(self.info))
 
     def right_multiply(self, g: LaurentLoop) -> "FrameField":
         return self.map_values(lambda h: mul(h, g))
 
-    def max_radius(self) -> int:
-        return max(self.values[i][j].radius for i, j in self.grid.nodes()
-                   if self.mask[i, j])
 
-
-def field_distance(a: FrameField, b: FrameField) -> float:
-    """Max loop distance over nodes unmasked in both fields."""
-    worst = 0.0
-    for i, j in a.grid.nodes():
-        if a.mask[i, j] and b.mask[i, j]:
-            worst = max(worst, distance(a.value(i, j), b.value(i, j)))
-    return worst
+def field_distance(a: _SampledLoops, b: _SampledLoops) -> float:
+    """Max loop distance over nodes unmasked in both fields (or both forms)."""
+    if a.coeffs.shape[:-3] != b.coeffs.shape[:-3] or a.dim != b.dim:
+        raise DimensionMismatch(
+            f"cannot compare shapes {a.coeffs.shape[:-3]} x {a.dim} and "
+            f"{b.coeffs.shape[:-3]} x {b.dim}")
+    lo = min(a.lo, b.lo)
+    width = max(a.hi, b.hi) - lo + 1
+    diff = _widen(a, lo, width) - _widen(b, lo, width)
+    return float(_coeff_norms(diff[a.mask & b.mask]).sum(axis=-1).max(initial=0.0))
 
 
 @dataclass
-class ConnectionForm:
-    """Directional components A_u, A_v of a Maurer-Cartan form, per node."""
+class ConnectionForm(_SampledLoops):
+    """Directional components A_u, A_v of a Maurer-Cartan form, per node.
 
-    grid: Grid2D
-    a_u: list
-    a_v: list
-    mask: np.ndarray = None
+    coeffs has shape (nu, nv, 2, W, n, n); direction 0 is du and 1 is dv.
+    """
+
     declared_window: Optional[tuple] = None
 
-    def __post_init__(self):
-        if self.mask is None:
-            self.mask = _full_mask(self.grid)
-        self.mask = np.asarray(self.mask, dtype=bool)
-
-    def component(self, direction) -> list:
-        return self.a_u if direction == "u" else self.a_v
-
-    @property
-    def dim(self):
-        for i, j in self.grid.nodes():
-            if self.mask[i, j]:
-                return self.a_u[i][j].n
-        raise ValueError("fully masked form")
-
-    def map_loops(self, fn) -> "ConnectionForm":
-        au = _value_table(self.grid)
-        av = _value_table(self.grid)
-        for i, j in self.grid.nodes():
-            if self.mask[i, j]:
-                au[i][j] = fn(self.a_u[i][j])
-                av[i][j] = fn(self.a_v[i][j])
-        return ConnectionForm(self.grid, au, av, self.mask.copy(), self.declared_window)
+    _directions = (2,)
 
     def window_defect(self) -> float:
         """How far the measured window spills outside the declared one.
@@ -222,16 +269,11 @@ class ConnectionForm:
         top = form_scale(self)
         if top == 0.0:
             return 0.0
-        worst = 0.0
-        for i, j in self.grid.nodes():
-            if not self.mask[i, j]:
-                continue
-            for comp in (self.a_u[i][j], self.a_v[i][j]):
-                if comp.lo < lo:
-                    worst = max(worst, comp.clip(comp.lo, lo - 1).wiener_norm())
-                if comp.hi > hi:
-                    worst = max(worst, comp.clip(hi + 1, comp.hi).wiener_norm())
-        return worst / top
+        norms = _coeff_norms(self.coeffs[self.mask])
+        degs = np.arange(self.lo, self.hi + 1)
+        spill = np.maximum(norms[..., degs < lo].sum(axis=-1),
+                           norms[..., degs > hi].sum(axis=-1))
+        return float(spill.max(initial=0.0)) / top
 
 
 @dataclass
@@ -244,40 +286,54 @@ class Potential:
 
 # -- finite differences -------------------------------------------------------
 
-
-def _derivative_stencil(size, i):
-    """(offsets, weights) for an O(h^2) first derivative at index i."""
-    if size < 3:
-        raise ValueError("need at least 3 nodes per direction")
-    if i == 0:
-        return (0, 1, 2), (-1.5, 2.0, -0.5)
-    if i == size - 1:
-        return (size - 3, size - 2, size - 1), (0.5, -2.0, 1.5)
-    return (i - 1, i + 1), (-0.5, 0.5)
+# (offset, weight) taps of the O(h^2) first-derivative stencils
+_CENTRAL = ((-1, -0.5), (1, 0.5))
+_BACKWARD = ((-2, 0.5), (-1, -2.0), (0, 1.5))
+_FORWARD = ((0, -1.5), (1, 2.0), (2, -0.5))
 
 
-def _axis_items(values, mask, i, j, axis):
-    if axis == 0:
-        size = len(values)
-        return size, (lambda t: values[t][j]), (lambda t: mask[t, j])
-    size = len(values[i])
-    return size, (lambda t: values[i][t]), (lambda t: mask[i, t])
+def _stencil(arr, h, axis, taps):
+    """Apply one stencil along a grid axis wherever it fits; NaN elsewhere."""
+    out = np.full(arr.shape, np.nan, dtype=arr.dtype)
+    size = arr.shape[axis]
+    first = -min(off for off, _ in taps)
+    stop = size - max(off for off, _ in taps)
+    if stop > first:
+        src = np.moveaxis(arr, axis, 0)
+        acc = None
+        for off, w in taps:
+            term = (w / h) * src[first + off : stop + off]
+            acc = term if acc is None else acc + term
+        np.moveaxis(out, axis, 0)[first:stop] = acc
+    return out
 
 
-def _derivative_loop(values, mask, i, j, axis, h):
-    """Directional derivative of a loop grid at a node; None when stencil masked."""
-    size, val, ok = _axis_items(values, mask, i, j, axis)
-    pos = i if axis == 0 else j
-    idxs, wts = _derivative_stencil(size, pos)
-    if not all(ok(t) for t in idxs):
-        # retreat to the one-sided stencil away from the masked side
-        if pos > 1 and all(ok(t) for t in (pos - 2, pos - 1, pos)):
-            idxs, wts = (pos - 2, pos - 1, pos), (0.5, -2.0, 1.5)
-        elif pos < size - 2 and all(ok(t) for t in (pos, pos + 1, pos + 2)):
-            idxs, wts = (pos, pos + 1, pos + 2), (-1.5, 2.0, -0.5)
-        else:
-            return None
-    return lincomb([(w / h, val(t)) for t, w in zip(idxs, wts)])
+def central_difference(arr, h, axis):
+    """O(h^2) central difference along a grid axis; NaN at the two edge nodes."""
+    return _stencil(arr, h, axis, _CENTRAL)
+
+
+def grid_derivative(arr, valid, h, axis):
+    """O(h^2) first derivative along a grid axis (0: u, 1: v) of an array
+    whose leading axes are the grid's, restricted to the valid nodes.
+
+    A valid node takes the central stencil when both neighbours are valid,
+    else the 3-point backward stencil, else the 3-point forward one, so
+    edges and masked neighbours are differenced one-sidedly.  Returns
+    (derivative, ok); ok is False, and the derivative NaN, where no stencil
+    of valid nodes exists.
+    """
+    out = np.full(arr.shape, np.nan, dtype=arr.dtype)
+    ok = np.zeros(valid.shape, dtype=bool)
+    size = valid.shape[axis]
+    padded = np.pad(valid, [(2, 2) if a == axis else (0, 0) for a in range(2)])
+    for taps in (_CENTRAL, _BACKWARD, _FORWARD):
+        fits = valid & ~ok
+        for off, _ in taps:  # nodes past the edges count as invalid
+            fits &= np.take(padded, np.arange(2 + off, 2 + off + size), axis=axis)
+        out[fits] = _stencil(arr, h, axis, taps)[fits]
+        ok |= fits
+    return out, ok
 
 
 def maurer_cartan(F: FrameField, N=None) -> ConnectionForm:
@@ -285,25 +341,19 @@ def maurer_cartan(F: FrameField, N=None) -> ConnectionForm:
     grid = F.grid
     if min(grid.shape) < 3:
         raise ValueError("maurer_cartan needs at least 3 nodes per direction")
-    au = _value_table(grid)
-    av = _value_table(grid)
-    mask = np.zeros(grid.shape, dtype=bool)
-    for i, j in grid.nodes():
-        if not F.mask[i, j]:
-            continue
-        du = _derivative_loop(F.values, F.mask, i, j, 0, grid.h_u)
-        dv = _derivative_loop(F.values, F.mask, i, j, 1, grid.h_v)
-        if du is None or dv is None:
-            continue
+    du, ok_u = grid_derivative(F.coeffs, F.mask, grid.h_u, 0)
+    dv, ok_v = grid_derivative(F.coeffs, F.mask, grid.h_v, 1)
+    loops = {}
+    for i, j in _nodes(ok_u & ok_v):
         g = F.value(i, j)
+        a_u, a_v = LaurentLoop(F.lo, du[i, j]), LaurentLoop(F.lo, dv[i, j])
         try:
-            inv = truncated_inverse(g, N if N is not None else default_window(g, du, dv))
+            inv = truncated_inverse(g, N if N is not None else default_window(g, a_u, a_v))
         except SingularLoop:
             continue
-        au[i][j] = mul(inv, du)
-        av[i][j] = mul(inv, dv)
-        mask[i, j] = True
-    return ConnectionForm(grid, au, av, mask)
+        loops[i, j, 0] = mul(inv, a_u)
+        loops[i, j, 1] = mul(inv, a_v)
+    return ConnectionForm.from_loops(grid, loops, n=F.dim)
 
 
 def connection_order(A: ConnectionForm, tol_order=TOL_ORDER, floor=0.0):
@@ -313,33 +363,20 @@ def connection_order(A: ConnectionForm, tol_order=TOL_ORDER, floor=0.0):
     `floor` is an absolute cutoff below which coefficients count as noise
     (useful on forms obtained by finite differences of near-constant fields).
     """
-    peak = {}
-    top = 0.0
-    for i, j in A.grid.nodes():
-        if not A.mask[i, j]:
-            continue
-        for comp in (A.a_u[i][j], A.a_v[i][j]):
-            norms = np.linalg.norm(comp.coeffs.reshape(comp.coeffs.shape[0], -1), axis=1)
-            for d, nm in zip(range(comp.lo, comp.hi + 1), norms):
-                peak[d] = max(peak.get(d, 0.0), float(nm))
-                top = max(top, float(nm))
-    if not peak or top <= floor:
+    norms = _coeff_norms(A.coeffs[A.mask])
+    peak = norms.reshape(-1, norms.shape[-1]).max(axis=0, initial=0.0)
+    top = float(peak.max())
+    if top <= floor:
         return (0, 0, True)
-    degs = [d for d, nm in peak.items() if nm > max(tol_order * top, floor)]
-    if not degs:
+    degs = np.flatnonzero(peak > max(tol_order * top, floor))
+    if degs.size == 0:
         return (0, 0, True)
-    return (min(degs), max(degs), False)
+    return (A.lo + int(degs[0]), A.lo + int(degs[-1]), False)
 
 
 def form_scale(A: ConnectionForm) -> float:
     """Largest coefficient norm over the form, for relative thresholds."""
-    top = 0.0
-    for i, j in A.grid.nodes():
-        if A.mask[i, j]:
-            for comp in (A.a_u[i][j], A.a_v[i][j]):
-                top = max(top, float(np.max(np.linalg.norm(
-                    comp.coeffs.reshape(comp.coeffs.shape[0], -1), axis=1))))
-    return top
+    return float(_coeff_norms(A.coeffs[A.mask]).max(initial=0.0))
 
 
 def fd_mc_tolerance(A: ConnectionForm, tol_floor=TOL_MC, safety=5.0) -> float:
@@ -360,19 +397,17 @@ def mc_residual(A: ConnectionForm, per_degree=False):
     {degree: max norm} dict.
     """
     grid = A.grid
+    if min(grid.shape) < 3:
+        raise ValueError("mc_residual needs at least 3 nodes per direction")
+    dudv, ok_u = grid_derivative(A.coeffs[:, :, 1], A.mask, grid.h_u, 0)
+    dvdu, ok_v = grid_derivative(A.coeffs[:, :, 0], A.mask, grid.h_v, 1)
     worst = 0.0
     grades = {}
-    for i, j in grid.nodes():
-        if not A.mask[i, j]:
-            continue
-        dudv = _derivative_loop(A.a_v, A.mask, i, j, 0, grid.h_u)
-        dvdu = _derivative_loop(A.a_u, A.mask, i, j, 1, grid.h_v)
-        if dudv is None or dvdu is None:
-            continue
-        au, av = A.a_u[i][j], A.a_v[i][j]
-        r = dudv - dvdu + mul(au, av) - mul(av, au)
-        norms = np.linalg.norm(r.coeffs.reshape(r.coeffs.shape[0], -1), axis=1)
-        for d, nm in zip(range(r.lo, r.hi + 1), norms):
+    for i, j in _nodes(ok_u & ok_v):
+        au, av = A.value(i, j, 0), A.value(i, j, 1)
+        r = (LaurentLoop(A.lo, dudv[i, j]) - LaurentLoop(A.lo, dvdu[i, j])
+             + mul(au, av) - mul(av, au))
+        for d, nm in zip(range(r.lo, r.hi + 1), _coeff_norms(r.coeffs)):
             grades[d] = max(grades.get(d, 0.0), float(nm))
             worst = max(worst, float(nm))
     if per_degree:
@@ -387,9 +422,7 @@ def _map_unmasked(F: FrameField, fn):
     """Apply fn to every valid node value; collect results and failures."""
     out = {}
     failures = {}
-    for node in F.grid.nodes():
-        if not F.mask[node]:
-            continue
+    for node in _nodes(F.mask):
         try:
             out[node] = fn(F.value(*node))
         except (BigCellViolation, SingularLoop, NotInIwasawaCell) as exc:
@@ -406,9 +439,6 @@ def split(F: FrameField, N=None, tol=TOL_BIRKHOFF):
     Per-node residuals and condition estimates land in info["diagnostics"].
     """
     grid = F.grid
-    gm = _value_table(grid)
-    fp = _value_table(grid)
-    mask = np.zeros(grid.shape, dtype=bool)
 
     def factor(g):
         left = birkhoff_left(g, N=N, tol=tol)
@@ -416,20 +446,16 @@ def split(F: FrameField, N=None, tol=TOL_BIRKHOFF):
         return left, right
 
     results, failures = _map_unmasked(F, factor)
-    diagnostics = {}
-    for (i, j), (left, right) in results.items():
-        gm[i][j] = left.minus
-        fp[i][j] = right.plus
-        mask[i, j] = True
-        diagnostics[(i, j)] = {
-            "residual": max(left.residual, right.residual),
-            "condition": max(left.condition, right.condition),
-        }
+    diagnostics = {node: {"residual": max(left.residual, right.residual),
+                          "condition": max(left.condition, right.condition)}
+                   for node, (left, right) in results.items()}
     info = {"failures": failures, "diagnostics": diagnostics}
-    g_minus = FrameField(grid, gm, mask.copy(), symmetry=F.symmetry, target=F.target,
-                         info=dict(info))
-    f_plus = FrameField(grid, fp, mask.copy(), symmetry=F.symmetry, target=F.target,
-                        info=dict(info))
+    g_minus = FrameField.from_loops(
+        grid, {node: left.minus for node, (left, _) in results.items()}, n=F.dim,
+        symmetry=F.symmetry, target=F.target, info=dict(info))
+    f_plus = FrameField.from_loops(
+        grid, {node: right.plus for node, (_, right) in results.items()}, n=F.dim,
+        symmetry=F.symmetry, target=F.target, info=dict(info))
     return g_minus, f_plus
 
 
@@ -456,12 +482,9 @@ def merge(G_minus: FrameField, F_plus: FrameField, N=None, tol=TOL_BIRKHOFF) -> 
     if G_minus.grid.shape != F_plus.grid.shape:
         raise DimensionMismatch("basic pair fields live on different grids")
     grid = F_plus.grid
-    vals = _value_table(grid)
-    mask = np.zeros(grid.shape, dtype=bool)
+    vals = {}
     failures = {}
-    for i, j in grid.nodes():
-        if not (G_minus.mask[i, j] and F_plus.mask[i, j]):
-            continue
+    for i, j in _nodes(G_minus.mask & F_plus.mask):
         fp = F_plus.value(i, j)
         gm = G_minus.value(i, j)
         try:
@@ -471,10 +494,9 @@ def merge(G_minus: FrameField, F_plus: FrameField, N=None, tol=TOL_BIRKHOFF) -> 
         except (BigCellViolation, SingularLoop) as exc:
             failures[(i, j)] = str(exc)
             continue
-        vals[i][j] = mul(fp, left.minus)
-        mask[i, j] = True
-    return FrameField(grid, vals, mask, symmetry=F_plus.symmetry, target=F_plus.target,
-                      info={"failures": failures})
+        vals[i, j] = mul(fp, left.minus)
+    return FrameField.from_loops(grid, vals, n=F_plus.dim, symmetry=F_plus.symmetry,
+                                 target=F_plus.target, info={"failures": failures})
 
 
 # -- tau-merge ---------------------------------------------------------------
@@ -528,13 +550,10 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
         b_signs = np.ones(F_plus.dim)
         if form == "lorentz":
             b_signs[s.n] = -1.0
-    vals = _value_table(grid)
-    mask = np.zeros(grid.shape, dtype=bool)
+    vals = {}
     failures = {}
     residuals = {}
-    for i, j in grid.nodes():
-        if not F_plus.mask[i, j]:
-            continue
+    for i, j in _nodes(F_plus.mask):
         x = F_plus.value(i, j)
         try:
             res = tau_iwasawa_minus(x, s, N=N, tol=tol,
@@ -543,23 +562,17 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
             failures[(i, j)] = str(exc)
             continue
         z = res.z
-        seed = None
-        if j > 0 and mask[i, j - 1]:
-            seed = vals[i][j - 1]
-        elif i > 0 and mask[i - 1, j]:
-            seed = vals[i - 1][j]
+        seed = vals.get((i, j - 1)) or vals.get((i - 1, j))
         if seed is not None:
             aligned = _align_gauge(z, seed, s, b_signs=b_signs,
                                    sigma_fixed=sigma_fixed)
             if aligned is not None:
                 z = aligned  # otherwise keep the raw (still valid) factor
-        vals[i][j] = z
-        mask[i, j] = True
+        vals[i, j] = z
         residuals[(i, j)] = res.residuals
-    out = FrameField(grid, vals, mask, symmetry=s, target=F_plus.target,
-                     info={"failures": failures, "iwasawa_residuals": residuals})
-    bi, bj = grid.base
-    if F_plus.is_based() and mask[bi, bj]:
+    out = FrameField.from_loops(grid, vals, n=F_plus.dim, symmetry=s, target=F_plus.target,
+                                info={"failures": failures, "iwasawa_residuals": residuals})
+    if F_plus.is_based() and grid.base in vals:
         base = out.base_value()
         c = _project_gauge_constant(base.coeff(0), s, sigma_fixed=sigma_fixed,
                                     b_signs=b_signs)
@@ -597,13 +610,11 @@ def gauge_parallel(F: FrameField, N=None, tol_order=TOL_ORDER, tol_mc=None):
     if not is_zero and lo < 0:
         raise IntegrabilityViolation(
             f"cannot gauge a field of order ({lo},{hi}); negative degrees present")
-    au = _value_table(A.grid)
-    av = _value_table(A.grid)
-    for i, j in A.grid.nodes():
-        if A.mask[i, j]:
-            au[i][j] = constant(A.a_u[i][j].coeff(0))
-            av[i][j] = constant(A.a_v[i][j].coeff(0))
-    a0 = ConnectionForm(A.grid, au, av, A.mask.copy())
+    if A.lo <= 0 <= A.hi:
+        deg0 = A.coeffs[:, :, :, -A.lo : 1 - A.lo]
+    else:
+        deg0 = np.zeros(A.coeffs.shape[:3] + (1,) + A.coeffs.shape[-2:], dtype=complex)
+    a0 = ConnectionForm(A.grid, 0, deg0, A.mask.copy())
     if tol_mc is None:
         tol_mc = fd_mc_tolerance(a0)
     res0 = mc_residual(a0)
@@ -612,12 +623,9 @@ def gauge_parallel(F: FrameField, N=None, tol_order=TOL_ORDER, tol_mc=None):
             f"degree-0 part is not flat: residual {res0:.3e}", {"degree0": res0})
     H = integrate_potential(a0, check=False)
     G = H.map_values(lambda h: constant(np.linalg.inv(h.coeff(0))))
-    vals = _value_table(F.grid)
-    mask = F.mask & G.mask
-    for i, j in F.grid.nodes():
-        if mask[i, j]:
-            vals[i][j] = mul(F.value(i, j), G.value(i, j))
-    gauged = FrameField(F.grid, vals, mask, symmetry=F.symmetry, target=F.target)
+    vals = {(i, j): mul(F.value(i, j), G.value(i, j)) for i, j in _nodes(F.mask & G.mask)}
+    gauged = FrameField.from_loops(F.grid, vals, n=F.dim, symmetry=F.symmetry,
+                                   target=F.target)
     return gauged, G
 
 
@@ -691,27 +699,28 @@ def integrate_potential(eta: ConnectionForm, base=None, tol_mc=None,
     bi, bj = grid.base if base is None else base
     n = eta.dim
     nu, nv = grid.shape
-    vals = _value_table(grid)
-    row = [eta.a_u[i][bj] for i in range(nu)]
+    loops = eta.loops()
+    vals = {}
+    row = [loops[i, bj, 0] for i in range(nu)]
     fwd = _integrate_line(identity(n), row[bi:], grid.h_u)
     for t, g in enumerate(fwd):
-        vals[bi + t][bj] = g
+        vals[bi + t, bj] = g
     if bi > 0:
         bwd = _integrate_line(identity(n), row[: bi + 1], grid.h_u, reverse=True)
         for t, g in enumerate(bwd[:-1]):
-            vals[t][bj] = g
+            vals[t, bj] = g
     for i in range(nu):
-        col = [eta.a_v[i][j] for j in range(nv)]
-        up = _integrate_line(vals[i][bj], col[bj:], grid.h_v)
+        col = [loops[i, j, 1] for j in range(nv)]
+        up = _integrate_line(vals[i, bj], col[bj:], grid.h_v)
         for t, g in enumerate(up):
-            vals[i][bj + t] = g
+            vals[i, bj + t] = g
         if bj > 0:
-            down = _integrate_line(vals[i][bj], col[: bj + 1], grid.h_v, reverse=True)
+            down = _integrate_line(vals[i, bj], col[: bj + 1], grid.h_v, reverse=True)
             for t, g in enumerate(down[:-1]):
-                vals[i][t] = g
-    out = FrameField(grid, vals)
+                vals[i, t] = g
+    out = FrameField.from_loops(grid, vals)
     if holonomy:
-        out.info["holonomy"] = _holonomy_residual(eta)
+        out.info["holonomy"] = _holonomy_residual(grid, loops)
     return out
 
 
@@ -728,19 +737,18 @@ def integrate_basic_pair(p: Potential, tol_mc=None, check=True):
     return g_minus, f_plus
 
 
-def _holonomy_residual(eta: ConnectionForm) -> float:
-    """Max plaquette deviation of one-step transfer matrices."""
-    grid = eta.grid
+def _holonomy_residual(grid: Grid2D, loops) -> float:
+    """Max plaquette deviation of one-step transfer matrices of the form
+    whose loops, keyed (i, j, direction), are given."""
     nu, nv = grid.shape
-    n = eta.dim
-    eye = identity(n)
+    eye = identity(loops[0, 0, 0].n)
 
     def step_u(i, j):
-        seq = [eta.a_u[t][j] for t in range(nu)]
+        seq = [loops[t, j, 0] for t in range(nu)]
         return _rk4_step(eye, seq[i], _midpoint(seq, i), seq[i + 1], grid.h_u)
 
     def step_v(i, j):
-        seq = [eta.a_v[i][t] for t in range(nv)]
+        seq = [loops[i, t, 1] for t in range(nv)]
         return _rk4_step(eye, seq[j], _midpoint(seq, j), seq[j + 1], grid.h_v)
 
     worst = 0.0
@@ -779,14 +787,9 @@ def dress_minus(g_plus: LaurentLoop, G_minus: FrameField, N=None,
 
 
 def _dress_apply(F: FrameField, act):
-    vals = _value_table(F.grid)
-    mask = np.zeros(F.grid.shape, dtype=bool)
     results, failures = _map_unmasked(F, act)
-    for (i, j), val in results.items():
-        vals[i][j] = val
-        mask[i, j] = True
-    return FrameField(F.grid, vals, mask, symmetry=F.symmetry, target=F.target,
-                      info={"failures": failures})
+    return FrameField.from_loops(F.grid, results, n=F.dim, symmetry=F.symmetry,
+                                 target=F.target, info={"failures": failures})
 
 
 def dress_pair(g_minus: LaurentLoop, g_plus: LaurentLoop, F: FrameField,

@@ -74,7 +74,8 @@ class LaurentLoop:
         return np.zeros((self.n, self.n), dtype=complex)
 
     def wiener_norm(self) -> float:
-        return float(sum(np.linalg.norm(c) for c in self.coeffs))
+        return float(np.linalg.norm(self.coeffs.reshape(self.coeffs.shape[0], -1),
+                                    axis=1).sum())
 
     def is_zero(self, tol=0.0) -> bool:
         return bool(np.max(np.abs(self.coeffs)) <= tol)

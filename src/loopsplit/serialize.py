@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 from .fields import ConnectionForm, FrameField, Grid2D
 from .loops import GroupSpec, LaurentLoop
 from .spaceforms import ImmersionGrid
@@ -37,10 +37,13 @@ def loop_to_obj(g: LaurentLoop) -> dict:
 def loop_from_obj(d) -> LaurentLoop:
     try:
         arr = np.asarray(d["coeffs"], dtype=float)
-        coeffs = arr[..., 0] + 1j * arr[..., 1]
-        return LaurentLoop(int(d["lo"]), coeffs, trim=False)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        n, lo = int(d["n"]), int(d["lo"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed loop payload: {exc}") from exc
+    if arr.ndim != 4 or arr.shape[0] == 0 or arr.shape[1:] != (n, n, 2):
+        raise ParseError(f"loop coefficients have shape {arr.shape}, "
+                         f"expected (W, {n}, {n}, 2) for n = {n}")
+    return LaurentLoop(lo, arr[..., 0] + 1j * arr[..., 1], trim=False)
 
 
 def save_loop(g: LaurentLoop, path):
@@ -57,10 +60,11 @@ def load_loop(path) -> LaurentLoop:
 
 
 def symmetry_to_obj(s: SymmetrySpec) -> dict:
-    return {"n": s.n, "k": s.k, "reality": s.reality, "twists": ["sigma", "tau"]}
+    return {"n": s.n, "k": s.k, "reality": s.reality}
 
 
 def symmetry_from_obj(d) -> SymmetrySpec:
+    # files may carry a "twists" list; sigma and tau are the only twists
     return SymmetrySpec(int(d["n"]), int(d["k"]), d.get("reality"))
 
 
@@ -90,53 +94,85 @@ def grid_from_obj(d) -> Grid2D:
 # -- fields ----------------------------------------------------------------
 
 
+def _loop_table(x, *direction) -> list:
+    """Per-node JSON loops, row-major, null at masked nodes."""
+    return [[loop_to_obj(x.value(i, j, *direction)) if x.mask[i, j] else None
+             for j in range(x.grid.shape[1])] for i in range(x.grid.shape[0])]
+
+
+def _grid_and_mask(d):
+    try:
+        grid = grid_from_obj(d["grid"])
+        mask = np.asarray(d["mask"], dtype=bool)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed field payload: {exc}") from exc
+    if mask.shape != grid.shape:
+        raise ParseError(f"mask has shape {mask.shape}, grid is {grid.shape}")
+    return grid, mask
+
+
+def _table_loops(table, mask, name, *direction) -> dict:
+    """{(i, j, *direction): loop} of the unmasked nodes of a JSON loop table."""
+    nu, nv = mask.shape
+    if (not isinstance(table, list) or len(table) != nu
+            or not all(isinstance(row, list) and len(row) == nv for row in table)):
+        raise ParseError(f"{name} table does not match the {nu}x{nv} grid")
+    loops = {}
+    for i, j in zip(*np.nonzero(mask)):
+        cell = table[i][j]
+        if cell is None:
+            raise ParseError(f"{name} has no loop at unmasked node {(int(i), int(j))}")
+        loops[(int(i), int(j)) + direction] = loop_from_obj(cell)
+    return loops
+
+
+def _packed(cls, grid, loops, n, **kw):
+    try:
+        return cls.from_loops(grid, loops, n=n, **kw)
+    except (DimensionMismatch, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def frame_field_to_obj(F: FrameField) -> dict:
-    values = [[loop_to_obj(F.values[i][j]) if F.mask[i, j] else None
-               for j in range(F.grid.shape[1])] for i in range(F.grid.shape[0])]
     return {
         "grid": grid_to_obj(F.grid),
         "mask": F.mask.astype(int).tolist(),
         "symmetry": symmetry_to_obj(F.symmetry) if F.symmetry else None,
         "target": group_to_obj(F.target) if F.target else None,
-        "values": values,
+        "values": _loop_table(F),
     }
 
 
 def frame_field_from_obj(d) -> FrameField:
-    grid = grid_from_obj(d["grid"])
-    mask = np.asarray(d["mask"], dtype=bool)
-    values = [[loop_from_obj(cell) if cell is not None else None
-               for cell in row] for row in d["values"]]
-    sym = symmetry_from_obj(d["symmetry"]) if d.get("symmetry") else None
-    target = group_from_obj(d["target"]) if d.get("target") else None
-    return FrameField(grid, values, mask, symmetry=sym, target=target)
+    grid, mask = _grid_and_mask(d)
+    loops = _table_loops(d.get("values"), mask, "values")
+    try:
+        sym = symmetry_from_obj(d["symmetry"]) if d.get("symmetry") else None
+        target = group_from_obj(d["target"]) if d.get("target") else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed field tags: {exc}") from exc
+    # a fully masked field takes its dimension from its declared tags
+    declared = target.dim if target else sym.dim if sym else None
+    return _packed(FrameField, grid, loops, None if loops else declared,
+                   symmetry=sym, target=target)
 
 
 def connection_form_to_obj(A: ConnectionForm) -> dict:
-    def table(comp):
-        return [[loop_to_obj(comp[i][j]) if A.mask[i, j] else None
-                 for j in range(A.grid.shape[1])] for i in range(A.grid.shape[0])]
-
     return {
         "grid": grid_to_obj(A.grid),
         "mask": A.mask.astype(int).tolist(),
         "declared_window": list(A.declared_window) if A.declared_window else None,
-        "a_u": table(A.a_u),
-        "a_v": table(A.a_v),
+        "a_u": _loop_table(A, 0),
+        "a_v": _loop_table(A, 1),
     }
 
 
 def connection_form_from_obj(d) -> ConnectionForm:
-    grid = grid_from_obj(d["grid"])
-    mask = np.asarray(d["mask"], dtype=bool)
-
-    def table(rows):
-        return [[loop_from_obj(cell) if cell is not None else None
-                 for cell in row] for row in rows]
-
+    grid, mask = _grid_and_mask(d)
+    loops = {**_table_loops(d.get("a_u"), mask, "a_u", 0),
+             **_table_loops(d.get("a_v"), mask, "a_v", 1)}
     window = tuple(d["declared_window"]) if d.get("declared_window") else None
-    return ConnectionForm(grid, table(d["a_u"]), table(d["a_v"]), mask,
-                          declared_window=window)
+    return _packed(ConnectionForm, grid, loops, None, declared_window=window)
 
 
 def save_json(obj, path):

@@ -36,7 +36,9 @@ from .fields import (
     ConnectionForm,
     FrameField,
     Grid2D,
+    central_difference,
     fd_mc_tolerance,
+    grid_derivative,
     maurer_cartan,
     mc_residual,
     split,
@@ -165,30 +167,6 @@ class ExtendedConnectionSpec:
         return SymmetrySpec(self.n, self.k, self.reality)
 
 
-def _node_loop(spec: ExtendedConnectionSpec, i, j, d) -> LaurentLoop:
-    n, k, m = spec.n, spec.k, spec.dim
-    s_theta, s_beta = _UNIT_FACTORS[spec.kind]
-    lorentz = spec.target.kind == "lorentz"
-    theta = s_theta * spec.theta[i, j, d]
-    beta = s_beta * spec.beta[i, j, d]
-    deg0 = np.zeros((m, m), dtype=complex)
-    deg0[:n, :n] = spec.omega[i, j, d]
-    deg0[n:, n:] = spec.eta[i, j, d]
-    top = np.zeros((m, m), dtype=complex)
-    top[:n, n] = theta
-    top[n, :n] = theta if lorentz else -theta
-    top[:n, n + 1 :] = beta
-    top[n + 1 :, :n] = -beta.T
-    if spec.kind.startswith("A"):
-        return from_terms({0: deg0, 1: top}, n=m)
-    # type B: the f-column carries (lambda + 1/lambda), the beta block
-    # (lambda - 1/lambda)
-    bottom = np.array(top)
-    bottom[:n, n + 1 :] = -beta
-    bottom[n + 1 :, :n] = beta.T
-    return from_terms({-1: bottom, 0: deg0, 1: top}, n=m)
-
-
 def assemble_connection(spec: ExtendedConnectionSpec, check=True,
                         tol_mc=None) -> ConnectionForm:
     """Build the Laurent-graded connection form of an extended-connection spec.
@@ -207,12 +185,31 @@ def assemble_connection(spec: ExtendedConnectionSpec, check=True,
        np.max(np.abs(spec.eta[:, :, :, :, 0])) > 0.0:
         raise IntegrabilityViolation("first row and column of eta must vanish")
     grid = spec.grid
-    a_u = [[_node_loop(spec, i, j, 0) for j in range(grid.shape[1])]
-           for i in range(grid.shape[0])]
-    a_v = [[_node_loop(spec, i, j, 1) for j in range(grid.shape[1])]
-           for i in range(grid.shape[0])]
-    window = (1, 1) if spec.kind.startswith("A") else (-1, 1)
-    form = ConnectionForm(grid, a_u, a_v, declared_window=window)
+    n, m = spec.n, spec.dim
+    s_theta, s_beta = _UNIT_FACTORS[spec.kind]
+    theta = s_theta * spec.theta
+    beta = s_beta * spec.beta
+    beta_t = np.swapaxes(beta, -1, -2)
+    lead = grid.shape + (2,)
+    deg0 = np.zeros(lead + (m, m), dtype=complex)
+    deg0[..., :n, :n] = spec.omega
+    deg0[..., n:, n:] = spec.eta
+    top = np.zeros(lead + (m, m), dtype=complex)
+    top[..., :n, n] = theta
+    top[..., n, :n] = theta if spec.target.kind == "lorentz" else -theta
+    top[..., :n, n + 1 :] = beta
+    top[..., n + 1 :, :n] = -beta_t
+    if spec.kind.startswith("A"):
+        lo, degrees = 0, [deg0, top]
+    else:
+        # type B: the f-column carries (lambda + 1/lambda), the beta block
+        # (lambda - 1/lambda)
+        bottom = top.copy()
+        bottom[..., :n, n + 1 :] = -beta
+        bottom[..., n + 1 :, :n] = beta_t
+        lo, degrees = -1, [bottom, deg0, top]
+    form = ConnectionForm(grid, lo, np.stack(degrees, axis=-3),
+                          declared_window=(lo, 1))
     if check and min(grid.shape) >= 3:
         if tol_mc is None:
             tol_mc = fd_mc_tolerance(form)
@@ -248,41 +245,6 @@ class ImmersionGrid:
         return self.points[bi, bj]
 
 
-def _central_grid_derivative(arr, h, axis):
-    """O(h^2) derivative of a sampled scalar/vector grid; NaN at the edges."""
-    out = np.full_like(arr, np.nan)
-    sl = [slice(None)] * arr.ndim
-    hi = [slice(None)] * arr.ndim
-    lo = [slice(None)] * arr.ndim
-    sl[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(None, -2)
-    out[tuple(sl)] = (arr[tuple(hi)] - arr[tuple(lo)]) / (2.0 * h)
-    return out
-
-
-def _edge_aware_derivative(arr, h, axis):
-    """O(h^2) derivative, one-sided at the boundary nodes."""
-    out = _central_grid_derivative(arr, h, axis)
-    n = arr.shape[axis]
-    if n < 3:
-        return out
-
-    def take(i):
-        sl = [slice(None)] * arr.ndim
-        sl[axis] = i
-        return arr[tuple(sl)]
-
-    def put(i, val):
-        sl = [slice(None)] * arr.ndim
-        sl[axis] = i
-        out[tuple(sl)] = val
-
-    put(0, (-1.5 * take(0) + 2.0 * take(1) - 0.5 * take(2)) / h)
-    put(n - 1, (1.5 * take(n - 1) - 2.0 * take(n - 2) + 0.5 * take(n - 3)) / h)
-    return out
-
-
 def gauss_curvature_brioschi(points, grid: Grid2D, form):
     """Intrinsic curvature of a sampled surface patch from its first
     fundamental form (finite differences + the Brioschi determinant formula).
@@ -292,8 +254,10 @@ def gauss_curvature_brioschi(points, grid: Grid2D, form):
     the ambient inner product given by the diagonal form matrix.
     """
     h_u, h_v = grid.h_u, grid.h_v
-    fu = _edge_aware_derivative(points, h_u, 0)
-    fv = _edge_aware_derivative(points, h_v, 1)
+    # every node counts as valid: NaN points of masked nodes propagate
+    everywhere = np.ones(grid.shape, dtype=bool)
+    fu, _ = grid_derivative(points, everywhere, h_u, 0)
+    fv, _ = grid_derivative(points, everywhere, h_v, 1)
     w = np.diag(form)
 
     def dot(a, b):
@@ -301,15 +265,15 @@ def gauss_curvature_brioschi(points, grid: Grid2D, form):
 
     E, F, G = dot(fu, fu), dot(fu, fv), dot(fv, fv)
     det = E * G - F * F
-    E_u = _central_grid_derivative(E, h_u, 0)
-    E_v = _central_grid_derivative(E, h_v, 1)
-    G_u = _central_grid_derivative(G, h_u, 0)
-    G_v = _central_grid_derivative(G, h_v, 1)
-    F_u = _central_grid_derivative(F, h_u, 0)
-    F_v = _central_grid_derivative(F, h_v, 1)
-    E_vv = _central_grid_derivative(E_v, h_v, 1)
-    G_uu = _central_grid_derivative(G_u, h_u, 0)
-    F_uv = _central_grid_derivative(F_u, h_v, 1)
+    E_u = central_difference(E, h_u, 0)
+    E_v = central_difference(E, h_v, 1)
+    G_u = central_difference(G, h_u, 0)
+    G_v = central_difference(G, h_v, 1)
+    F_u = central_difference(F, h_u, 0)
+    F_v = central_difference(F, h_v, 1)
+    E_vv = central_difference(E_v, h_v, 1)
+    G_uu = central_difference(G_u, h_u, 0)
+    F_uv = central_difference(F_u, h_v, 1)
 
     m1 = np.stack([
         np.stack([-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v], -1),
@@ -395,40 +359,28 @@ def validate_adapted(F: FrameField, target: GroupSpec, lam, c=None):
             c = curvature_c(lam, target)
         except DegenerateLambda:
             c = np.nan
-    nu, nv = grid.shape
-    adapted = np.full((nu, nv), np.nan)
-    omega = {d: np.full((nu, nv, n, n), np.nan, dtype=complex) for d in (0, 1)}
-    theta = {d: np.full((nu, nv, n), np.nan, dtype=complex) for d in (0, 1)}
-    eta = {d: np.full((nu, nv, F.dim - n, F.dim - n), np.nan, dtype=complex)
-           for d in (0, 1)}
-    for i, j in grid.nodes():
-        if not A.mask[i, j]:
-            continue
-        worst = 0.0
-        for d, comp in enumerate((A.a_u[i][j], A.a_v[i][j])):
-            coeffs = comp.coeffs
-            worst = max(worst,
-                        float(np.abs(coeffs[:, n, n + 1 :]).max(initial=0.0)),
-                        float(np.abs(coeffs[:, n + 1 :, n]).max(initial=0.0)))
-            val = comp.eval(lam)
-            omega[d][i, j] = val[:n, :n]
-            theta[d][i, j] = val[:n, n]
-            eta[d][i, j] = val[n:, n:]
-        adapted[i, j] = worst
+    coeffs = A.coeffs  # (nu, nv, direction, degree, m, m)
+    forbidden = np.concatenate([np.abs(coeffs[..., n, n + 1 :]),
+                                np.abs(coeffs[..., n + 1 :, n])], axis=-1)
+    adapted = np.where(A.mask, forbidden.max(axis=(2, 3, 4), initial=0.0), np.nan)
+    val = np.einsum("t,ijdtab->ijdab", lam ** np.arange(A.lo, A.hi + 1), coeffs)
+    val[~A.mask] = np.nan
+    omega = val[:, :, :, :n, :n]
+    theta = val[:, :, :, :n, n]
+    eta = val[:, :, :, n:, n:]
 
     def two_form_residual(w_u, w_v, rhs):
-        d_uv = _central_grid_derivative(w_v, grid.h_u, 0)
-        d_vu = _central_grid_derivative(w_u, grid.h_v, 1)
+        d_uv = central_difference(w_v, grid.h_u, 0)
+        d_vu = central_difference(w_u, grid.h_v, 1)
         wedge = np.einsum("ijab,ijbc->ijac", w_u, w_v) - \
             np.einsum("ijab,ijbc->ijac", w_v, w_u)
         r = d_uv - d_vu + wedge - rhs
         return np.abs(r).max(axis=(-1, -2))
 
-    tt = np.einsum("ija,ijb->ijab", theta[0], theta[1]) - \
-        np.einsum("ija,ijb->ijab", theta[1], theta[0])
-    curvature = two_form_residual(omega[0], omega[1], c * tt)
-    zero_eta = np.zeros_like(eta[0][..., :, :])
-    normal_flat = two_form_residual(eta[0], eta[1], zero_eta)
+    tt = np.einsum("ija,ijb->ijab", theta[:, :, 0], theta[:, :, 1]) - \
+        np.einsum("ija,ijb->ijab", theta[:, :, 1], theta[:, :, 0])
+    curvature = two_form_residual(omega[:, :, 0], omega[:, :, 1], c * tt)
+    normal_flat = two_form_residual(eta[:, :, 0], eta[:, :, 1], 0.0)
     return {
         "adapted": adapted,
         "curvature": curvature,

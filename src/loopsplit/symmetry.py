@@ -39,19 +39,16 @@ class SymmetrySpec:
 
     n is the tangent block size, k the normal codimension (defaults to n - 1,
     the smallest codimension for which the construction applies); matrices
-    are (n + k + 1) square.  sigma is hard-coded to order 2.
+    are (n + k + 1) square.  sigma is of order 2.
     """
 
     n: int
     k: int = -1
     reality: str | None = None
-    sigma_order: int = 2
 
     def __post_init__(self):
         if self.k < 0:
             object.__setattr__(self, "k", self.n - 1)
-        if self.sigma_order != 2:
-            raise ValueError("only order-2 twisting is supported")
         if self.reality is not None and self.reality not in REALITY_TAGS:
             raise ValueError(f"unknown reality tag {self.reality!r}")
 
@@ -79,7 +76,7 @@ class SymmetrySpec:
         return np.diag(d)
 
     def with_reality(self, tag) -> "SymmetrySpec":
-        return SymmetrySpec(self.n, self.k, tag, self.sigma_order)
+        return SymmetrySpec(self.n, self.k, tag)
 
     def group(self, kind) -> GroupSpec:
         return GroupSpec(kind, self.n, self.k)

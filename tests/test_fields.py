@@ -42,9 +42,8 @@ GRID = Grid2D.centered(0.4, 7, 0.4, 7)
 
 
 def uniform_form(grid, a_u, a_v):
-    return ConnectionForm(grid,
-                          [[a_u for _ in grid.vs] for _ in grid.us],
-                          [[a_v for _ in grid.vs] for _ in grid.us])
+    return ConnectionForm.from_loops(grid, {(i, j, d): a for i, j in grid.nodes()
+                                            for d, a in enumerate((a_u, a_v))})
 
 
 def test_grid_validation():
@@ -61,7 +60,7 @@ def test_maurer_cartan_constant_field():
     g = loop_exp(from_terms({1: 0.3 * np.eye(3)}))
     F = FrameField.constant_field(GRID, g)
     A = maurer_cartan(F)
-    worst = max(A.a_u[i][j].wiener_norm() + A.a_v[i][j].wiener_norm()
+    worst = max(A.value(i, j, 0).wiener_norm() + A.value(i, j, 1).wiener_norm()
                 for i, j in GRID.nodes())
     assert worst < 1e-12
 
@@ -76,8 +75,8 @@ def test_maurer_cartan_exponential_oracle():
         F = FrameField.from_function(
             grid, lambda u, v: loop_exp(from_terms({1: (u + v) * x})))
         A = maurer_cartan(F)
-        return max(max(distance(A.a_u[i][j], target),
-                       distance(A.a_v[i][j], target))
+        return max(max(distance(A.value(i, j, 0), target),
+                       distance(A.value(i, j, 1), target))
                    for i, j in grid.nodes())
 
     e1, e2 = err_at(0.1), err_at(0.05)
@@ -105,10 +104,9 @@ def test_mc_residual_nonintegrable_oracle():
     x = rng.standard_normal((4, 4))
     y = rng.standard_normal((4, 4))
     # A_u = X lambda, A_v = u Y lambda: residual = Y lambda + u [X,Y] lambda^2
-    au = [[from_terms({1: x}) for _ in GRID.vs] for _ in GRID.us]
-    av = [[from_terms({1: GRID.us[i] * y}) for _ in GRID.vs]
-          for i in range(GRID.us.size)]
-    A = ConnectionForm(GRID, au, av)
+    A = ConnectionForm.from_loops(GRID, {
+        (i, j, d): from_terms({1: x if d == 0 else GRID.us[i] * y})
+        for i, j in GRID.nodes() for d in (0, 1)})
     worst, grades = mc_residual(A, per_degree=True)
     assert abs(grades[1] - np.linalg.norm(y)) < 1e-10  # derivative is exact here
     comm = np.linalg.norm(x @ y - y @ x)
@@ -144,11 +142,11 @@ def test_integrate_constant_direction_oracle():
 def test_integrate_rejects_nonflat_data():
     rng = rng_for(44)
     x, y = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-    au = [[from_terms({1: x}) for _ in GRID.vs] for _ in GRID.us]
-    av = [[from_terms({1: GRID.us[i] * y}) for _ in GRID.vs]
-          for i in range(GRID.us.size)]
+    A = ConnectionForm.from_loops(GRID, {
+        (i, j, d): from_terms({1: x if d == 0 else GRID.us[i] * y})
+        for i, j in GRID.nodes() for d in (0, 1)})
     with pytest.raises(ls.IntegrabilityViolation):
-        integrate_potential(ConnectionForm(GRID, au, av))
+        integrate_potential(A)
 
 
 def test_split_of_plus_field_is_trivial():
@@ -191,7 +189,9 @@ def test_split_masks_off_cell_nodes():
     F = merge(gm, fp)
     bad = from_terms({1: np.diag([1.0, 0, 0, 0]), -1: np.diag([0.0, 1, 0, 0]),
                       0: np.diag([0.0, 0, 1, 1])})
-    F.values[2][3] = bad
+    loops = F.loops()
+    loops[2, 3] = bad
+    F = FrameField.from_loops(GRID, loops)
     g2, f2 = split(F)
     assert not g2.mask[2, 3] and not f2.mask[2, 3]
     assert g2.mask.sum() == GRID.us.size * GRID.vs.size - 1
@@ -326,10 +326,9 @@ def test_split_runs_identical():
 
 def transpose_field(F):
     grid = Grid2D(F.grid.vs, F.grid.us, (F.grid.base[1], F.grid.base[0]))
-    vals = [[F.values[i][j] for i in range(F.grid.shape[0])]
-            for j in range(F.grid.shape[1])]
-    return FrameField(grid, vals, F.mask.T.copy(), symmetry=F.symmetry,
-                      target=F.target)
+    vals = {(j, i): g for (i, j), g in F.loops().items()}
+    return FrameField.from_loops(grid, vals, n=F.dim, symmetry=F.symmetry,
+                                 target=F.target)
 
 
 def test_tau_merge_gauge_class_invariance():
@@ -350,6 +349,18 @@ def test_tau_merge_gauge_class_invariance():
                     for w in lams)
         assert worst < 1e-7  # mismatch is constant in lambda
         assert np.linalg.norm(tau_constant(dc, s) - dc) < 1e-7
+
+
+def test_shape_mismatches_raise():
+    small = FrameField.constant_field(Grid2D.centered(0.3, 3, 0.3, 3), identity(4))
+    large = FrameField.constant_field(Grid2D.centered(0.3, 5, 0.3, 5), identity(4))
+    with pytest.raises(ls.DimensionMismatch):
+        field_distance(small, large)
+    with pytest.raises(ls.DimensionMismatch):
+        field_distance(large, small)
+    A = uniform_form(GRID, zero_loop(3), zero_loop(3))
+    with pytest.raises(ls.DimensionMismatch):
+        ConnectionForm(GRID, A.lo, A.coeffs, mask=np.ones((3, 3), dtype=bool))
 
 
 def test_field_serialization_round_trip():

@@ -99,6 +99,17 @@ def test_config_round_trip(tmp_path):
     assert again.data == cfg.data
 
 
+def test_config_rejects_removed_keys(tmp_path):
+    # keys that were validated but never read are unknown keys now
+    path = tmp_path / "run.json"
+    for data in ({"twists": ["sigma", "tau"]},
+                 *({"tolerances": {name: 1e-6}}
+                   for name in ("trim", "inverse", "roundtrip", "order", "mc"))):
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError):
+            parse_config(path)
+
+
 def test_config_not_json(tmp_path):
     path = tmp_path / "run.json"
     path.write_text("{nope")
@@ -126,7 +137,13 @@ def test_connection_form_round_trip(rng):
     back = connection_form_from_obj(json.loads(json.dumps(connection_form_to_obj(A))))
     assert back.declared_window == A.declared_window
     for i, j in grid.nodes():
-        assert ls.distance(back.a_u[i][j], A.a_u[i][j]) == 0.0
+        assert ls.distance(back.value(i, j, 0), A.value(i, j, 0)) == 0.0
+
+
+def test_symmetry_twists_key_still_loads():
+    from loopsplit.serialize import symmetry_from_obj, symmetry_to_obj
+    s = ls.SymmetrySpec(2, 1, "Rm1")
+    assert symmetry_from_obj({**symmetry_to_obj(s), "twists": ["sigma", "tau"]}) == s
 
 
 def test_emit_mesh_small_grid(tmp_path):
@@ -277,8 +294,9 @@ def test_cli_exit_codes(tmp_path):
     rng = rng_for(73)
     gm, fp = random_basic_pair(rng, grid)
     from loopsplit.fields import merge
-    F = merge(gm, fp)
-    F.values[0][0] = g
+    loops = merge(gm, fp).loops()
+    loops[0, 0] = g
+    F = ls.FrameField.from_loops(grid, loops)
     fpath = tmp_path / "F.json"
     fpath.write_text(json.dumps(frame_field_to_obj(F)))
     cfg = {"paths": {"in": str(fpath),
@@ -288,6 +306,48 @@ def test_cli_exit_codes(tmp_path):
     cpath.write_text(json.dumps(cfg))
     out = run_cli("split", "--config", str(cpath))
     assert out.returncode == 2
+
+
+def _bad_loop_payloads():
+    two = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    return {
+        "loop_n_mismatch": {"n": 3, "lo": 0, "coeffs": [two]},
+        "loop_wrong_rank": {"n": 2, "lo": 0, "coeffs": two},
+    }
+
+
+def _bad_field_payload(case):
+    grid = Grid2D.centered(0.3, 3, 0.3, 3)
+    obj = frame_field_to_obj(ls.FrameField.constant_field(
+        grid, ls.identity(4), symmetry=ls.SymmetrySpec(2, 1, "R1")))
+    if case == "field_null_at_unmasked_node":
+        obj["values"][1][2] = None
+    elif case == "field_mask_shape":
+        obj["mask"] = obj["mask"][:2]
+    else:  # "field_unknown_reality"
+        obj["symmetry"]["reality"] = "R7"
+    return obj
+
+
+@pytest.mark.parametrize("case", ["loop_n_mismatch", "loop_wrong_rank",
+                                  "field_null_at_unmasked_node", "field_mask_shape",
+                                  "field_unknown_reality"])
+def test_cli_rejects_malformed_payloads(tmp_path, case):
+    from loopsplit.cli import main
+    if case.startswith("loop"):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(_bad_loop_payloads()[case]))
+        argv = ["factorize", "--side", "left", "--in", str(path),
+                "--out", str(tmp_path / "out.json")]
+    else:
+        path = tmp_path / "F.json"
+        path.write_text(json.dumps(_bad_field_payload(case)))
+        cpath = tmp_path / "run.json"
+        cpath.write_text(json.dumps({"paths": {
+            "in": str(path), "out_minus": str(tmp_path / "gm.json"),
+            "out_plus": str(tmp_path / "fp.json")}}))
+        argv = ["split", "--config", str(cpath)]
+    assert main(argv) == 3
 
 
 def test_cli_iwasawa_merge_and_integrate(tmp_path):

@@ -76,21 +76,21 @@ def test_family_connection_matches_printed_form():
     assert connection_order(A) == (-1, 1, False)
     i, j = 2, 4
     u, v = grid.us[i], grid.vs[j]
-    a_u = A.a_u[i][j]
+    a_u = A.value(i, j, 0)
     # printed entries: -sin v du at (0,1); (lambda+1/lambda)/2 cos v du at (0,2)
     assert a_u.coeff(0)[0, 1] == pytest.approx(-np.sin(v))
     assert a_u.coeff(1)[0, 2] == pytest.approx(0.5 * np.cos(v))
     assert a_u.coeff(1)[0, 3] == pytest.approx(0.5j * np.cos(v))
     assert a_u.coeff(-1)[0, 3] == pytest.approx(-0.5j * np.cos(v))
-    a_v = A.a_v[i][j]
+    a_v = A.value(i, j, 1)
     assert a_v.coeff(1)[1, 2] == pytest.approx(0.5)
     assert np.abs(a_v.coeff(0)).max() == 0.0
     # finite-difference connection of the sampled frames agrees to O(h^2)
     F = example_sphere_field(grid)
     A_fd = maurer_cartan(F)
     h2 = max(grid.h_u, grid.h_v) ** 2
-    worst = max(max(distance(A_fd.a_u[i][j], A.a_u[i][j]),
-                    distance(A_fd.a_v[i][j], A.a_v[i][j]))
+    worst = max(max(distance(A_fd.value(i, j, 0), A.value(i, j, 0)),
+                    distance(A_fd.value(i, j, 1), A.value(i, j, 1)))
                 for i, j in grid.nodes() if A_fd.mask[i, j])
     assert worst < 3.0 * h2
 
@@ -127,7 +127,7 @@ def test_assemble_zero_is_zero():
 def test_assembled_form_symmetries():
     grid = Grid2D.centered(0.3, 5, 0.25, 5)
     A = assemble_connection(example_sphere_connection(grid))
-    worst = max(fixed_residual(A.a_u[i][j], ["sigma", "tau", "Rm1"], S_RM1)
+    worst = max(fixed_residual(A.value(i, j, 0), ["sigma", "tau", "Rm1"], S_RM1)
                 for i, j in grid.nodes())
     assert worst < 1e-12
 
@@ -296,7 +296,7 @@ def test_r2_pipeline_flat_shape():
     lo, hi, zero = connection_order(A, tol_order=10 * h2)
     assert (lo, hi, zero) == (1, 1, False)
     # lambda-linear coefficient has zero diagonal blocks (parallel frame)
-    c1 = A.a_u[3][3].coeff(1)
+    c1 = A.value(3, 3, 0).coeff(1)
     assert np.abs(c1[:2, :2]).max() < 1e-6 and np.abs(c1[2:, 2:]).max() < 1e-6
 
 
@@ -318,9 +318,9 @@ def test_validate_adapted():
         rot[0, 1], rot[1, 0] = np.sin(ang), -np.sin(ang)
         return ls.constant(rot)
 
-    vals = [[mul(F.value(i, j), gauge(grid.us[i], grid.vs[j]))
-             for j in range(grid.shape[1])] for i in range(grid.shape[0])]
-    G = FrameField(grid, vals)
+    vals = {(i, j): mul(F.value(i, j), gauge(grid.us[i], grid.vs[j]))
+            for i, j in grid.nodes()}
+    G = FrameField.from_loops(grid, vals)
     rep2 = validate_adapted(G, SPH, lam)
     assert np.nanmax(rep2["adapted"]) < 10 * h2
     assert np.nanmax(rep2["curvature"]) < 10 * h2
@@ -333,10 +333,10 @@ def test_validate_adapted():
     eps = 1e-3
     K = np.zeros((4, 4))
     K[2, 3], K[3, 2] = 1.0, -1.0  # forbidden direction: first row/col of eta
-    bad_vals = [[mul(F.value(i, j),
-                     ls.constant(expm(eps * np.sin(3.0 * grid.us[i]) * K)))
-                 for j in range(grid.shape[1])] for i in range(grid.shape[0])]
-    rep3 = validate_adapted(FrameField(grid, bad_vals), SPH, lam)
+    bad_vals = {(i, j): mul(F.value(i, j),
+                            ls.constant(expm(eps * np.sin(3.0 * grid.us[i]) * K)))
+                for i, j in grid.nodes()}
+    rep3 = validate_adapted(FrameField.from_loops(grid, bad_vals), SPH, lam)
     assert 0.5 * eps < np.nanmax(rep3["adapted"]) < 10.0 * eps
 
 
