@@ -79,7 +79,6 @@ from .spaceforms import (
     classify_curvature,
     correspondence_route,
     curvature_c,
-    curvature_interval,
     example_flat_target,
     example_sphere_family,
     example_sphere_field,

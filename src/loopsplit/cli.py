@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import acceptance
 from .config import RunConfig, default_config, parse_config, parse_lambda
 from .errors import (
@@ -78,7 +80,7 @@ def _write_field(field, path):
 def cmd_factorize(args) -> int:
     cfg = _load_config(args)
     g = load_loop(args.infile)
-    N = args.window or cfg["window"]
+    N = args.window or None
     tol = args.tol
     if args.side == "left" or args.side == "right":
         fn = birkhoff_left if args.side == "left" else birkhoff_right
@@ -97,7 +99,7 @@ def cmd_factorize(args) -> int:
             "side": "iwasawa",
             "z": loop_to_obj(out.z),
             "y_plus": loop_to_obj(out.y_plus),
-            "k_const": [[[z.real, z.imag] for z in row] for row in out.k_const],
+            "k_const": np.stack([out.k_const.real, out.k_const.imag], -1).tolist(),
             "residuals": out.residuals,
         }
     save_json(payload, args.out)
@@ -107,7 +109,7 @@ def cmd_factorize(args) -> int:
 def cmd_split(args) -> int:
     cfg = _load_config(args)
     F = frame_field_from_obj(load_json(cfg.path("in")))
-    g_minus, f_plus = split(F, N=cfg["window"], tol=cfg.tol("birkhoff"))
+    g_minus, f_plus = split(F, tol=cfg.tol("birkhoff"))
     _write_field(g_minus, cfg.path("out_minus"))
     _write_field(f_plus, cfg.path("out_plus"))
     if cfg.path("diagnostics"):
@@ -121,7 +123,7 @@ def cmd_merge(args) -> int:
     cfg = _load_config(args)
     gm = frame_field_from_obj(load_json(cfg.path("in_minus")))
     fp = frame_field_from_obj(load_json(cfg.path("in_plus")))
-    F = merge(gm, fp, N=cfg["window"], tol=cfg.tol("birkhoff"))
+    F = merge(gm, fp, tol=cfg.tol("birkhoff"))
     _write_field(F, cfg.path("out"))
     return _field_exit(F)
 
@@ -129,7 +131,7 @@ def cmd_merge(args) -> int:
 def cmd_iwasawa_merge(args) -> int:
     cfg = _load_config(args)
     fp = frame_field_from_obj(load_json(cfg.path("in")))
-    F = tau_merge(fp, cfg.symmetry(), N=cfg["window"], tol=cfg.tol("iwasawa"))
+    F = tau_merge(fp, cfg.symmetry(), tol=cfg.tol("iwasawa"))
     _write_field(F, cfg.path("out"))
     return _field_exit(F)
 
@@ -140,10 +142,9 @@ def cmd_dress(args) -> int:
     g_minus = load_loop(cfg.path("dressing"))
     if cfg.path("dressing_plus"):
         g_plus = load_loop(cfg.path("dressing_plus"))
-        out = dress_pair(g_minus, g_plus, F, N=cfg["window"],
-                         tol=cfg.tol("birkhoff"))
+        out = dress_pair(g_minus, g_plus, F, tol=cfg.tol("birkhoff"))
     else:
-        out = dress_plus(g_minus, F, N=cfg["window"], tol=cfg.tol("birkhoff"))
+        out = dress_plus(g_minus, F, tol=cfg.tol("birkhoff"))
     _write_field(out, cfg.path("out"))
     return _field_exit(out)
 

@@ -28,7 +28,6 @@ DEFAULT_CONFIG = {
     "k": 1,
     "reality": "Rm1",
     "target": "sphere",
-    "window": None,
     "tol_scale": 1.0,
     "tolerances": dict(DEFAULT_TOLERANCES),
     "grid": {
@@ -99,6 +98,10 @@ def _merged(defaults, data):
     return out
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters with helpers building the domain objects."""
@@ -150,18 +153,21 @@ def validate_config(data) -> RunConfig:
         bad("reality", f"must be one of {REALITY_TAGS} or null")
     if cfg["target"] not in ("sphere", "hyperbolic"):
         bad("target", "must be 'sphere' or 'hyperbolic'")
-    if cfg["window"] is not None and (not isinstance(cfg["window"], int)
-                                      or cfg["window"] < 1):
-        bad("window", "must be a positive integer or null")
-    if not cfg["tol_scale"] > 0:
-        bad("tol_scale", "must be positive")
+    for key in ("tolerances", "grid", "paths"):
+        if not isinstance(cfg[key], dict):
+            bad(key, "must be an object")
+    if not (_is_number(cfg["tol_scale"]) and cfg["tol_scale"] > 0):
+        bad("tol_scale", "must be a positive number")
     for name, val in cfg["tolerances"].items():
-        if not val > 0:
-            bad(f"tolerances.{name}", "must be positive")
+        if not (_is_number(val) and val > 0):
+            bad(f"tolerances.{name}", "must be a positive number")
     g = cfg["grid"]
+    for key in ("u0", "v0"):
+        if not (_is_number(g[key]) and math.isfinite(g[key])):
+            bad(f"grid.{key}", "must be a finite number")
     for key in ("h_u", "h_v"):
-        if not g[key] > 0:
-            bad(f"grid.{key}", "spacing must be positive")
+        if not (_is_number(g[key]) and g[key] > 0):
+            bad(f"grid.{key}", "spacing must be a positive number")
     for key in ("nu", "nv"):
         if not isinstance(g[key], int) or g[key] < 1:
             bad(f"grid.{key}", "must be a positive integer")

@@ -49,6 +49,11 @@ ROUNDOFF_FLOOR = 1e-13
 MAX_SYSTEM_ORDER = 1024
 # first adaptive window: this many degrees past the one read off the input
 START_PAD = 2
+# constant solve: precondition tau(a) a = I and postcondition a = k^{-1} tau(k)
+# hold within ten times these, relative to |a|; a within TOL_CONST_POST of I
+# is solved by k = I
+TOL_CONST_PRE = 1e-10
+TOL_CONST_POST = 1e-9
 
 
 def default_window(*loops, pad=4) -> int:
@@ -154,7 +159,7 @@ def _toeplitz_solve(g: LaurentLoop, N: int):
     coeffs[N] = np.eye(n)
     blocks_t = sol.reshape(N, n, n).transpose(0, 2, 1)   # y_{-j} = (solution_j)^T
     coeffs[N - i] = blocks_t
-    return LaurentLoop(-N, coeffs, tol_trim=g.tol_trim), float(condition)
+    return LaurentLoop(-N, coeffs), float(condition)
 
 
 def _birkhoff_left_at(g: LaurentLoop, N: int, tol):
@@ -304,14 +309,14 @@ def _det_fix(k):
     return k
 
 
-def _solve_constant_block(a, q, b, reality, group, tol_post):
+def _solve_constant_block(a, q, b, reality, group):
     """One P-block of the constant solve.
 
     q is the restricted Q diagonal; b the restricted +-1 diagonal of the
     ambient bilinear form (None for the general linear group).
     """
     m = a.shape[0]
-    if fnorm(a - np.eye(m)) <= tol_post:
+    if fnorm(a - np.eye(m)) <= TOL_CONST_POST:
         return np.eye(m, dtype=complex)
     S = a @ np.diag(q).astype(complex)
     if fnorm(S @ S - np.eye(m)) > 1e-8 * max(1.0, fnorm(S) ** 2):
@@ -403,7 +408,7 @@ def _resolve_form(a, s: SymmetrySpec, group, form):
 
 
 def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None,
-                       tol_pre=1e-10, tol_post=1e-9, use_sigma_blocks="auto"):
+                       use_sigma_blocks="auto"):
     """Solve a = k^{-1} (Q k Q^{-1}) in the constant group.
 
     With tau acting on constants as conjugation by Q, the equation reads
@@ -425,13 +430,13 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None,
             f"middle term has shape {a.shape}, expected ({s.dim},{s.dim})")
     scale = max(1.0, fnorm(a))
     defect = fnorm(tau_constant(a, s) @ a - np.eye(m))
-    if defect > tol_pre * scale * 10:
+    if defect > TOL_CONST_PRE * scale * 10:
         raise NotInIwasawaCell(
             f"middle term does not satisfy tau(a) = a^{{-1}} (defect {defect:.3e}); "
             "the loop is not in the Iwasawa cell",
             residual=defect,
         )
-    if fnorm(a - np.eye(m)) <= tol_post:
+    if fnorm(a - np.eye(m)) <= TOL_CONST_POST:
         return np.eye(m, dtype=complex)
     b, group = _resolve_form(a, s, group, form)
 
@@ -448,13 +453,13 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None,
             if idx.size:
                 k[np.ix_(idx, idx)] = _solve_constant_block(
                     a[np.ix_(idx, idx)], q[idx],
-                    None if b is None else b[idx], s.reality, group, tol_post)
+                    None if b is None else b[idx], s.reality, group)
     else:
-        k = _solve_constant_block(a, q, b, s.reality, group, tol_post)
+        k = _solve_constant_block(a, q, b, s.reality, group)
 
     Q = np.diag(q)
     defect = fnorm(np.linalg.inv(k) @ Q @ k @ Q - a)
-    if defect > tol_post * scale * 10:
+    if defect > TOL_CONST_POST * scale * 10:
         raise NotInIwasawaCell(
             f"constant solve verification failed: defect {defect:.3e}")
     return k

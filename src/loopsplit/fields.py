@@ -336,8 +336,12 @@ def grid_derivative(arr, valid, h, axis):
     return out, ok
 
 
-def maurer_cartan(F: FrameField, N=None) -> ConnectionForm:
-    """Discrete F^{-1} dF: central differences inside, one-sided at edges."""
+def maurer_cartan(F: FrameField) -> ConnectionForm:
+    """Discrete F^{-1} dF: central differences inside, one-sided at edges.
+
+    F^{-1} is truncated at each node to the default window of the node's
+    value and its two derivatives.
+    """
     grid = F.grid
     if min(grid.shape) < 3:
         raise ValueError("maurer_cartan needs at least 3 nodes per direction")
@@ -348,7 +352,7 @@ def maurer_cartan(F: FrameField, N=None) -> ConnectionForm:
         g = F.value(i, j)
         a_u, a_v = LaurentLoop(F.lo, du[i, j]), LaurentLoop(F.lo, dv[i, j])
         try:
-            inv = truncated_inverse(g, N if N is not None else default_window(g, a_u, a_v))
+            inv = truncated_inverse(g, default_window(g, a_u, a_v))
         except SingularLoop:
             continue
         loops[i, j, 0] = mul(inv, a_u)
@@ -356,19 +360,16 @@ def maurer_cartan(F: FrameField, N=None) -> ConnectionForm:
     return ConnectionForm.from_loops(grid, loops, n=F.dim)
 
 
-def connection_order(A: ConnectionForm, tol_order=TOL_ORDER, floor=0.0):
+def connection_order(A: ConnectionForm, tol_order=TOL_ORDER):
     """Tightest degree window (a, b) whose exterior stays below tol_order
     relative to the largest coefficient; returns (0, 0, True) for a zero form.
-
-    `floor` is an absolute cutoff below which coefficients count as noise
-    (useful on forms obtained by finite differences of near-constant fields).
     """
     norms = _coeff_norms(A.coeffs[A.mask])
     peak = norms.reshape(-1, norms.shape[-1]).max(axis=0, initial=0.0)
     top = float(peak.max())
-    if top <= floor:
+    if top <= 0.0:
         return (0, 0, True)
-    degs = np.flatnonzero(peak > max(tol_order * top, floor))
+    degs = np.flatnonzero(peak > tol_order * top)
     if degs.size == 0:
         return (0, 0, True)
     return (A.lo + int(degs[0]), A.lo + int(degs[-1]), False)
@@ -379,14 +380,15 @@ def form_scale(A: ConnectionForm) -> float:
     return float(_coeff_norms(A.coeffs[A.mask]).max(initial=0.0))
 
 
-def fd_mc_tolerance(A: ConnectionForm, tol_floor=TOL_MC, safety=5.0) -> float:
+def fd_mc_tolerance(A: ConnectionForm) -> float:
     """Flatness threshold adapted to the finite-difference truncation error.
 
     The discrete flatness residual of an exactly flat analytic form is
-    O(h^2) times its scale, so a sampled form cannot be held to less.
+    O(h^2) times its scale, so a sampled form cannot be held to less: the
+    threshold is 5 scale h^2, and never below TOL_MC.
     """
     h = max(A.grid.h_u, A.grid.h_v)
-    return max(tol_floor, safety * form_scale(A) * h * h)
+    return max(TOL_MC, 5.0 * form_scale(A) * h * h)
 
 
 def mc_residual(A: ConnectionForm, per_degree=False):
@@ -430,7 +432,7 @@ def _map_unmasked(F: FrameField, fn):
     return out, failures
 
 
-def split(F: FrameField, N=None, tol=TOL_BIRKHOFF):
+def split(F: FrameField, tol=TOL_BIRKHOFF):
     """Pointwise Birkhoff split into the (a,-1) and (1,b) basic pair.
 
     The left factorization supplies G_minus (normalized in Lambda^-_1), the
@@ -441,9 +443,7 @@ def split(F: FrameField, N=None, tol=TOL_BIRKHOFF):
     grid = F.grid
 
     def factor(g):
-        left = birkhoff_left(g, N=N, tol=tol)
-        right = birkhoff_right(g, N=N, tol=tol)
-        return left, right
+        return birkhoff_left(g, tol=tol), birkhoff_right(g, tol=tol)
 
     results, failures = _map_unmasked(F, factor)
     diagnostics = {node: {"residual": max(left.residual, right.residual),
@@ -473,11 +473,12 @@ def field_diagnostics_rows(F: FrameField):
     return cols, rows
 
 
-def merge(G_minus: FrameField, F_plus: FrameField, N=None, tol=TOL_BIRKHOFF) -> FrameField:
+def merge(G_minus: FrameField, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameField:
     """Rebuild F = F_plus F_minus = G_minus G_plus from a basic pair.
 
     Pointwise: left-factorize F_plus^{-1} G_minus = F_minus G_plus^{-1} with
-    F_minus normalized, then F = F_plus F_minus.
+    F_minus normalized, then F = F_plus F_minus.  F_plus^{-1} is truncated
+    to the default window of the node's two values.
     """
     if G_minus.grid.shape != F_plus.grid.shape:
         raise DimensionMismatch("basic pair fields live on different grids")
@@ -488,9 +489,8 @@ def merge(G_minus: FrameField, F_plus: FrameField, N=None, tol=TOL_BIRKHOFF) -> 
         fp = F_plus.value(i, j)
         gm = G_minus.value(i, j)
         try:
-            nloc = N if N is not None else default_window(fp, gm)
-            q = mul(truncated_inverse(fp, nloc), gm)
-            left = birkhoff_left(q, N=N, tol=tol)
+            q = mul(truncated_inverse(fp, default_window(fp, gm)), gm)
+            left = birkhoff_left(q, tol=tol)
         except (BigCellViolation, SingularLoop) as exc:
             failures[(i, j)] = str(exc)
             continue
@@ -502,7 +502,7 @@ def merge(G_minus: FrameField, F_plus: FrameField, N=None, tol=TOL_BIRKHOFF) -> 
 # -- tau-merge ---------------------------------------------------------------
 
 
-def _project_gauge_constant(c, s: SymmetrySpec, sigma_fixed=True, b_signs=None):
+def _project_gauge_constant(c, s: SymmetrySpec, sigma_fixed, b_signs):
     """Project a near-gauge constant onto the tau-fixed constant subgroup.
 
     b_signs is the +-1 diagonal of the ambient invariant form (None for the
@@ -530,21 +530,21 @@ def _project_gauge_constant(c, s: SymmetrySpec, sigma_fixed=True, b_signs=None):
     return c
 
 
-def tau_merge(F_plus: FrameField, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
-              constant_group="auto", form=None, sigma_fixed=None) -> FrameField:
+def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
+              constant_group="auto") -> FrameField:
     """Promote a (1,b) field to the tau-fixed frame F = F_plus F_minus.
 
     Pointwise tau-Iwasawa against Lambda^-; the constant right gauge left
     free by the factorization is pinned by aligning every node with an
     already-processed neighbor (sweep order is row-major), then re-basing so
-    the output is I at the base node whenever the input is based.
+    the output is I at the base node whenever the input is based.  The
+    invariant form is F_plus's declared target (detected per node when none
+    is declared), and gauges are projected onto the sigma blocks only when
+    F_plus declares a symmetry.
     """
     grid = F_plus.grid
-    if form is None and F_plus.target is not None:
-        form = F_plus.target.kind  # "orthogonal" | "lorentz"
-    if sigma_fixed is None:
-        # project gauges onto the sigma blocks only for declared twisted fields
-        sigma_fixed = F_plus.symmetry is not None
+    form = F_plus.target.kind if F_plus.target is not None else None
+    sigma_fixed = F_plus.symmetry is not None
     b_signs = None
     if constant_group != "general":
         b_signs = np.ones(F_plus.dim)
@@ -556,16 +556,15 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
     for i, j in _nodes(F_plus.mask):
         x = F_plus.value(i, j)
         try:
-            res = tau_iwasawa_minus(x, s, N=N, tol=tol,
-                                    constant_group=constant_group, form=form)
+            res = tau_iwasawa_minus(x, s, tol=tol, constant_group=constant_group,
+                                    form=form)
         except (BigCellViolation, NotInIwasawaCell, SingularLoop) as exc:
             failures[(i, j)] = str(exc)
             continue
         z = res.z
         seed = vals.get((i, j - 1)) or vals.get((i - 1, j))
         if seed is not None:
-            aligned = _align_gauge(z, seed, s, b_signs=b_signs,
-                                   sigma_fixed=sigma_fixed)
+            aligned = _align_gauge(z, seed, s, sigma_fixed, b_signs)
             if aligned is not None:
                 z = aligned  # otherwise keep the raw (still valid) factor
         vals[i, j] = z
@@ -574,22 +573,21 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
                                 info={"failures": failures, "iwasawa_residuals": residuals})
     if F_plus.is_based() and grid.base in vals:
         base = out.base_value()
-        c = _project_gauge_constant(base.coeff(0), s, sigma_fixed=sigma_fixed,
-                                    b_signs=b_signs)
+        c = _project_gauge_constant(base.coeff(0), s, sigma_fixed, b_signs)
         if c is not None and distance(base, constant(c)) <= 100 * max(tol, 1e-12):
             out = out.right_multiply(constant(np.linalg.inv(c)))
             out.symmetry = s
     return out
 
 
-def _align_gauge(z, z_prev, s, b_signs=None, sigma_fixed=True):
+def _align_gauge(z, z_prev, s, sigma_fixed, b_signs):
     """Right-multiply z by the tau-fixed constant bringing it nearest z_prev,
     or return None when no well-conditioned gauge move exists."""
     try:
         c_raw = np.linalg.solve(z.eval(1.0), z_prev.eval(1.0))
     except np.linalg.LinAlgError:
         return None
-    c = _project_gauge_constant(c_raw, s, sigma_fixed=sigma_fixed, b_signs=b_signs)
+    c = _project_gauge_constant(c_raw, s, sigma_fixed, b_signs)
     if c is None or np.linalg.cond(c) > 1e6:
         return None
     return mul(z, constant(c))
@@ -598,15 +596,15 @@ def _align_gauge(z, z_prev, s, b_signs=None, sigma_fixed=True):
 # -- gauging a (0,b) field to (1,b) -------------------------------------------
 
 
-def gauge_parallel(F: FrameField, N=None, tol_order=TOL_ORDER, tol_mc=None):
+def gauge_parallel(F: FrameField):
     """Strip the degree-0 part of the connection by a constant-in-lambda gauge.
 
     Writes the degree-0 component as H^{-1} dH (integrated by RK4 with
     H = I at the base) and returns (F * G, G) with G = H^{-1}; the gauged
     field has connection order (1, b).
     """
-    A = maurer_cartan(F, N=N)
-    lo, hi, is_zero = connection_order(A, tol_order)
+    A = maurer_cartan(F)
+    lo, hi, is_zero = connection_order(A)
     if not is_zero and lo < 0:
         raise IntegrabilityViolation(
             f"cannot gauge a field of order ({lo},{hi}); negative degrees present")
@@ -615,10 +613,8 @@ def gauge_parallel(F: FrameField, N=None, tol_order=TOL_ORDER, tol_mc=None):
     else:
         deg0 = np.zeros(A.coeffs.shape[:3] + (1,) + A.coeffs.shape[-2:], dtype=complex)
     a0 = ConnectionForm(A.grid, 0, deg0, A.mask.copy())
-    if tol_mc is None:
-        tol_mc = fd_mc_tolerance(a0)
     res0 = mc_residual(a0)
-    if res0 > tol_mc:
+    if res0 > fd_mc_tolerance(a0):
         raise IntegrabilityViolation(
             f"degree-0 part is not flat: residual {res0:.3e}", {"degree0": res0})
     H = integrate_potential(a0, check=False)
@@ -676,27 +672,24 @@ def _integrate_line(start_value, coeffs, h, reverse=False):
     return out
 
 
-def integrate_potential(eta: ConnectionForm, base=None, tol_mc=None,
-                        check=True, holonomy=False) -> FrameField:
+def integrate_potential(eta: ConnectionForm, check=True, holonomy=False) -> FrameField:
     """Integrate dF = F eta by RK4: along u on the base row, then along v.
 
     The based solution (F = I at the base node) exists when eta is flat;
-    the flatness precondition is enforced with mc_residual unless check is
-    False.  With holonomy=True a path-independence diagnostic (max plaquette
+    the flatness precondition is enforced with mc_residual (against
+    fd_mc_tolerance) unless check is False.  With holonomy=True a path-independence diagnostic (max plaquette
     holonomy deviation) is stored under info["holonomy"].
     """
     grid = eta.grid
     if not np.all(eta.mask):
         raise IntegrabilityViolation("potential has masked nodes")
     if check and min(grid.shape) >= 3:
-        if tol_mc is None:
-            tol_mc = fd_mc_tolerance(eta)
         res = mc_residual(eta)
-        if res > tol_mc:
+        if res > fd_mc_tolerance(eta):
             raise IntegrabilityViolation(
                 f"potential fails the flatness check: residual {res:.3e}",
                 {"mc": res})
-    bi, bj = grid.base if base is None else base
+    bi, bj = grid.base
     n = eta.dim
     nu, nv = grid.shape
     loops = eta.loops()
@@ -724,7 +717,7 @@ def integrate_potential(eta: ConnectionForm, base=None, tol_mc=None,
     return out
 
 
-def integrate_basic_pair(p: Potential, tol_mc=None, check=True):
+def integrate_basic_pair(p: Potential):
     """Integrate a potential pair into its basic pair of fields.
 
     Each half solves dF = F eta from the identity at the base node; merging
@@ -732,9 +725,7 @@ def integrate_basic_pair(p: Potential, tol_mc=None, check=True):
     """
     if p.eta_minus is None or p.eta_plus is None:
         raise IntegrabilityViolation("both halves of the potential are required")
-    g_minus = integrate_potential(p.eta_minus, tol_mc=tol_mc, check=check)
-    f_plus = integrate_potential(p.eta_plus, tol_mc=tol_mc, check=check)
-    return g_minus, f_plus
+    return integrate_potential(p.eta_minus), integrate_potential(p.eta_plus)
 
 
 def _holonomy_residual(grid: Grid2D, loops) -> float:
@@ -763,8 +754,7 @@ def _holonomy_residual(grid: Grid2D, loops) -> float:
 # -- dressing ------------------------------------------------------------------
 
 
-def dress_plus(g_minus: LaurentLoop, F_plus: FrameField, N=None,
-               tol=TOL_BIRKHOFF) -> FrameField:
+def dress_plus(g_minus: LaurentLoop, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameField:
     """Left action of a Lambda^- element on a (1,b) field.
 
     Pointwise right Birkhoff factorization of g_minus F_plus(t); the new
@@ -772,16 +762,15 @@ def dress_plus(g_minus: LaurentLoop, F_plus: FrameField, N=None,
     cell.
     """
     def act(g):
-        return birkhoff_right(mul(g_minus, g), N=N, tol=tol).plus
+        return birkhoff_right(mul(g_minus, g), tol=tol).plus
 
     return _dress_apply(F_plus, act)
 
 
-def dress_minus(g_plus: LaurentLoop, G_minus: FrameField, N=None,
-                tol=TOL_BIRKHOFF) -> FrameField:
+def dress_minus(g_plus: LaurentLoop, G_minus: FrameField, tol=TOL_BIRKHOFF) -> FrameField:
     """Mirror action of a Lambda^+ element on an (a,-1) field."""
     def act(g):
-        return birkhoff_left(mul(g_plus, g), N=N, tol=tol).minus
+        return birkhoff_left(mul(g_plus, g), tol=tol).minus
 
     return _dress_apply(G_minus, act)
 
@@ -793,18 +782,18 @@ def _dress_apply(F: FrameField, act):
 
 
 def dress_pair(g_minus: LaurentLoop, g_plus: LaurentLoop, F: FrameField,
-               N=None, tol=TOL_BIRKHOFF) -> FrameField:
+               tol=TOL_BIRKHOFF) -> FrameField:
     """Action of a (g_-, g_+) pair on an (a,b) field, a < 0 < b.
 
     Computes the dressed (1,b) and (a,-1) pieces from g_- F and g_+ F and
     merges them; this matches dressing the split pieces separately.
     """
     def plus_part(g):
-        return birkhoff_right(mul(g_minus, g), N=N, tol=tol).plus
+        return birkhoff_right(mul(g_minus, g), tol=tol).plus
 
     def minus_part(g):
-        return birkhoff_left(mul(g_plus, g), N=N, tol=tol).minus
+        return birkhoff_left(mul(g_plus, g), tol=tol).minus
 
     f_plus = _dress_apply(F, plus_part)
     g_minus_field = _dress_apply(F, minus_part)
-    return merge(g_minus_field, f_plus, N=N, tol=tol)
+    return merge(g_minus_field, f_plus, tol=tol)

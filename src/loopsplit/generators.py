@@ -54,15 +54,6 @@ def spectral_wiener_norm(g: LaurentLoop) -> float:
     return float(sum(np.linalg.norm(c, 2) for c in g.coeffs))
 
 
-def random_plus_loop(rng, n, top=4, scale=0.15) -> LaurentLoop:
-    """exp of a random loop supported in degrees [0, top]."""
-    terms = {}
-    for d in range(0, top + 1):
-        m = random_matrix(rng, n)
-        terms[d] = (scale * 0.5 ** d / np.linalg.norm(m)) * m
-    return loop_exp(from_terms(terms))
-
-
 def random_fixed_loop(rng, s: SymmetrySpec, involutions=("sigma",), radius=2,
                       scale=0.25, skew=False) -> LaurentLoop:
     """exp of a random algebra loop averaged onto the fixed-point set of the

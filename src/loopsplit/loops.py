@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DimensionMismatch, SingularLoop, ZeroLambda
 
 TOL_TRIM = 1e-14
+# largest in-window residual a truncated inverse may leave
+TOL_INVERSE = 1e-10
 
 PART_PLUS = "plus"
 PART_MINUS = "minus"
@@ -33,22 +35,21 @@ class LaurentLoop:
     """A matrix-valued Laurent polynomial sum_{j=lo}^{hi} c_j lambda^j.
 
     Construction trims leading/trailing coefficients whose norm falls below
-    tol_trim relative to the largest coefficient, so the stored window is
+    TOL_TRIM relative to the largest coefficient, so the stored window is
     canonical: nonzero at both ends, or the single zero matrix at degree 0.
     """
 
-    __slots__ = ("n", "lo", "coeffs", "tol_trim")
+    __slots__ = ("n", "lo", "coeffs")
 
-    def __init__(self, lo, coeffs, tol_trim=TOL_TRIM, trim=True):
+    def __init__(self, lo, coeffs, trim=True):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
             raise DimensionMismatch(f"coefficient stack must be (W, n, n), got {coeffs.shape}")
         if coeffs.shape[0] == 0:
             raise DimensionMismatch("empty coefficient stack")
         self.n = coeffs.shape[1]
-        self.tol_trim = tol_trim
         if trim:
-            lo, coeffs = _trim(lo, coeffs, tol_trim)
+            lo, coeffs = _trim(lo, coeffs)
         self.lo = int(lo)
         self.coeffs = coeffs
         self.coeffs.flags.writeable = False
@@ -80,9 +81,6 @@ class LaurentLoop:
     def is_zero(self, tol=0.0) -> bool:
         return bool(np.max(np.abs(self.coeffs)) <= tol)
 
-    def is_identity(self, tol=1e-12) -> bool:
-        return self.window == (0, 0) and fnorm(self.coeffs[0] - np.eye(self.n)) <= tol
-
     def __repr__(self):
         return f"LaurentLoop(n={self.n}, window=({self.lo},{self.hi}))"
 
@@ -98,7 +96,7 @@ class LaurentLoop:
         out = np.zeros((hi - lo + 1, self.n, self.n), dtype=complex)
         out[self.lo - lo : self.hi - lo + 1] += self.coeffs
         out[other.lo - lo : other.hi - lo + 1] += other.coeffs
-        return LaurentLoop(lo, out, tol_trim=min(self.tol_trim, other.tol_trim))
+        return LaurentLoop(lo, out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -109,12 +107,10 @@ class LaurentLoop:
     def __mul__(self, other):
         if isinstance(other, LaurentLoop):
             return mul(self, other)
-        return LaurentLoop(self.lo, np.asarray(self.coeffs) * complex(other),
-                           tol_trim=self.tol_trim)
+        return LaurentLoop(self.lo, np.asarray(self.coeffs) * complex(other))
 
     def __rmul__(self, other):
-        return LaurentLoop(self.lo, complex(other) * np.asarray(self.coeffs),
-                           tol_trim=self.tol_trim)
+        return LaurentLoop(self.lo, complex(other) * np.asarray(self.coeffs))
 
     # -- analysis ----------------------------------------------------------
 
@@ -157,42 +153,34 @@ class LaurentLoop:
         else:
             lo, hi = 0, 0
         if lo > hi or hi < self.lo or lo > self.hi:
-            return zero_loop(self.n, tol_trim=self.tol_trim)
+            return zero_loop(self.n)
         lo = max(lo, self.lo)
         hi = min(hi, self.hi)
-        return LaurentLoop(lo, self.coeffs[lo - self.lo : hi - self.lo + 1],
-                           tol_trim=self.tol_trim)
+        return LaurentLoop(lo, self.coeffs[lo - self.lo : hi - self.lo + 1])
 
     def clip(self, lo, hi):
         """Restrict the window to [lo, hi] (degrees outside are dropped)."""
         a = max(lo, self.lo)
         b = min(hi, self.hi)
         if a > b:
-            return zero_loop(self.n, tol_trim=self.tol_trim)
-        return LaurentLoop(a, self.coeffs[a - self.lo : b - self.lo + 1],
-                           tol_trim=self.tol_trim)
+            return zero_loop(self.n)
+        return LaurentLoop(a, self.coeffs[a - self.lo : b - self.lo + 1])
 
     def mirror(self):
         """The loop lambda -> value at 1/lambda (coefficient reversal)."""
-        return LaurentLoop(-self.hi, self.coeffs[::-1], tol_trim=self.tol_trim)
+        return LaurentLoop(-self.hi, self.coeffs[::-1])
 
     def transpose(self):
-        return LaurentLoop(self.lo, np.transpose(self.coeffs, (0, 2, 1)),
-                           tol_trim=self.tol_trim)
-
-    def map_coeffs(self, fn, new_lo=None):
-        """Apply fn to the whole coefficient stack (degree order preserved)."""
-        lo = self.lo if new_lo is None else new_lo
-        return LaurentLoop(lo, fn(np.array(self.coeffs)), tol_trim=self.tol_trim)
+        return LaurentLoop(self.lo, np.transpose(self.coeffs, (0, 2, 1)))
 
 
-def _trim(lo, coeffs, tol_trim):
+def _trim(lo, coeffs):
     peaks = np.abs(coeffs).reshape(coeffs.shape[0], -1).max(axis=1)
     scale = peaks.max()
     if scale == 0.0:
         n = coeffs.shape[1]
         return 0, np.zeros((1, n, n), dtype=complex)
-    keep = peaks > tol_trim * scale
+    keep = peaks > TOL_TRIM * scale
     first = int(np.argmax(keep))
     last = int(len(keep) - 1 - np.argmax(keep[::-1]))
     if first == 0 and last == len(keep) - 1:
@@ -203,32 +191,32 @@ def _trim(lo, coeffs, tol_trim):
 # -- constructors ----------------------------------------------------------
 
 
-def identity(n, tol_trim=TOL_TRIM) -> LaurentLoop:
-    return LaurentLoop(0, np.eye(n, dtype=complex)[None], tol_trim=tol_trim)
+def identity(n) -> LaurentLoop:
+    return LaurentLoop(0, np.eye(n, dtype=complex)[None])
 
 
-def zero_loop(n, tol_trim=TOL_TRIM) -> LaurentLoop:
-    return LaurentLoop(0, np.zeros((1, n, n), dtype=complex), tol_trim=tol_trim, trim=False)
+def zero_loop(n) -> LaurentLoop:
+    return LaurentLoop(0, np.zeros((1, n, n), dtype=complex), trim=False)
 
 
-def constant(matrix, tol_trim=TOL_TRIM) -> LaurentLoop:
+def constant(matrix) -> LaurentLoop:
     m = np.asarray(matrix, dtype=complex)
-    return LaurentLoop(0, m[None], tol_trim=tol_trim)
+    return LaurentLoop(0, m[None])
 
 
-def from_terms(terms, n=None, tol_trim=TOL_TRIM) -> LaurentLoop:
+def from_terms(terms, n=None) -> LaurentLoop:
     """Build a loop from a {degree: matrix} mapping."""
     if not terms:
         if n is None:
             raise ValueError("empty terms and no dimension given")
-        return zero_loop(n, tol_trim=tol_trim)
+        return zero_loop(n)
     degs = sorted(terms)
     n = np.asarray(terms[degs[0]]).shape[0] if n is None else n
     lo, hi = degs[0], degs[-1]
     coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
     for d in degs:
         coeffs[d - lo] += np.asarray(terms[d], dtype=complex)
-    return LaurentLoop(lo, coeffs, tol_trim=tol_trim)
+    return LaurentLoop(lo, coeffs)
 
 
 # -- core operations --------------------------------------------------------
@@ -246,31 +234,32 @@ def mul(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
     else:
         for b in range(wy):
             out[b : b + wx] += x.coeffs @ y.coeffs[b]
-    return LaurentLoop(x.lo + y.lo, out, tol_trim=min(x.tol_trim, y.tol_trim))
+    return LaurentLoop(x.lo + y.lo, out)
 
 
-def lincomb(pairs, n=None, tol_trim=TOL_TRIM) -> LaurentLoop:
+def lincomb(pairs, n=None) -> LaurentLoop:
     """Linear combination sum_i s_i * g_i of loops with scalar weights."""
     pairs = [(s, g) for s, g in pairs]
     if not pairs:
-        return zero_loop(n, tol_trim=tol_trim)
+        return zero_loop(n)
     n = pairs[0][1].n
     lo = min(g.lo for _, g in pairs)
     hi = max(g.hi for _, g in pairs)
     out = np.zeros((hi - lo + 1, n, n), dtype=complex)
     for s, g in pairs:
         out[g.lo - lo : g.hi - lo + 1] += complex(s) * g.coeffs
-    return LaurentLoop(lo, out, tol_trim=tol_trim)
+    return LaurentLoop(lo, out)
 
 
-def loop_exp(x: LaurentLoop, tol=1e-16, max_terms=120) -> LaurentLoop:
-    """exp(x) by the power series, trimmed termwise."""
-    acc = identity(x.n, tol_trim=x.tol_trim)
-    term = identity(x.n, tol_trim=x.tol_trim)
-    for k in range(1, max_terms + 1):
+def loop_exp(x: LaurentLoop) -> LaurentLoop:
+    """exp(x) by the power series, summed until a term falls below 1e-16 of
+    the partial sum (at most 120 terms)."""
+    acc = identity(x.n)
+    term = identity(x.n)
+    for k in range(1, 121):
         term = (1.0 / k) * mul(term, x)
         acc = acc + term
-        if term.wiener_norm() <= tol * max(acc.wiener_norm(), 1.0):
+        if term.wiener_norm() <= 1e-16 * max(acc.wiener_norm(), 1.0):
             return acc
     raise SingularLoop("loop exponential did not converge; norm too large")
 
@@ -301,23 +290,23 @@ def _neumann_inverse(g: LaurentLoop, N: int, side: str) -> LaurentLoop:
         m = min(k, r)
         x[k] = -(s_row[:, : m * n] @ x[k - m : k][::-1].reshape(m * n, n))
     if side == "minus":
-        return LaurentLoop(-N, np.ascontiguousarray(x[::-1]), tol_trim=g.tol_trim)
-    return LaurentLoop(0, x, tol_trim=g.tol_trim)
+        return LaurentLoop(-N, np.ascontiguousarray(x[::-1]))
+    return LaurentLoop(0, x)
 
 
-def truncated_inverse(g: LaurentLoop, N: int, tol_inv=1e-10) -> LaurentLoop:
+def truncated_inverse(g: LaurentLoop, N: int) -> LaurentLoop:
     """Inverse truncated to the window [-N, N].
 
     Normalized one-sided loops I + (strictly negative / strictly positive)
     have a one-sided inverse whose coefficients follow from block forward
     substitution, exactly and without a solve; everything else goes through
     a square block-Toeplitz least-squares solve for P_[-N,N](g x - I) = 0.
-    Raises SingularLoop when the in-window residual exceeds tol_inv.
+    Raises SingularLoop when the in-window residual exceeds TOL_INVERSE.
     """
     n = g.n
     if g.window == (0, 0):
         try:
-            return constant(np.linalg.inv(g.coeffs[0]), tol_trim=g.tol_trim)
+            return constant(np.linalg.inv(g.coeffs[0]))
         except np.linalg.LinAlgError as exc:
             raise SingularLoop("constant loop is singular") from exc
     c0 = g.coeff(0)
@@ -342,11 +331,11 @@ def truncated_inverse(g: LaurentLoop, N: int, tol_inv=1e-10) -> LaurentLoop:
         sol = np.linalg.solve(big, rhs)
     except np.linalg.LinAlgError:
         sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-    x = LaurentLoop(-N, sol.reshape(width, n, n), tol_trim=g.tol_trim)
+    x = LaurentLoop(-N, sol.reshape(width, n, n))
     residual = distance(mul(g, x).clip(-N, N), identity(n))
-    if not np.isfinite(residual) or residual > tol_inv:
+    if not np.isfinite(residual) or residual > TOL_INVERSE:
         raise SingularLoop(
-            f"truncated inverse residual {residual:.3e} exceeds {tol_inv:.1e}"
+            f"truncated inverse residual {residual:.3e} exceeds {TOL_INVERSE:.1e}"
         )
     return x
 
@@ -386,22 +375,15 @@ class GroupSpec:
         return GroupSpec(other, self.n_tan, self.k_nor)
 
 
-def default_samples(g: LaurentLoop, count=None):
-    """Roots of unity, enough of them to certify a polynomial identity."""
-    if count is None:
-        count = max(8, 4 * g.radius + 2)
-    return np.exp(2j * np.pi * np.arange(count) / count)
-
-
-def group_residual(g: LaurentLoop, spec: GroupSpec, samples=None) -> float:
-    """max over samples of || g(lam)^T J g(lam) - J ||_F."""
+def group_residual(g: LaurentLoop, spec: GroupSpec) -> float:
+    """max of || g(lam)^T J g(lam) - J ||_F over roots of unity lam, enough
+    of them to certify the polynomial identity."""
     if g.n != spec.dim:
         raise DimensionMismatch(f"loop dim {g.n} vs group dim {spec.dim}")
     J = spec.form_matrix
-    if samples is None:
-        samples = default_samples(g)
+    count = max(8, 4 * g.radius + 2)
     worst = 0.0
-    for lam in samples:
+    for lam in np.exp(2j * np.pi * np.arange(count) / count):
         m = g.eval(lam)
         worst = max(worst, fnorm(m.T @ J @ m - J))
     return worst

@@ -29,8 +29,7 @@ def fmt17(x) -> str:
 
 
 def loop_to_obj(g: LaurentLoop) -> dict:
-    coeffs = [[[[float(z.real), float(z.imag)] for z in row] for row in mat]
-              for mat in g.coeffs]
+    coeffs = np.stack([g.coeffs.real, g.coeffs.imag], -1).tolist()
     return {"n": g.n, "lo": g.lo, "coeffs": coeffs}
 
 
@@ -47,13 +46,11 @@ def loop_from_obj(d) -> LaurentLoop:
 
 
 def save_loop(g: LaurentLoop, path):
-    with open(path, "w") as fh:
-        json.dump(loop_to_obj(g), fh)
+    save_json(loop_to_obj(g), path)
 
 
 def load_loop(path) -> LaurentLoop:
-    with open(path) as fh:
-        return loop_from_obj(json.load(fh))
+    return loop_from_obj(load_json(path))
 
 
 # -- specs ----------------------------------------------------------------
@@ -177,12 +174,16 @@ def connection_form_from_obj(d) -> ConnectionForm:
 
 def save_json(obj, path):
     with open(path, "w") as fh:
-        json.dump(obj, fh)
+        fh.write(json.dumps(obj))
 
 
 def load_json(path):
+    """The JSON document in a file; ParseError when it is not valid JSON."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # undecodable text or invalid JSON
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
 # -- meshes ----------------------------------------------------------------
@@ -273,14 +274,12 @@ def emit_diagnostics(path, columns, rows, meta=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def immersion_diagnostics_rows(im: ImmersionGrid, extra=None):
+def immersion_diagnostics_rows(im: ImmersionGrid):
     """Per-node diagnostic rows: indices, coordinates, ambient point,
     residuals, mask flag."""
     cols = ["iu", "iv", "u", "v"]
     cols += [f"x{a}" for a in range(im.dim)]
     cols += ["quadric_residual", "metric_det", "gauss_curvature", "immersive", "mask"]
-    if extra:
-        cols += list(extra.keys())
     rows = []
     d = im.diagnostics
     for i in range(im.grid.shape[0]):
@@ -290,7 +289,5 @@ def immersion_diagnostics_rows(im: ImmersionGrid, extra=None):
             row += [float(d["quadric_residual"][i, j]), float(d["metric_det"][i, j]),
                     float(d["gauss_curvature"][i, j]), bool(d["immersive"][i, j]),
                     bool(im.mask[i, j])]
-            if extra:
-                row += [extra[key][i, j] for key in extra]
             rows.append(row)
     return cols, rows

@@ -91,14 +91,11 @@ def correspondence_route(target_kind, reality):
         raise ValueError(f"no correspondence for ({target_kind!r}, {reality!r})")
 
 
-def curvature_interval(target_kind, reality):
-    return correspondence_route(target_kind, reality)[1]
-
-
-def classify_curvature(c, target_kind, boundary_tol=1e-6):
-    """Name the interval of a measured curvature; None on a boundary value."""
+def classify_curvature(c, target_kind):
+    """Name the interval of a measured curvature; None within 1e-6 of a
+    boundary value."""
     cuts = (0.0, 1.0) if target_kind == "orthogonal" else (-1.0, 0.0)
-    if min(abs(c - cut) for cut in cuts) <= boundary_tol:
+    if min(abs(c - cut) for cut in cuts) <= 1e-6:
         return None
     if target_kind == "orthogonal":
         if c < 0.0:
@@ -167,15 +164,15 @@ class ExtendedConnectionSpec:
         return SymmetrySpec(self.n, self.k, self.reality)
 
 
-def assemble_connection(spec: ExtendedConnectionSpec, check=True,
-                        tol_mc=None) -> ConnectionForm:
+def assemble_connection(spec: ExtendedConnectionSpec, check=True) -> ConnectionForm:
     """Build the Laurent-graded connection form of an extended-connection spec.
 
     The structure equations (flatness of omega or the 4 theta theta^T
     curvature identity, flat normal bundle, and the closure of the
     lambda-graded blocks) are all equivalent to graded flatness of the
     assembled form, so with check=True the grade-resolved flatness residual
-    is measured and an IntegrabilityViolation carries the failing degrees.
+    is measured against fd_mc_tolerance and an IntegrabilityViolation
+    carries the failing degrees.
     """
     if spec.kind.startswith("A"):
         for name in ("omega", "eta"):
@@ -211,8 +208,7 @@ def assemble_connection(spec: ExtendedConnectionSpec, check=True,
     form = ConnectionForm(grid, lo, np.stack(degrees, axis=-3),
                           declared_window=(lo, 1))
     if check and min(grid.shape) >= 3:
-        if tol_mc is None:
-            tol_mc = fd_mc_tolerance(form)
+        tol_mc = fd_mc_tolerance(form)
         worst, grades = mc_residual(form, per_degree=True)
         if worst > tol_mc:
             bad = {d: g for d, g in grades.items() if g > tol_mc}
@@ -399,7 +395,7 @@ def phi_field(F: FrameField, direction, s: SymmetrySpec) -> FrameField:
     return out
 
 
-def nonflat_to_flat(F: FrameField, s: SymmetrySpec, N=None):
+def nonflat_to_flat(F: FrameField, s: SymmetrySpec):
     """The flat partner of a non-flat extended frame: its (1,1) split part.
 
     Inputs carrying the circle reality condition get bridged to the opposite
@@ -408,7 +404,7 @@ def nonflat_to_flat(F: FrameField, s: SymmetrySpec, N=None):
     tagged with the flat-side symmetry and target.
     """
     target = F.target if F.target is not None else s.group("orthogonal")
-    _, f_plus = split(F, N=N)
+    _, f_plus = split(F)
     if s.reality == "Rm1":
         direction = ("sphere_to_hyperbolic" if target.kind == "orthogonal"
                      else "hyperbolic_to_sphere")
@@ -423,7 +419,7 @@ def nonflat_to_flat(F: FrameField, s: SymmetrySpec, N=None):
     return f_plus
 
 
-def flat_to_nonflat(F_plus: FrameField, s: SymmetrySpec, N=None):
+def flat_to_nonflat(F_plus: FrameField, s: SymmetrySpec):
     """Rebuild the non-flat frame of the declared (target, reality) class
     from its flat partner; inverse of nonflat_to_flat up to the constant
     gauge freedom of the tau-merge."""
@@ -434,11 +430,11 @@ def flat_to_nonflat(F_plus: FrameField, s: SymmetrySpec, N=None):
         direction = ("hyperbolic_to_sphere" if flat_target.kind == "lorentz"
                      else "sphere_to_hyperbolic")
         bridged = phi_field(F_plus, direction, s)
-        out = tau_merge(bridged, s.with_reality("Rhat1"), N=N)
+        out = tau_merge(bridged, s.with_reality("Rhat1"))
         out.symmetry = s
         out.target = flat_target.opposite()
     elif s.reality in ("R1", "R2"):
-        out = tau_merge(F_plus, s, N=N)
+        out = tau_merge(F_plus, s)
         out.symmetry = s
         out.target = flat_target
     else:

@@ -96,14 +96,14 @@ def apply_sigma(g: LaurentLoop, s: SymmetrySpec) -> LaurentLoop:
     _check_dim(g, s)
     P = np.sign(np.diag(s.sigma_matrix))
     out = g.coeffs * (P[None, :, None] * P[None, None, :])
-    return LaurentLoop(g.lo, _alternate(out, g.lo), tol_trim=g.tol_trim)
+    return LaurentLoop(g.lo, _alternate(out, g.lo))
 
 
 def apply_tau(g: LaurentLoop, s: SymmetrySpec) -> LaurentLoop:
     _check_dim(g, s)
     Q = np.sign(np.diag(s.tau_matrix))
     out = g.coeffs[::-1] * (Q[None, :, None] * Q[None, None, :])
-    return LaurentLoop(-g.hi, out, tol_trim=g.tol_trim)
+    return LaurentLoop(-g.hi, out)
 
 
 def tau_constant(a, s: SymmetrySpec):
@@ -118,13 +118,13 @@ def apply_reality(g: LaurentLoop, which, s: SymmetrySpec | None = None) -> Laure
         raise ValueError(f"unknown reality tag {which!r}")
     c = np.conj(g.coeffs)
     if which == "R1":
-        return LaurentLoop(g.lo, _alternate(c, g.lo), tol_trim=g.tol_trim)
+        return LaurentLoop(g.lo, _alternate(c, g.lo))
     if which == "R2":
-        return LaurentLoop(g.lo, c, tol_trim=g.tol_trim)
+        return LaurentLoop(g.lo, c)
     if which == "Rm1":
-        return LaurentLoop(-g.hi, c[::-1], tol_trim=g.tol_trim)
+        return LaurentLoop(-g.hi, c[::-1])
     if which == "Rm2":
-        return LaurentLoop(-g.hi, _alternate(c[::-1], -g.hi), tol_trim=g.tol_trim)
+        return LaurentLoop(-g.hi, _alternate(c[::-1], -g.hi))
     if s is None:
         raise ValueError(f"{which} needs a SymmetrySpec for its Q conjugation")
     _check_dim(g, s)
@@ -132,7 +132,7 @@ def apply_reality(g: LaurentLoop, which, s: SymmetrySpec | None = None) -> Laure
     c = c * (Q[None, :, None] * Q[None, None, :])
     if which == "Rhat2":
         c = _alternate(c, g.lo)
-    return LaurentLoop(g.lo, c, tol_trim=g.tol_trim)
+    return LaurentLoop(g.lo, c)
 
 
 def apply_involution(g: LaurentLoop, tags, s: SymmetrySpec) -> LaurentLoop:
@@ -182,4 +182,4 @@ def phi_map(g: LaurentLoop, direction, s: SymmetrySpec) -> LaurentLoop:
         scale = t[None, None, :] / t[None, :, None]
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return LaurentLoop(g.lo, g.coeffs * scale, tol_trim=g.tol_trim)
+    return LaurentLoop(g.lo, g.coeffs * scale)

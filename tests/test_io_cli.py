@@ -78,6 +78,18 @@ def test_config_rejects_negative_spacing(tmp_path):
     with pytest.raises(ValidationError) as err:
         parse_config(path)
     assert "grid.h_u" in str(err.value)
+    # non-numeric and boolean values of numeric keys are rejected the same way
+    for data, key in (({"grid": {"h_u": "a"}}, "grid.h_u"),
+                      ({"grid": {"h_v": True}}, "grid.h_v"),
+                      ({"grid": {"u0": "a"}}, "grid.u0"),
+                      ({"tolerances": 5}, "tolerances"),
+                      ({"tol_scale": "a"}, "tol_scale"),
+                      ({"tolerances": {"birkhoff": "x"}}, "tolerances.birkhoff"),
+                      ({"tolerances": {"iwasawa": False}}, "tolerances.iwasawa")):
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError) as err:
+            parse_config(path)
+        assert key in str(err.value)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -102,7 +114,7 @@ def test_config_round_trip(tmp_path):
 def test_config_rejects_removed_keys(tmp_path):
     # keys that were validated but never read are unknown keys now
     path = tmp_path / "run.json"
-    for data in ({"twists": ["sigma", "tau"]},
+    for data in ({"twists": ["sigma", "tau"]}, {"window": 6},
                  *({"tolerances": {name: 1e-6}}
                    for name in ("trim", "inverse", "roundtrip", "order", "mc"))):
         path.write_text(json.dumps(data))
@@ -329,19 +341,21 @@ def _bad_field_payload(case):
     return obj
 
 
-@pytest.mark.parametrize("case", ["loop_n_mismatch", "loop_wrong_rank",
+@pytest.mark.parametrize("case", ["loop_n_mismatch", "loop_wrong_rank", "loop_not_json",
                                   "field_null_at_unmasked_node", "field_mask_shape",
-                                  "field_unknown_reality"])
+                                  "field_unknown_reality", "field_not_json"])
 def test_cli_rejects_malformed_payloads(tmp_path, case):
     from loopsplit.cli import main
     if case.startswith("loop"):
         path = tmp_path / "loop.json"
-        path.write_text(json.dumps(_bad_loop_payloads()[case]))
+        path.write_text("{not json" if case == "loop_not_json"
+                        else json.dumps(_bad_loop_payloads()[case]))
         argv = ["factorize", "--side", "left", "--in", str(path),
                 "--out", str(tmp_path / "out.json")]
     else:
         path = tmp_path / "F.json"
-        path.write_text(json.dumps(_bad_field_payload(case)))
+        path.write_text("{not json" if case == "field_not_json"
+                        else json.dumps(_bad_field_payload(case)))
         cpath = tmp_path / "run.json"
         cpath.write_text(json.dumps({"paths": {
             "in": str(path), "out_minus": str(tmp_path / "gm.json"),
@@ -372,7 +386,7 @@ def test_cli_iwasawa_merge_and_integrate(tmp_path):
     # integrate the discrete potential of the plus piece and land back on it
     from loopsplit.fields import maurer_cartan
     from loopsplit.serialize import connection_form_to_obj
-    eta = maurer_cartan(fp, N=8)
+    eta = maurer_cartan(fp)
     epath = tmp_path / "eta.json"
     epath.write_text(json.dumps(connection_form_to_obj(eta)))
     cfg2 = {"paths": {"in": str(epath), "out": str(tmp_path / "Fi.json")}}

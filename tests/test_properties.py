@@ -16,13 +16,21 @@ from loopsplit import (
     LaurentLoop,
     birkhoff_left,
     distance,
+    field_distance,
     from_terms,
     lincomb,
+    merge,
     mul,
+    split,
     truncated_inverse,
 )
 from loopsplit.fields import grid_derivative
-from loopsplit.generators import random_matrix, random_minus_unipotent, rng_for
+from loopsplit.generators import (
+    random_basic_pair,
+    random_matrix,
+    random_minus_unipotent,
+    rng_for,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -147,3 +155,21 @@ def test_packing_returns_each_node_loop(seed, nu, nv, n, keep):
         for key, g in given_loops.items():
             assert back[key].window == g.window
             assert np.array_equal(back[key].coeffs, g.coeffs)
+
+
+# -- splitting ------------------------------------------------------------------
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), nu=st.integers(3, 5),
+       nv=st.integers(3, 5), scale=st.floats(0.05, 0.4))
+def test_merge_split_round_trip(seed, n, nu, nv, scale):
+    # criterion 4 on random dimensions and grid sizes, with its bounds
+    grid = Grid2D.centered(0.5, nu, 0.5, nv)
+    gm, fp = random_basic_pair(rng_for(seed), grid, n=n, scale=scale)
+    F = merge(gm, fp)
+    assert F.mask.all(), F.info["failures"]
+    g2, f2 = split(F)
+    assert g2.mask.all(), g2.info["failures"]
+    assert field_distance(merge(g2, f2), F) <= 1e-7
+    assert max(field_distance(g2, gm), field_distance(f2, fp)) <= 1e-7
