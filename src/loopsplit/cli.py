@@ -17,13 +17,14 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .config import RunConfig, default_config, parse_config, parse_lambda
+from .config import RunConfig, default_config, parse_lambda, read_config, validate_config
 from .errors import (
     BigCellViolation,
     ConfigError,
     LoopsplitError,
     NotInIwasawaCell,
     SingularLoop,
+    ValidationError,
 )
 from .factorization import birkhoff_left, birkhoff_right, tau_iwasawa
 from .fields import (
@@ -57,16 +58,13 @@ EXIT_NUMERICAL = 4
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = parse_config(args.config)
-    else:
-        from .config import validate_config
-        cfg = validate_config({})
-    if getattr(args, "seed", None) is not None:
-        cfg.data["seed"] = args.seed
-    if getattr(args, "tol_scale", None) is not None:
-        cfg.data["tol_scale"] = args.tol_scale
-    return cfg
+    """The run config, with the global --seed and --tol-scale folded into
+    its data before validation, so flags and file pass the same checks."""
+    data = read_config(args.config) if getattr(args, "config", None) else {}
+    for key in ("seed", "tol_scale"):
+        if getattr(args, key, None) is not None:
+            data[key] = getattr(args, key)
+    return validate_config(data)
 
 
 def _field_exit(field) -> int:
@@ -78,9 +76,11 @@ def _write_field(field, path):
 
 
 def cmd_factorize(args) -> int:
+    if args.window is not None and args.window < 1:
+        raise ValidationError(f"--window must be a positive integer, got {args.window}")
     cfg = _load_config(args)
     g = load_loop(args.infile)
-    N = args.window or None
+    N = args.window
     tol = args.tol
     if args.side == "left" or args.side == "right":
         fn = birkhoff_left if args.side == "left" else birkhoff_right

@@ -190,6 +190,11 @@ def validate_config(data) -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     """Load, default-fill and validate a JSON run configuration."""
+    return validate_config(read_config(path))
+
+
+def read_config(path) -> dict:
+    """The JSON object of a run configuration file, not yet validated."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -199,7 +204,7 @@ def parse_config(path) -> RunConfig:
         raise ParseError(f"config is not valid JSON ({path}): {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("config root must be a JSON object")
-    return validate_config(data)
+    return data
 
 
 def default_config() -> dict:

@@ -15,6 +15,9 @@ N grows.  Without an explicit N, the window is chosen from the residual:
 start from a window read off the input, grow it geometrically, and stop at
 the round-off floor, when the residual stops falling, or when the system
 becomes ill-conditioned.  An explicit N is used as given.
+
+tau-Iwasawa reduces to a = k^{-1} tau(k) for a constant a, solved in closed
+form by the principal square root or, in GL, the Cayley form.
 """
 
 from __future__ import annotations
@@ -49,14 +52,16 @@ ROUNDOFF_FLOOR = 1e-13
 MAX_SYSTEM_ORDER = 1024
 # first adaptive window: this many degrees past the one read off the input
 START_PAD = 2
+# fixed window: this many degrees past twice the widest input radius
+DEFAULT_WINDOW_PAD = 4
 # constant solve: precondition tau(a) a = I and postcondition a = k^{-1} tau(k)
-# hold within ten times these, relative to |a|; a within TOL_CONST_POST of I
-# is solved by k = I
+# hold within ten times these, relative to |a| (and k within them of its
+# group); a within TOL_CONST_POST of I is solved by k = I
 TOL_CONST_PRE = 1e-10
 TOL_CONST_POST = 1e-9
 
 
-def default_window(*loops, pad=4) -> int:
+def default_window(*loops) -> int:
     """Fixed window radius: twice the widest input radius plus a pad.
 
     Used where a caller gives no window and no residual drives the choice:
@@ -64,7 +69,7 @@ def default_window(*loops, pad=4) -> int:
     factorizations choose their own window from the residual instead.
     """
     radius = max((g.radius for g in loops), default=0)
-    return 2 * radius + pad
+    return 2 * radius + DEFAULT_WINDOW_PAD
 
 
 def _adaptive_window(attempt, start, limit, scale):
@@ -214,214 +219,70 @@ def birkhoff_right(g: LaurentLoop, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
 # -- constant-group solve ----------------------------------------------------
 
 
-def _bilinear_orthonormal(basis, B_signs, targets, real_form, tol=1e-10):
-    """Columns spanning an eigenspace -> columns orthonormal for b(x,y) = x^T B y.
-
-    Gram-Schmidt in index order; a candidate that turns out isotropic is
-    skipped and retried later, so ties are still broken deterministically.
-    `targets` lists the required diagonal values b(v_i, v_i).  Over a real
-    form only the sign of b(v, v) is available, so unmatchable targets signal
-    the real-form obstruction; complex bilinear data rescales to any target.
-    """
-    pool = [np.array(basis[:, j]) for j in range(basis.shape[1])]
-    done = []
-    remaining = list(targets)
-    out = []
-    while pool:
-        placed = False
-        for idx, cand in enumerate(pool):
-            v = cand
-            for w, sw in done:
-                v = v - ((w @ (B_signs * v)) / sw) * w
-            qv = v @ (B_signs * v)
-            if abs(qv) <= tol * max(1.0, abs(v @ np.conj(v))):
-                continue
-            if real_form:
-                sign = 1.0 if qv.real > 0 else -1.0
-                if sign not in remaining:
-                    continue
-                remaining.remove(sign)
-                v = v / np.sqrt(abs(qv))
-                done.append((v, sign))
-                out.append((v, sign))
-            else:
-                target = remaining.pop(0)
-                v = v / np.sqrt(complex(qv) / target)
-                done.append((v, target))
-                out.append((v, target))
-            pool.pop(idx)
-            placed = True
-            break
-        if not placed:
-            raise NotInIwasawaCell(
-                "eigenspace basis cannot be orthonormalized against the form "
-                "(isotropy or signature mismatch)"
-            )
-    return out
-
-
-def _eigenspace_basis(S, eigenvalue, rank):
-    proj = 0.5 * (np.eye(S.shape[0], dtype=complex) + eigenvalue * S)
-    u, sv, _ = np.linalg.svd(proj)
-    got = int(np.sum(sv > 0.5))
-    if got != rank:
-        raise NotInIwasawaCell(
-            f"eigenvalue {eigenvalue:+d} of the involution has multiplicity "
-            f"{got}, expected {rank}"
-        )
-    if fnorm(proj.imag) <= 1e-12 * max(1.0, fnorm(proj)):
-        u = np.linalg.svd(proj.real)[0].astype(complex)
-    return u[:, :rank]
-
-
-def _polar_toward_form(k, B_signs, iterations=2):
-    # Newton step X <- (X + B X^{-T} B)/2 converges to the B-orthogonal group.
-    for _ in range(iterations):
-        k = 0.5 * (k + (B_signs[:, None] * np.linalg.inv(k).T * B_signs[None, :]))
-    return k
-
-
-def _place_columns(pairs_pos, pairs_neg, q, b):
-    """Assemble V with an eigenvector of matching b-value at every Q slot."""
-    m = q.shape[0]
-    V = np.zeros((m, m), dtype=complex)
-    for pairs, sign in ((pairs_pos, 1.0), (pairs_neg, -1.0)):
-        slots = np.where(q == sign)[0]
-        pool = list(pairs)
-        for slot in slots:
-            req = 1.0 if b is None else float(b[slot])
-            for t, (v, val) in enumerate(pool):
-                if b is None or abs(val - req) < 0.5:
-                    V[:, slot] = v
-                    pool.pop(t)
-                    break
-            else:
-                raise NotInIwasawaCell(
-                    "signature mismatch placing the matched eigenbasis")
-    return V
-
-
-def _det_fix(k):
-    if np.linalg.det(k).real < 0:
-        flip = np.ones(k.shape[0])
-        flip[0] = -1.0
-        k = flip[:, None] * k
-    return k
-
-
-def _solve_constant_block(a, q, b, reality, group):
-    """One P-block of the constant solve.
-
-    q is the restricted Q diagonal; b the restricted +-1 diagonal of the
-    ambient bilinear form (None for the general linear group).
-    """
-    m = a.shape[0]
-    if fnorm(a - np.eye(m)) <= TOL_CONST_POST:
-        return np.eye(m, dtype=complex)
-    S = a @ np.diag(q).astype(complex)
-    if fnorm(S @ S - np.eye(m)) > 1e-8 * max(1.0, fnorm(S) ** 2):
-        raise NotInIwasawaCell("aQ is not an involution")
-    n_pos = int(np.sum(q > 0))
-    n_neg = m - n_pos
-    mult = int(round((m + S.trace().real) / 2))  # +1 multiplicity of aQ
-    if mult != n_pos:
-        raise NotInIwasawaCell(
-            f"spectrum mismatch: aQ has +1-multiplicity {mult}, Q has {n_pos}"
-        )
-
-    if group == "general":
-        vp = _eigenspace_basis(S, +1, n_pos)
-        vm = _eigenspace_basis(S, -1, n_neg) if n_neg else np.zeros((m, 0))
-        pos = [(vp[:, t], 1.0) for t in range(n_pos)]
-        neg = [(vm[:, t], 1.0) for t in range(n_neg)]
-        return np.linalg.inv(_place_columns(pos, neg, q, None))
-
-    qreal = reality in ("Rhat1", "Rhat2")
-    w = None
-    if qreal:
-        # W = diag(1 at q=+1, i at q=-1) turns the Q-conjugate reality into
-        # plain realness; the invariant form becomes b*q in that basis
-        w = np.where(q > 0, 1.0, 1j).astype(complex)
-        S_work = np.conj(w)[:, None] * S * w[None, :]
-        if fnorm(S_work.imag) > 1e-8 * max(1.0, fnorm(S_work)):
-            raise NotInIwasawaCell("middle term violates its declared reality")
-        S_work = S_work.real.astype(complex)
-        b_work = b * q
-        real_form = True
-    else:
-        S_work = S
-        b_work = np.array(b, dtype=float)
-        real_form = fnorm(a.imag) <= 1e-10 * max(1.0, fnorm(a))
-
-    if real_form and np.all(b_work > 0) and \
-            fnorm(S_work - S_work.T) <= 1e-10 * max(1.0, fnorm(S_work)):
-        # plain real orthogonal case: matched eigenbasis straight from eigh
-        vals, vecs = np.linalg.eigh(S_work.real)
-        order = np.argsort(-vals)
-        vecs = vecs[:, order].astype(complex)
-        pos = [(vecs[:, t], 1.0) for t in range(n_pos)]
-        neg = [(vecs[:, n_pos + t], 1.0) for t in range(n_neg)]
-        k = _place_columns(pos, neg, q, b_work).conj().T  # V^{-1} = V^T here
-    else:
-        tp = [float(b_work[i]) for i in np.where(q > 0)[0]]
-        tm = [float(b_work[i]) for i in np.where(q < 0)[0]]
-        pos = _bilinear_orthonormal(_eigenspace_basis(S_work, +1, n_pos),
-                                    b_work, tp, real_form)
-        neg = (_bilinear_orthonormal(_eigenspace_basis(S_work, -1, n_neg),
-                                     b_work, tm, real_form) if n_neg else [])
-        k = np.linalg.inv(_place_columns(pos, neg, q, b_work))
-    k = _det_fix(_polar_toward_form(k, b_work))
-    if qreal:
-        k = w[:, None] * k * np.conj(w)[None, :]
-    return k
-
-
 def _resolve_form(a, s: SymmetrySpec, group, form):
     """The +-1 diagonal of the invariant bilinear form, or None for GL.
 
-    form may be "orthogonal", "lorentz", a diagonal-sign vector, or None to
-    detect it: the plain form is tried first, then the Lorentz one.
+    form may be "orthogonal", "lorentz", or None to detect it: the plain form
+    is tried first, then the Lorentz one, then GL.
+    """
+    if group == "general":
+        return None
+    plain, lorentz = np.ones(a.shape[0]), np.ones(a.shape[0])
+    lorentz[s.n] = -1.0
+    if form is not None:
+        if form not in ("orthogonal", "lorentz"):
+            raise ValueError(f"unknown form {form!r}")
+        return lorentz if form == "lorentz" else plain
+    scale = max(1.0, fnorm(a) ** 2)
+    for b in (plain, lorentz):
+        if fnorm(a.T @ (b[:, None] * a) - np.diag(b)) <= 1e-8 * scale:
+            return b
+    return None
+
+
+def _shifts(a, s: SymmetrySpec, b):
+    """Constants c in the group of a with tau(c) = c^{-1}: I, then exp(tX).
+
+    X_ij = w g_ij and X_ji = -b_i b_j w g_ij for q_i = +1, q_j = -1 (b the
+    form's signs, all ones for GL; w = i under Rhat, else 1), inside one
+    sigma block when a commutes with P: exp(tX) keeps the form, the reality
+    and the sigma blocks of a.  The weights g_ij = 2 + cos(index) all
+    differ; equal ones leave some -1 eigenvectors of a in place, as for
+    R_03(3pi/4) R_23(pi/2) with n = 2, k = 1.
     """
     m = a.shape[0]
-    if group == "general":
-        return None, "general"
-    if isinstance(form, str):
-        b = np.ones(m)
-        if form == "lorentz":
-            b[s.n] = -1.0
-        elif form != "orthogonal":
-            raise ValueError(f"unknown form {form!r}")
-        return b, "orthogonal"
-    if form is not None:
-        return np.sign(np.asarray(form, dtype=float)), "orthogonal"
-    scale = max(1.0, fnorm(a) ** 2)
-    candidates = [np.ones(m)]
-    lorentz = np.ones(m)
-    lorentz[s.n] = -1.0
-    candidates.append(lorentz)
-    for b in candidates:
-        if fnorm(a.T @ (b[:, None] * a) - np.diag(b)) <= 1e-8 * scale:
-            return b, "orthogonal"
-    if group == "orthogonal":
-        raise NotInIwasawaCell("middle term preserves neither candidate form")
-    return None, "general"
+    yield np.eye(m)
+    q = np.diag(s.tau_matrix)
+    p = np.diag(s.sigma_matrix)
+    pairs = np.outer(q > 0, q < 0)
+    if fnorm(a * p[None, :] - p[:, None] * a) <= 1e-10 * max(1.0, fnorm(a)):
+        pairs &= np.equal.outer(p, p)
+    w = 1j if s.reality in ("Rhat1", "Rhat2") else 1.0
+    X = w * (2.0 + np.cos(np.arange(m * m))).reshape(m, m) * pairs
+    X = X - (1.0 if b is None else np.outer(b, b)) * X.T
+    for t in (0.5, 1.0, 1.5):
+        yield sla.expm(t * X)
 
 
-def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None,
-                       use_sigma_blocks="auto"):
-    """Solve a = k^{-1} (Q k Q^{-1}) in the constant group.
+def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None):
+    """Solve a = k^{-1} (Q k Q^{-1}) in the constant group of a.
 
-    With tau acting on constants as conjugation by Q, the equation reads
-    k^{-1} Q k = aQ, and aQ is an involution whenever Q a Q^{-1} = a^{-1}
-    (the forced precondition).  k is built by matching eigenspaces of Q and
-    aQ; ties inside eigenspaces are broken by Gram-Schmidt in index order,
-    which makes the (non-unique) answer deterministic.
+    tau acts on constants as conjugation by Q and tau(a) = a^{-1} (the
+    precondition), so k = R^{-1} (I + tau(a)) solves the equation for every
+    invertible tau-fixed R, and its defect is the precondition's whatever
+    the rounding in R.  In GL, R = 2I (the Cayley form) keeps the reality
+    and the sigma blocks of a.  With an invariant form, R = r + tau(r) for
+    r = sqrtm(a) makes k the principal root a^{-1/2}, which stays in every
+    matrix automorphism group a lies in (Higham, Mackey, Mackey & Tisseur,
+    SIAM J. Matrix Anal. Appl. 26, 2005) and keeps the form too.
 
-    `group` selects the constant group: "general", "orthogonal" (isometries
-    of a +-1 diagonal form), or "auto"; `form` names the form ("orthogonal",
-    "lorentz", a sign vector, or None to detect which one a preserves).
-    When a commutes with the sigma block matrix P, the solve respects the
-    P-blocks so that k stays sigma-fixed; reality of k follows s.reality.
+    Near an eigenvalue -1 both forms lose accuracy, and on the cut they
+    fail; then a' = c^{-1} a tau(c) is solved for constants c with
+    tau(c) = c^{-1} in the group of a (see _shifts), and k = k' c^{-1}.
+    The first k whose defect and distance from the group are within the
+    precondition's tolerance is returned, else the best within the
+    postcondition's.  `group` ("general" or "auto") and `form`
+    ("orthogonal", "lorentz", or None to detect it) choose the group.
     """
     a = np.asarray(a, dtype=complex)
     m = a.shape[0]
@@ -438,31 +299,40 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None,
         )
     if fnorm(a - np.eye(m)) <= TOL_CONST_POST:
         return np.eye(m, dtype=complex)
-    b, group = _resolve_form(a, s, group, form)
-
-    q = np.sign(np.diag(s.tau_matrix).real)
-    p = np.sign(np.diag(s.sigma_matrix).real)
-    blockwise = use_sigma_blocks
-    if blockwise == "auto":
-        blockwise = fnorm(a * p[None, :] - p[:, None] * a) <= 1e-10 * scale
-
-    if blockwise:
-        k = np.zeros((m, m), dtype=complex)
-        for sign in (1.0, -1.0):
-            idx = np.where(p == sign)[0]
-            if idx.size:
-                k[np.ix_(idx, idx)] = _solve_constant_block(
-                    a[np.ix_(idx, idx)], q[idx],
-                    None if b is None else b[idx], s.reality, group)
-    else:
-        k = _solve_constant_block(a, q, b, s.reality, group)
-
-    Q = np.diag(q)
-    defect = fnorm(np.linalg.inv(k) @ Q @ k @ Q - a)
-    if defect > TOL_CONST_POST * scale * 10:
-        raise NotInIwasawaCell(
-            f"constant solve verification failed: defect {defect:.3e}")
-    return k
+    Q = s.tau_matrix
+    b = _resolve_form(a, s, group, form)
+    if b is not None and s.reality in ("Rhat1", "Rhat2"):
+        # W = diag(1 at q=+1, i at q=-1): W^{-1} a Q W is real under Rhat
+        w = np.where(np.diag(Q) > 0, 1.0, 1j)
+        S_work = np.conj(w)[:, None] * (a @ Q) * w[None, :]
+        if fnorm(S_work.imag) > 1e-8 * max(1.0, fnorm(S_work)):
+            raise NotInIwasawaCell("middle term violates its declared reality")
+    best, least = None, TOL_CONST_POST * 10
+    for c in _shifts(a, s, b):
+        c_inv = tau_constant(c, s)
+        shifted = c_inv @ a @ c_inv
+        R = 2.0 * np.eye(m)
+        if b is not None:
+            with warnings.catch_warnings():
+                # an eigenvalue on the cut or a singular root: checked below
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                r = sla.sqrtm(shifted)
+            R = r + tau_constant(r, s)
+        try:
+            k = np.linalg.solve(R, np.eye(m) + tau_constant(shifted, s)) @ c_inv
+            defect = fnorm(np.linalg.inv(k) @ Q @ k @ Q - a) / scale
+        except np.linalg.LinAlgError:
+            continue
+        if b is not None:
+            defect = max(defect, fnorm(k.T @ (b[:, None] * k) - np.diag(b))
+                         / max(1.0, fnorm(k) ** 2))
+        if defect <= TOL_CONST_PRE * 10:
+            return k
+        if defect <= least:
+            best, least = k, defect
+    if best is None:
+        raise NotInIwasawaCell("no constant of the group of a solves a = k^{-1} tau(k)")
+    return best
 
 
 # -- tau-Iwasawa ---------------------------------------------------------------

@@ -15,8 +15,8 @@ import numpy as np
 
 from .fields import FrameField, Grid2D
 from .loops import GroupSpec, LaurentLoop, from_terms, loop_exp, mul
-from .spaceforms import example_sphere_frame, flat_to_nonflat
-from .symmetry import SymmetrySpec, apply_involution, phi_map
+from .spaceforms import example_sphere_frame, flat_to_nonflat, phi_field
+from .symmetry import SymmetrySpec, apply_involution
 
 
 def rng_for(seed) -> np.random.Generator:
@@ -232,22 +232,15 @@ def sphere_family_instance(rng, grid: Grid2D) -> FrameField:
                                     target=GroupSpec("orthogonal", 2, 1))
 
 
-def phi_transform_field(F: FrameField, s: SymmetrySpec, direction,
-                        reality) -> FrameField:
-    out = F.map_values(lambda g: phi_map(g, direction, s))
-    out.target = F.target.opposite()
-    out.symmetry = s.with_reality(reality)
-    return out
-
-
 def table_instance(rng, target_kind, reality, grid: Grid2D) -> FrameField:
     """A non-flat extended frame for one row of the correspondence table."""
     s = SymmetrySpec(2, 1, reality)
     if (target_kind, reality) == ("orthogonal", "Rm1"):
         return sphere_family_instance(rng, grid)
     if (target_kind, reality) == ("lorentz", "R1"):
-        sphere_side = sphere_family_instance(rng, grid)
-        return phi_transform_field(sphere_side, s, "sphere_to_hyperbolic", "R1")
+        out = phi_field(sphere_family_instance(rng, grid), "sphere_to_hyperbolic", s)
+        out.symmetry = s
+        return out
     if reality in ("R1", "R2"):
         target = GroupSpec(target_kind, 2, 1)
         flat = random_flat_field(rng, grid, reality, target)

@@ -78,8 +78,8 @@ class LaurentLoop:
         return float(np.linalg.norm(self.coeffs.reshape(self.coeffs.shape[0], -1),
                                     axis=1).sum())
 
-    def is_zero(self, tol=0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs)) <= tol)
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
 
     def __repr__(self):
         return f"LaurentLoop(n={self.n}, window=({self.lo},{self.hi}))"
@@ -237,11 +237,9 @@ def mul(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
     return LaurentLoop(x.lo + y.lo, out)
 
 
-def lincomb(pairs, n=None) -> LaurentLoop:
-    """Linear combination sum_i s_i * g_i of loops with scalar weights."""
-    pairs = [(s, g) for s, g in pairs]
-    if not pairs:
-        return zero_loop(n)
+def lincomb(pairs) -> LaurentLoop:
+    """Linear combination sum_i s_i * g_i of a non-empty list of loops with
+    scalar weights."""
     n = pairs[0][1].n
     lo = min(g.lo for _, g in pairs)
     hi = max(g.hi for _, g in pairs)

@@ -26,12 +26,6 @@ from .loops import GroupSpec, LaurentLoop
 
 REALITY_TAGS = ("R1", "R2", "Rm1", "Rm2", "Rhat1", "Rhat2")
 
-# second-kind reality tag -> the first-kind composite tau o rho
-SECOND_KIND = {"Rm1": "Rhat1", "Rm2": "Rhat2"}
-
-# reality tag -> locus in the lambda plane where fixed loops are real-valued
-REALITY_LOCUS = {"R1": "iR", "R2": "R", "Rm1": "S1"}
-
 
 @dataclass(frozen=True)
 class SymmetrySpec:

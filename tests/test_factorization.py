@@ -160,7 +160,7 @@ def test_solve_constant_complex_orthogonal():
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     k0 = expm(0.4 * (m - m.T))  # complex orthogonal
     a = np.linalg.inv(k0) @ Q @ k0 @ Q
-    k = solve_constant_tau(a, S, use_sigma_blocks=False)
+    k = solve_constant_tau(a, S)
     assert np.linalg.norm(np.linalg.inv(k) @ Q @ k @ Q - a) < 1e-9
     assert np.linalg.norm(k.T @ k - np.eye(4)) < 1e-9
 
@@ -185,6 +185,44 @@ def test_solve_constant_general_linear():
     a = np.linalg.inv(k0) @ Q @ k0 @ Q
     k = solve_constant_tau(a, S, group="general")
     assert np.linalg.norm(np.linalg.inv(k) @ Q @ k @ Q - a) < 1e-9
+
+
+def rotation(m, i, j, angle):
+    R = np.eye(m)
+    R[i, i] = R[j, j] = np.cos(angle)
+    R[i, j], R[j, i] = -np.sin(angle), np.sin(angle)
+    return R
+
+
+@pytest.mark.parametrize("s, turns", [
+    # -1 eigenvectors of a that shifts with equal weights leave in place
+    (SymmetrySpec(2, 1), [(0, 3, 3 * np.pi / 4), (2, 3, np.pi / 2)]),
+    (SymmetrySpec(2, 2), [(2, 3, np.pi / 2), (3, 4, np.pi / 4)]),
+])
+def test_solve_constant_off_the_principal_branch(s, turns):
+    k0 = np.eye(s.dim)
+    for i, j, angle in turns:
+        k0 = k0 @ rotation(s.dim, i, j, angle)
+    Q = s.tau_matrix
+    a = k0.T @ Q @ k0 @ Q
+    assert np.min(np.abs(np.linalg.eigvals(a) + 1)) < 1e-12
+    k = solve_constant_tau(a, s)
+    assert np.linalg.norm(np.linalg.inv(k) @ Q @ k @ Q - a) < 1e-9
+    assert np.linalg.norm(k.T @ k - np.eye(s.dim)) < 1e-9
+    assert np.linalg.norm(k.imag) < 1e-9
+
+
+def test_solve_constant_slightly_off_the_group():
+    # a = k0^{-1} tau(k0) with k0 orthogonal only to about 1e-9: no k is
+    # closer to the group than that, and the best one is taken
+    rng = rng_for(26)
+    k0 = np.linalg.qr(rng.standard_normal((4, 4)))[0] @ (
+        np.eye(4) + 1e-9 * rng.standard_normal((4, 4)))
+    Q = S.tau_matrix
+    a = np.linalg.solve(k0, Q @ k0 @ Q)
+    k = solve_constant_tau(a, S)
+    assert np.linalg.norm(np.linalg.inv(k) @ Q @ k @ Q - a) < 1e-9
+    assert np.linalg.norm(k.T @ k - np.eye(4)) < 1e-8
 
 
 def test_solve_constant_spectrum_mismatch():
@@ -262,6 +300,16 @@ def test_tau_iwasawa_retries_only_residual_failures(monkeypatch, residual):
         tau_iwasawa(x, S, constant_group="general")
     assert info.value.residual == residual
     assert len(calls) == (1 if residual is None else 2)
+
+
+@pytest.mark.parametrize("reality", [None, "R1", "R2", "Rm1"])
+def test_tau_iwasawa_quarter_turn_middle_term(reality):
+    # x^{-1} tau(x) rotates sigma block {2, 3} by pi: eigenvalue -1, which
+    # no principal square root takes
+    s = SymmetrySpec(2, 1, reality)
+    out = tau_iwasawa(constant(rotation(4, 2, 3, np.pi / 2)), s)
+    assert out.residuals["reconstruction"] <= 1e-9
+    assert out.residuals["tau_fixed"] <= 1e-9
 
 
 def test_tau_iwasawa_minus_mirror():

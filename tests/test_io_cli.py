@@ -260,6 +260,34 @@ def test_cli_factorize_iwasawa(tmp_path):
     assert payload["residuals"]["reconstruction"] < 1e-8
 
 
+def _iwasawa_loop_file(tmp_path):
+    from loopsplit.generators import random_tau_instance
+    x, _, _ = random_tau_instance(rng_for(71), ls.SymmetrySpec(2, 1), scale=0.12)
+    path = tmp_path / "x.json"
+    save_loop(x, path)
+    return path
+
+
+@pytest.mark.parametrize("window", ["-3", "0"])
+def test_cli_factorize_rejects_nonpositive_window(tmp_path, capsys, window):
+    from loopsplit.cli import main
+    argv = ["factorize", "--side", "iwasawa", "--in", str(_iwasawa_loop_file(tmp_path)),
+            "--out", str(tmp_path / "out.json"), "--window", window]
+    assert main(argv) == 3
+    assert "--window" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("tol_scale", ["-1", "0", "nan"])
+def test_cli_rejects_bad_tol_scale_flag(tmp_path, capsys, tol_scale):
+    # the flag goes through the same validation as the config key
+    from loopsplit.cli import main
+    argv = ["--tol-scale", tol_scale, "factorize", "--side", "iwasawa",
+            "--in", str(_iwasawa_loop_file(tmp_path)), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 3
+    assert "tol_scale" in capsys.readouterr().err
+
+
 def test_cli_split_merge_round_trip(tmp_path):
     rng = rng_for(72)
     grid = Grid2D.centered(0.3, 4, 0.3, 4)

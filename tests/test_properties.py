@@ -1,19 +1,22 @@
-"""Invariants of the truncated solves and of the sampled-field arrays,
-checked on random inputs.
+"""Invariants of the truncated solves, of the constant solve and of the
+sampled-field arrays, checked on random inputs.
 
 Hypothesis runs derandomized and without an example database, so the suite
 draws the same examples on every run.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from loopsplit import (
     ConnectionForm,
     FrameField,
     Grid2D,
     LaurentLoop,
+    SymmetrySpec,
     birkhoff_left,
     distance,
     field_distance,
@@ -21,9 +24,12 @@ from loopsplit import (
     lincomb,
     merge,
     mul,
+    solve_constant_tau,
     split,
     truncated_inverse,
 )
+from loopsplit.errors import NotInIwasawaCell
+from loopsplit.factorization import TOL_CONST_PRE
 from loopsplit.fields import grid_derivative
 from loopsplit.generators import (
     random_basic_pair,
@@ -31,6 +37,7 @@ from loopsplit.generators import (
     random_minus_unipotent,
     rng_for,
 )
+from loopsplit.symmetry import tau_constant
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -69,6 +76,129 @@ def test_adaptive_birkhoff_matches_wide_window(seed, n, depth, top, scale, decay
     wide = birkhoff_left(g, N=60)
     assert distance(adaptive.minus, wide.minus) <= 1e-12
     assert distance(adaptive.plus, wide.plus) <= 1e-12
+
+
+# -- the constant solve ---------------------------------------------------------
+
+# float draws almost never land a -1 eigenvalue on the middle term, so the
+# eighth turns that can are drawn on purpose; an example takes a few
+# milliseconds, so these tests draw more of them
+ANGLE = st.one_of(st.sampled_from([np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi]),
+                  st.floats(0.0, np.pi))
+REALITIES = st.sampled_from([None, "R2", "Rm1", "Rhat1"])
+CONSTANT_SETTINGS = settings(SETTINGS, max_examples=200)
+
+
+def plane_turn(s, b, plane, angle):
+    """exp(angle X) and its inverse for the generator X of a coordinate plane
+    in the group of the form diag(b); under Rhat1, X is multiplied by i
+    across the Q split, so that its exponentials are Rhat1-real."""
+    i, j = plane
+    q = np.diag(s.tau_matrix)
+    rhat = s.reality == "Rhat1" and q[i] != q[j]
+    X = np.zeros((s.dim, s.dim), dtype=complex if rhat else float)
+    X[i, j] = 1j if rhat else 1.0
+    X[j, i] = -b[i] * b[j] * X[i, j]
+    return expm(angle * X), expm(-angle * X)
+
+
+def middle_term(s, factors):
+    """a = k0^{-1} tau(k0) for k0 the product of the given (f, f^{-1}).
+
+    When a commutes with P the solve asks for a k in the sigma blocks, which
+    need not exist if k0 is not in them; such draws are set aside.
+    """
+    k0 = k0_inv = np.eye(s.dim)
+    for f, f_inv in factors:
+        k0, k0_inv = k0 @ f, f_inv @ k0_inv
+    a = k0_inv @ tau_constant(k0, s)
+    P = s.sigma_matrix
+    assume(not commutes(a, P) or commutes(k0, P))
+    return a
+
+
+def commutes(x, P):
+    return np.linalg.norm(x @ P - P @ x) <= 1e-10 * max(1.0, np.linalg.norm(x))
+
+
+def assert_constant_solve(a, s, b=None, **kw):
+    """The defect of k = solve_constant_tau(a, s, **kw), and that k keeps the
+    form diag(b), the reality and the sigma blocks of a.  A middle term whose
+    rounding alone already breaks tau(a) a = I beyond the precondition must
+    be rejected with that residual instead."""
+    Q, P = s.tau_matrix, s.sigma_matrix
+    norm = np.linalg.norm
+    pre = norm(tau_constant(a, s) @ a - np.eye(s.dim))
+    if pre > 10 * TOL_CONST_PRE * max(1.0, norm(a)):
+        with pytest.raises(NotInIwasawaCell) as info:
+            solve_constant_tau(a, s, **kw)
+        assert info.value.residual == pytest.approx(pre)
+        return
+    k = solve_constant_tau(a, s, **kw)
+    assert norm(np.linalg.inv(k) @ Q @ k @ Q - a) <= 1e-9 * max(1.0, norm(a))
+    scale = max(1.0, norm(k))
+    if b is not None:
+        assert norm(k.T @ np.diag(b) @ k - np.diag(b)) <= 1e-9 * scale ** 2
+    if s.reality == "Rhat1":
+        assert norm(Q @ k.conj() @ Q - k) <= 1e-9 * scale
+    elif not np.any(np.imag(a)):
+        assert norm(k.imag) <= 1e-9 * scale
+    if commutes(a, P):
+        assert norm(k @ P - P @ k) <= 1e-9 * scale
+
+
+@CONSTANT_SETTINGS
+@given(n=st.integers(1, 3), k=st.integers(1, 2), reality=REALITIES,
+       turns=st.lists(st.tuples(st.integers(0, 63), ANGLE), min_size=1, max_size=3))
+def test_constant_solve_sigma_block_rotations(n, k, reality, turns):
+    # orthogonal form, detected; under Rhat1 the planes across the Q split
+    # turn hyperbolic
+    s = SymmetrySpec(n, k, reality)
+    b = np.ones(s.dim)
+    p = np.diag(s.sigma_matrix)
+    planes = [(i, j) for i in range(s.dim) for j in range(i + 1, s.dim) if p[i] == p[j]]
+    a = middle_term(s, [plane_turn(s, b, planes[t % len(planes)], angle)
+                        for t, angle in turns])
+    assert_constant_solve(a, s, b)
+
+
+@CONSTANT_SETTINGS
+@given(n=st.integers(1, 3), k=st.integers(1, 2), reality=REALITIES,
+       rotation=st.integers(0, 63), boost=st.integers(0, 63), angle=ANGLE,
+       rapidity=st.floats(0.0, np.pi))
+def test_constant_solve_lorentz_rotation_boost(n, k, reality, rotation, boost, angle,
+                                               rapidity):
+    s = SymmetrySpec(n, k, reality)
+    b = np.ones(s.dim)
+    b[n] = -1.0
+    planes = [(i, j) for i in range(s.dim) for j in range(i + 1, s.dim)]
+    rotations = [pl for pl in planes if n not in pl]
+    boosts = [pl for pl in planes if n in pl]
+    a = middle_term(s, [plane_turn(s, b, rotations[rotation % len(rotations)], angle),
+                        plane_turn(s, b, boosts[boost % len(boosts)], rapidity)])
+    assert_constant_solve(a, s, b, form="lorentz")
+
+
+@CONSTANT_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), k=st.integers(1, 2),
+       reality=REALITIES, scale=st.floats(0.0, 1.5),
+       turns=st.lists(st.tuples(st.integers(0, 63), ANGLE), max_size=2))
+def test_constant_solve_general_group(seed, n, k, reality, scale, turns):
+    # k0 = (coordinate rotations) exp(scale Z): Z complex without a reality,
+    # real under R2 and Rm1, and W-conjugated to Rhat1-real under Rhat1
+    s = SymmetrySpec(n, k, reality)
+    rng = rng_for(seed)
+    Z = rng.standard_normal((s.dim, s.dim))
+    if reality is None:
+        Z = Z + 1j * rng.standard_normal((s.dim, s.dim))
+    elif reality == "Rhat1":
+        w = np.where(np.diag(s.tau_matrix) > 0, 1.0, 1j)
+        Z = w[:, None] * Z / w[None, :]
+    planes = [(i, j) for i in range(s.dim) for j in range(i + 1, s.dim)]
+    factors = [plane_turn(s, np.ones(s.dim), planes[t % len(planes)], angle)
+               for t, angle in turns]
+    a = middle_term(s, factors + [(expm(scale * Z), expm(-scale * Z))])
+    assert_constant_solve(a, s, group="general")
 
 
 # -- sampled fields -------------------------------------------------------------
