@@ -157,6 +157,21 @@ def cmd_integrate(args) -> int:
     return _field_exit(F)
 
 
+def _write_immersion(cfg, F, lam, target, mesh_path, diag_path, **meta) -> bool:
+    """Extract F's immersion at lam and write the OBJ mesh and the
+    diagnostics CSV (header: seed, lambda, then meta) to the paths given.
+    Returns False, with the CSV unwritten, when the mesh has no vertex."""
+    im = extract_immersion(F, lam, target)
+    if mesh_path and emit_mesh(im, mesh_path) == 0:
+        return False
+    if diag_path:
+        cols, rows = immersion_diagnostics_rows(im)
+        emit_diagnostics(diag_path, cols, rows, {
+            "seed": cfg["seed"], "lambda": fmt17(lam.real) + "+" + fmt17(lam.imag) + "i",
+            **meta})
+    return True
+
+
 def cmd_immerse(args) -> int:
     cfg = _load_config(args)
     if cfg.path("in"):
@@ -165,24 +180,13 @@ def cmd_immerse(args) -> int:
         F = example_sphere_field(cfg.grid())
     lam = parse_lambda(args.lam) if args.lam else cfg.lambdas()[0]
     target = F.target if F.target is not None else cfg.group()
-    im = extract_immersion(F, lam, target)
-    wrote_any = False
     mesh_path = args.mesh or cfg.path("mesh")
-    if mesh_path:
-        count = emit_mesh(im, mesh_path)
-        wrote_any = True
-        if count == 0:
-            print("warning: fully masked grid, mesh contains no vertices",
-                  file=sys.stderr)
-            return EXIT_PARTIAL
     diag_path = args.diag or cfg.path("diagnostics")
-    if diag_path:
-        cols, rows = immersion_diagnostics_rows(im)
-        meta = {"seed": cfg["seed"], "lambda": fmt17(lam.real) + "+" + fmt17(lam.imag) + "i",
-                "tolerances": json.dumps(cfg["tolerances"], sort_keys=True)}
-        emit_diagnostics(diag_path, cols, rows, meta)
-        wrote_any = True
-    if not wrote_any:
+    if not _write_immersion(cfg, F, lam, target, mesh_path, diag_path,
+                            tolerances=json.dumps(cfg["tolerances"], sort_keys=True)):
+        print("warning: fully masked grid, mesh contains no vertices", file=sys.stderr)
+        return EXIT_PARTIAL
+    if not (mesh_path or diag_path):
         print("immerse: nothing to write (give --mesh and/or --diag)", file=sys.stderr)
         return EXIT_VALIDATION
     return _field_exit(F)
@@ -197,17 +201,8 @@ def cmd_example(args) -> int:
     if args.out:
         _write_field(F, args.out)
     if args.mesh or args.diag:
-        args.lam = args.lam or "1.0"
-        cfg.data["paths"]["in"] = None
-        lam = parse_lambda(args.lam)
-        im = extract_immersion(F, lam, F.target)
-        if args.mesh:
-            emit_mesh(im, args.mesh)
-        if args.diag:
-            cols, rows = immersion_diagnostics_rows(im)
-            meta = {"seed": cfg["seed"],
-                    "lambda": fmt17(lam.real) + "+" + fmt17(lam.imag) + "i"}
-            emit_diagnostics(args.diag, cols, rows, meta)
+        lam = parse_lambda(args.lam or "1.0")
+        _write_immersion(cfg, F, lam, F.target, args.mesh, args.diag)
     return EXIT_OK
 
 

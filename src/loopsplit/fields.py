@@ -3,12 +3,12 @@
 A FrameField samples a map from a rectangular 2-parameter patch into the
 loop group; a ConnectionForm holds the two directional components of a
 Maurer-Cartan form, one loop per node per direction.  Each stores one complex
-coefficient array over a degree window shared by the grid, so operations over
-the whole grid (distances, orders, finite differences) are array operations,
-while pointwise factorizations work on per-node LaurentLoop views.  Pointwise
-factorizations never fail a whole field: nodes where a solve breaks are
-masked out and reported, mirroring the restriction to the open subset where
-the decompositions exist.
+coefficient array over a degree window shared by the grid, so every step that
+needs no solve (distances, orders, finite differences, constant products,
+evaluation) is an array operation, while the pointwise factorizations run
+through one node loop (_pointwise) on per-node LaurentLoop views.  They never
+fail a whole field: nodes where a solve breaks are masked out and reported,
+mirroring the restriction to the open subset where the decompositions exist.
 
 Tolerance hierarchy, loosest consumer last: trimming 1e-14 < factorization
 1e-9 / 1e-8 < round trips 1e-7 < integrability and order measurement 1e-6.
@@ -224,13 +224,18 @@ class FrameField(_SampledLoops):
         return bool(self.mask[bi, bj]) and distance(
             self.base_value(), identity(self.dim)) <= tol
 
-    def map_values(self, fn) -> "FrameField":
-        return FrameField.from_loops(
-            self.grid, {node: fn(g) for node, g in self.loops().items()}, n=self.dim,
-            symmetry=self.symmetry, target=self.target, info=dict(self.info))
 
-    def right_multiply(self, g: LaurentLoop) -> "FrameField":
-        return self.map_values(lambda h: mul(h, g))
+def _like(F: FrameField, loops, info) -> FrameField:
+    """A field of {node: loop} on F's grid, with F's dimension and tags."""
+    return FrameField.from_loops(F.grid, loops, n=F.dim, symmetry=F.symmetry,
+                                 target=F.target, info=info)
+
+
+def _times_constant(F: FrameField, c) -> FrameField:
+    """F times a loop constant in lambda at every node: c is one n x n
+    matrix or one per node, (nu, nv, n, n)."""
+    return FrameField(F.grid, F.lo, F.coeffs @ np.asarray(c)[..., None, :, :], F.mask.copy(),
+                      symmetry=F.symmetry, target=F.target, info=dict(F.info))
 
 
 def field_distance(a: _SampledLoops, b: _SampledLoops) -> float:
@@ -252,28 +257,7 @@ class ConnectionForm(_SampledLoops):
     coeffs has shape (nu, nv, 2, W, n, n); direction 0 is du and 1 is dv.
     """
 
-    declared_window: Optional[tuple] = None
-
     _directions = (2,)
-
-    def window_defect(self) -> float:
-        """How far the measured window spills outside the declared one.
-
-        Returns the largest relative coefficient norm found at degrees
-        outside declared_window (0.0 when it holds or nothing is declared);
-        compare against tol_order.
-        """
-        if self.declared_window is None:
-            return 0.0
-        lo, hi = self.declared_window
-        top = form_scale(self)
-        if top == 0.0:
-            return 0.0
-        norms = _coeff_norms(self.coeffs[self.mask])
-        degs = np.arange(self.lo, self.hi + 1)
-        spill = np.maximum(norms[..., degs < lo].sum(axis=-1),
-                           norms[..., degs > hi].sum(axis=-1))
-        return float(spill.max(initial=0.0)) / top
 
 
 @dataclass
@@ -347,17 +331,17 @@ def maurer_cartan(F: FrameField) -> ConnectionForm:
         raise ValueError("maurer_cartan needs at least 3 nodes per direction")
     du, ok_u = grid_derivative(F.coeffs, F.mask, grid.h_u, 0)
     dv, ok_v = grid_derivative(F.coeffs, F.mask, grid.h_v, 1)
-    loops = {}
-    for i, j in _nodes(ok_u & ok_v):
-        g = F.value(i, j)
-        a_u, a_v = LaurentLoop(F.lo, du[i, j]), LaurentLoop(F.lo, dv[i, j])
-        try:
-            inv = truncated_inverse(g, default_window(g, a_u, a_v))
-        except SingularLoop:
-            continue
-        loops[i, j, 0] = mul(inv, a_u)
-        loops[i, j, 1] = mul(inv, a_v)
-    return ConnectionForm.from_loops(grid, loops, n=F.dim)
+
+    def pull_back(node):
+        g = F.value(*node)
+        a_u, a_v = LaurentLoop(F.lo, du[node]), LaurentLoop(F.lo, dv[node])
+        inv = truncated_inverse(g, default_window(g, a_u, a_v))
+        return mul(inv, a_u), mul(inv, a_v)
+
+    results, _ = _pointwise(pull_back, mask=ok_u & ok_v)
+    return ConnectionForm.from_loops(
+        grid, {node + (d,): a for node, pair in results.items() for d, a in enumerate(pair)},
+        n=F.dim)
 
 
 def connection_order(A: ConnectionForm, tol_order=TOL_ORDER):
@@ -420,16 +404,31 @@ def mc_residual(A: ConnectionForm, per_degree=False):
 # -- splitting and merging ----------------------------------------------------
 
 
-def _map_unmasked(F: FrameField, fn):
-    """Apply fn to every valid node value; collect results and failures."""
-    out = {}
+_FACTOR_ERRORS = (BigCellViolation, SingularLoop, NotInIwasawaCell)
+
+
+def _pointwise(fn, *inputs, mask=None):
+    """The node loop of every pointwise operation: fn(node) at each node
+    unmasked in all input fields (or True in mask), in row-major order.
+
+    A node where a factorization does not exist (fn raises BigCellViolation,
+    SingularLoop or NotInIwasawaCell) is left out of the results and its
+    message recorded next to the failures the inputs' info already names, so
+    every masked node with a known cause keeps it.  Returns
+    ({node: result}, {node: message}).
+    """
+    if mask is None:
+        mask = np.logical_and.reduce([F.mask for F in inputs])
+    results = {}
     failures = {}
-    for node in _nodes(F.mask):
+    for F in inputs:
+        failures.update(F.info.get("failures", {}))
+    for node in _nodes(mask):
         try:
-            out[node] = fn(F.value(*node))
-        except (BigCellViolation, SingularLoop, NotInIwasawaCell) as exc:
+            results[node] = fn(node)
+        except _FACTOR_ERRORS as exc:
             failures[node] = str(exc)
-    return out, failures
+    return results, failures
 
 
 def split(F: FrameField, tol=TOL_BIRKHOFF):
@@ -440,22 +439,17 @@ def split(F: FrameField, tol=TOL_BIRKHOFF):
     nodes are masked in both outputs.  Both factors are based whenever F is.
     Per-node residuals and condition estimates land in info["diagnostics"].
     """
-    grid = F.grid
-
-    def factor(g):
+    def factor(node):
+        g = F.value(*node)
         return birkhoff_left(g, tol=tol), birkhoff_right(g, tol=tol)
 
-    results, failures = _map_unmasked(F, factor)
+    results, failures = _pointwise(factor, F)
     diagnostics = {node: {"residual": max(left.residual, right.residual),
                           "condition": max(left.condition, right.condition)}
                    for node, (left, right) in results.items()}
     info = {"failures": failures, "diagnostics": diagnostics}
-    g_minus = FrameField.from_loops(
-        grid, {node: left.minus for node, (left, _) in results.items()}, n=F.dim,
-        symmetry=F.symmetry, target=F.target, info=dict(info))
-    f_plus = FrameField.from_loops(
-        grid, {node: right.plus for node, (_, right) in results.items()}, n=F.dim,
-        symmetry=F.symmetry, target=F.target, info=dict(info))
+    g_minus = _like(F, {node: left.minus for node, (left, _) in results.items()}, dict(info))
+    f_plus = _like(F, {node: right.plus for node, (_, right) in results.items()}, dict(info))
     return g_minus, f_plus
 
 
@@ -482,21 +476,15 @@ def merge(G_minus: FrameField, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameFie
     """
     if G_minus.grid.shape != F_plus.grid.shape:
         raise DimensionMismatch("basic pair fields live on different grids")
-    grid = F_plus.grid
-    vals = {}
-    failures = {}
-    for i, j in _nodes(G_minus.mask & F_plus.mask):
-        fp = F_plus.value(i, j)
-        gm = G_minus.value(i, j)
-        try:
-            q = mul(truncated_inverse(fp, default_window(fp, gm)), gm)
-            left = birkhoff_left(q, tol=tol)
-        except (BigCellViolation, SingularLoop) as exc:
-            failures[(i, j)] = str(exc)
-            continue
-        vals[i, j] = mul(fp, left.minus)
-    return FrameField.from_loops(grid, vals, n=F_plus.dim, symmetry=F_plus.symmetry,
-                                 target=F_plus.target, info={"failures": failures})
+
+    def recombine(node):
+        fp = F_plus.value(*node)
+        gm = G_minus.value(*node)
+        q = mul(truncated_inverse(fp, default_window(fp, gm)), gm)
+        return mul(fp, birkhoff_left(q, tol=tol).minus)
+
+    vals, failures = _pointwise(recombine, G_minus, F_plus)
+    return _like(F_plus, vals, {"failures": failures})
 
 
 # -- tau-merge ---------------------------------------------------------------
@@ -540,7 +528,8 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
     the output is I at the base node whenever the input is based.  The
     invariant form is F_plus's declared target (detected per node when none
     is declared), and gauges are projected onto the sigma blocks only when
-    F_plus declares a symmetry.
+    F_plus declares a symmetry.  Per-node factorization residuals land in
+    info["diagnostics"].
     """
     grid = F_plus.grid
     form = F_plus.target.kind if F_plus.target is not None else None
@@ -550,33 +539,31 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
         b_signs = np.ones(F_plus.dim)
         if form == "lorentz":
             b_signs[s.n] = -1.0
-    vals = {}
-    failures = {}
-    residuals = {}
-    for i, j in _nodes(F_plus.mask):
-        x = F_plus.value(i, j)
-        try:
-            res = tau_iwasawa_minus(x, s, tol=tol, constant_group=constant_group,
-                                    form=form)
-        except (BigCellViolation, NotInIwasawaCell, SingularLoop) as exc:
-            failures[(i, j)] = str(exc)
-            continue
+    vals = {}  # the nodes done so far, which the gauge sweep aligns with
+
+    def factor(node):
+        res = tau_iwasawa_minus(F_plus.value(*node), s, tol=tol,
+                                constant_group=constant_group, form=form)
         z = res.z
+        i, j = node
         seed = vals.get((i, j - 1)) or vals.get((i - 1, j))
         if seed is not None:
             aligned = _align_gauge(z, seed, s, sigma_fixed, b_signs)
             if aligned is not None:
                 z = aligned  # otherwise keep the raw (still valid) factor
-        vals[i, j] = z
-        residuals[(i, j)] = res.residuals
+        vals[node] = z
+        return res.residual
+
+    residuals, failures = _pointwise(factor, F_plus)
+    info = {"failures": failures,
+            "diagnostics": {node: {"residual": r} for node, r in residuals.items()}}
     out = FrameField.from_loops(grid, vals, n=F_plus.dim, symmetry=s, target=F_plus.target,
-                                info={"failures": failures, "iwasawa_residuals": residuals})
+                                info=info)
     if F_plus.is_based() and grid.base in vals:
         base = out.base_value()
         c = _project_gauge_constant(base.coeff(0), s, sigma_fixed, b_signs)
         if c is not None and distance(base, constant(c)) <= 100 * max(tol, 1e-12):
-            out = out.right_multiply(constant(np.linalg.inv(c)))
-            out.symmetry = s
+            out = _times_constant(out, np.linalg.inv(c))
     return out
 
 
@@ -617,12 +604,10 @@ def gauge_parallel(F: FrameField):
     if res0 > fd_mc_tolerance(a0):
         raise IntegrabilityViolation(
             f"degree-0 part is not flat: residual {res0:.3e}", {"degree0": res0})
-    H = integrate_potential(a0, check=False)
-    G = H.map_values(lambda h: constant(np.linalg.inv(h.coeff(0))))
-    vals = {(i, j): mul(F.value(i, j), G.value(i, j)) for i, j in _nodes(F.mask & G.mask)}
-    gauged = FrameField.from_loops(F.grid, vals, n=F.dim, symmetry=F.symmetry,
-                                   target=F.target)
-    return gauged, G
+    H = integrate_potential(a0, check=False)  # constant in lambda, unmasked
+    g = np.linalg.inv(H.coeffs[:, :, -H.lo])
+    G = FrameField(H.grid, 0, g[:, :, None], H.mask.copy(), info=dict(H.info))
+    return _times_constant(F, g), G
 
 
 # -- potential integration -----------------------------------------------------
@@ -761,39 +746,24 @@ def dress_plus(g_minus: LaurentLoop, F_plus: FrameField, tol=TOL_BIRKHOFF) -> Fr
     field is the Lambda^+_1 factor, masked where the product leaves the big
     cell.
     """
-    def act(g):
-        return birkhoff_right(mul(g_minus, g), tol=tol).plus
-
-    return _dress_apply(F_plus, act)
+    vals, failures = _pointwise(lambda node: birkhoff_right(
+        mul(g_minus, F_plus.value(*node)), tol=tol).plus, F_plus)
+    return _like(F_plus, vals, {"failures": failures})
 
 
 def dress_minus(g_plus: LaurentLoop, G_minus: FrameField, tol=TOL_BIRKHOFF) -> FrameField:
     """Mirror action of a Lambda^+ element on an (a,-1) field."""
-    def act(g):
-        return birkhoff_left(mul(g_plus, g), tol=tol).minus
-
-    return _dress_apply(G_minus, act)
-
-
-def _dress_apply(F: FrameField, act):
-    results, failures = _map_unmasked(F, act)
-    return FrameField.from_loops(F.grid, results, n=F.dim, symmetry=F.symmetry,
-                                 target=F.target, info={"failures": failures})
+    vals, failures = _pointwise(lambda node: birkhoff_left(
+        mul(g_plus, G_minus.value(*node)), tol=tol).minus, G_minus)
+    return _like(G_minus, vals, {"failures": failures})
 
 
 def dress_pair(g_minus: LaurentLoop, g_plus: LaurentLoop, F: FrameField,
                tol=TOL_BIRKHOFF) -> FrameField:
     """Action of a (g_-, g_+) pair on an (a,b) field, a < 0 < b.
 
-    Computes the dressed (1,b) and (a,-1) pieces from g_- F and g_+ F and
-    merges them; this matches dressing the split pieces separately.
+    Merges the dressed (a,-1) and (1,b) pieces, the Lambda^- factor of g_+ F
+    and the Lambda^+_1 factor of g_- F; this matches dressing the split
+    pieces separately.
     """
-    def plus_part(g):
-        return birkhoff_right(mul(g_minus, g), tol=tol).plus
-
-    def minus_part(g):
-        return birkhoff_left(mul(g_plus, g), tol=tol).minus
-
-    f_plus = _dress_apply(F, plus_part)
-    g_minus_field = _dress_apply(F, minus_part)
-    return merge(g_minus_field, f_plus, tol=tol)
+    return merge(dress_minus(g_plus, F, tol=tol), dress_plus(g_minus, F, tol=tol), tol=tol)

@@ -116,27 +116,7 @@ class LaurentLoop:
 
     def eval(self, lam):
         """Evaluate at a nonzero complex parameter, Horner split at degree 0."""
-        lam = complex(lam)
-        if lam == 0:
-            raise ZeroLambda("loop evaluation at lambda = 0")
-        n = self.n
-        out = np.zeros((n, n), dtype=complex)
-        if self.hi >= 0:
-            # degrees >= 0, Horner from the top down
-            for deg in range(self.hi, -1, -1):
-                out = out * lam
-                if deg >= self.lo:
-                    out = out + self.coeffs[deg - self.lo]
-        if self.lo < 0:
-            # degrees <= -1, Horner in 1/lambda from the bottom up
-            mu = 1.0 / lam
-            neg = np.zeros((n, n), dtype=complex)
-            for deg in range(self.lo, 0):
-                neg = neg * mu
-                if deg <= self.hi:
-                    neg = neg + self.coeffs[deg - self.lo]
-            out = out + neg * mu
-        return out
+        return horner(self.lo, self.coeffs, lam)
 
     def project(self, part):
         """Keep degrees >=0 / <=0 / >=1 / <=-1 / ==0; zero loop if empty."""
@@ -186,6 +166,33 @@ def _trim(lo, coeffs):
     if first == 0 and last == len(keep) - 1:
         return lo, coeffs
     return lo + first, np.array(coeffs[first : last + 1])
+
+
+def horner(lo, coeffs, lam):
+    """Value at lam != 0 of the loops whose degree lo, lo + 1, ...
+    coefficients run along axis -3 of coeffs, over any leading axes.
+
+    Horner in lam from the top degree down to 0, and in 1/lam from the
+    bottom degree up to -1, so neither power is formed explicitly.
+    """
+    lam = complex(lam)
+    if lam == 0:
+        raise ZeroLambda("loop evaluation at lambda = 0")
+    hi = lo + coeffs.shape[-3] - 1
+    out = np.zeros(coeffs.shape[:-3] + coeffs.shape[-2:], dtype=complex)
+    for deg in range(hi, -1, -1):
+        out = out * lam
+        if deg >= lo:
+            out = out + coeffs[..., deg - lo, :, :]
+    if lo < 0:
+        mu = 1.0 / lam
+        neg = np.zeros_like(out)
+        for deg in range(lo, 0):
+            neg = neg * mu
+            if deg <= hi:
+                neg = neg + coeffs[..., deg - lo, :, :]
+        out = out + neg * mu
+    return out
 
 
 # -- constructors ----------------------------------------------------------

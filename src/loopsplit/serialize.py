@@ -158,7 +158,6 @@ def connection_form_to_obj(A: ConnectionForm) -> dict:
     return {
         "grid": grid_to_obj(A.grid),
         "mask": A.mask.astype(int).tolist(),
-        "declared_window": list(A.declared_window) if A.declared_window else None,
         "a_u": _loop_table(A, 0),
         "a_v": _loop_table(A, 1),
     }
@@ -168,8 +167,7 @@ def connection_form_from_obj(d) -> ConnectionForm:
     grid, mask = _grid_and_mask(d)
     loops = {**_table_loops(d.get("a_u"), mask, "a_u", 0),
              **_table_loops(d.get("a_v"), mask, "a_v", 1)}
-    window = tuple(d["declared_window"]) if d.get("declared_window") else None
-    return _packed(ConnectionForm, grid, loops, None, declared_window=window)
+    return _packed(ConnectionForm, grid, loops, None)
 
 
 def save_json(obj, path):

@@ -44,8 +44,8 @@ from .fields import (
     split,
     tau_merge,
 )
-from .loops import GroupSpec, LaurentLoop, from_terms
-from .symmetry import SymmetrySpec, phi_map
+from .loops import GroupSpec, LaurentLoop, from_terms, horner
+from .symmetry import SymmetrySpec, phi_scale
 
 CONNECTION_KINDS = ("A1", "A2", "B1", "B2", "Bm1")
 
@@ -205,8 +205,7 @@ def assemble_connection(spec: ExtendedConnectionSpec, check=True) -> ConnectionF
         bottom[..., :n, n + 1 :] = -beta
         bottom[..., n + 1 :, :n] = beta_t
         lo, degrees = -1, [bottom, deg0, top]
-    form = ConnectionForm(grid, lo, np.stack(degrees, axis=-3),
-                          declared_window=(lo, 1))
+    form = ConnectionForm(grid, lo, np.stack(degrees, axis=-3))
     if check and min(grid.shape) >= 3:
         tol_mc = fd_mc_tolerance(form)
         worst, grades = mc_residual(form, per_degree=True)
@@ -235,10 +234,6 @@ class ImmersionGrid:
     @property
     def dim(self):
         return self.points.shape[2]
-
-    def base_point(self):
-        bi, bj = self.grid.base
-        return self.points[bi, bj]
 
 
 def gauss_curvature_brioschi(points, grid: Grid2D, form):
@@ -302,24 +297,21 @@ def extract_immersion(F: FrameField, lam, target: GroupSpec,
     """
     lam = complex(lam)
     grid = F.grid
-    nu, nv = grid.shape
     m = F.dim
     if target.dim != m:
         raise DimensionMismatch(f"target dim {target.dim} vs frame dim {m}")
     n = target.n_tan
-    points = np.full((nu, nv, m), np.nan)
-    mask = np.zeros((nu, nv), dtype=bool)
-    for i, j in grid.nodes():
-        if not F.mask[i, j]:
-            continue
-        M = F.value(i, j).eval(lam)
-        scale = max(1.0, float(np.abs(M).max()))
-        if np.abs(M.imag).max() > real_tol * scale:
-            raise NonRealFrame(
-                f"frame at node {(i, j)} has imaginary part "
-                f"{np.abs(M.imag).max():.3e}; lambda={lam} off the reality locus")
-        points[i, j] = M[:, n].real
-        mask[i, j] = True
+    M = horner(F.lo, F.coeffs, lam)
+    imag = np.abs(M.imag).max(axis=(-1, -2))
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-1, -2)))
+    off = np.argwhere(F.mask & (imag > real_tol * scale))
+    if off.size:
+        i, j = (int(t) for t in off[0])
+        raise NonRealFrame(
+            f"frame at node {(i, j)} has imaginary part "
+            f"{imag[i, j]:.3e}; lambda={lam} off the reality locus")
+    mask = F.mask.copy()
+    points = np.where(mask[:, :, None], M[:, :, :, n].real, np.nan)
     form = target.form_matrix
     quad = np.einsum("ijk,k,ijk->ij", points, np.diag(form), points)
     quad_target = 1.0 if target.kind == "orthogonal" else -1.0
@@ -389,10 +381,13 @@ def validate_adapted(F: FrameField, target: GroupSpec, lam, c=None):
 
 
 def phi_field(F: FrameField, direction, s: SymmetrySpec) -> FrameField:
-    out = F.map_values(lambda g: phi_map(g, direction, s))
-    if F.target is not None:
-        out.target = F.target.opposite()
-    return out
+    """phi_map at every node, onto the opposite target."""
+    if F.dim != s.dim:
+        raise DimensionMismatch(f"field dim {F.dim} vs symmetry dim {s.dim}")
+    return FrameField(F.grid, F.lo, F.coeffs * phi_scale(direction, s), F.mask.copy(),
+                      symmetry=F.symmetry,
+                      target=F.target.opposite() if F.target is not None else None,
+                      info=dict(F.info))
 
 
 def nonflat_to_flat(F: FrameField, s: SymmetrySpec):

@@ -161,6 +161,17 @@ def fixed_residual(g: LaurentLoop, involutions, s: SymmetrySpec) -> float:
     return worst
 
 
+def phi_scale(direction, s: SymmetrySpec):
+    """The entrywise factors of conjugation by T = diag(i I_n, 1, i I_k)
+    ("sphere_to_hyperbolic") or by its inverse ("hyperbolic_to_sphere")."""
+    t = np.diag(s.phi_matrix)
+    if direction == "sphere_to_hyperbolic":
+        return t[:, None] / t[None, :]
+    if direction == "hyperbolic_to_sphere":
+        return t[None, :] / t[:, None]
+    raise ValueError(f"unknown direction {direction!r}")
+
+
 def phi_map(g: LaurentLoop, direction, s: SymmetrySpec) -> LaurentLoop:
     """Conjugation by T = diag(i I_n, 1, i I_k), or its inverse.
 
@@ -169,11 +180,4 @@ def phi_map(g: LaurentLoop, direction, s: SymmetrySpec) -> LaurentLoop:
     a homomorphism in either direction.
     """
     _check_dim(g, s)
-    t = np.diag(s.phi_matrix)
-    if direction == "sphere_to_hyperbolic":
-        scale = t[None, :, None] / t[None, None, :]
-    elif direction == "hyperbolic_to_sphere":
-        scale = t[None, None, :] / t[None, :, None]
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return LaurentLoop(g.lo, g.coeffs * scale)
+    return LaurentLoop(g.lo, g.coeffs * phi_scale(direction, s))

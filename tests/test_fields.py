@@ -93,10 +93,6 @@ def test_connection_order_cases():
                      from_terms({3: 1e-9 * np.eye(3)}))
     assert connection_order(b, tol_order=1e-6) == (-1, 1, False)
     assert connection_order(b, tol_order=1e-12) == (-1, 3, False)
-    b.declared_window = (-1, 1)
-    assert 0.0 < b.window_defect() < 1e-6
-    a.declared_window = (1, 1)
-    assert a.window_defect() == 0.0
 
 
 def test_mc_residual_nonintegrable_oracle():
@@ -183,24 +179,57 @@ def test_split_merge_round_trips():
     assert connection_order(maurer_cartan(F), tol_order=1e-3)[:2] == (-1, 1)
 
 
+# diag(lambda, 1/lambda, 1, 1): partial indices (1, -1, 0, 0), so neither
+# Birkhoff factorization nor the tau-Iwasawa one exists there
+OFF_CELL = from_terms({1: np.diag([1.0, 0, 0, 0]), -1: np.diag([0.0, 1, 0, 0]),
+                       0: np.diag([0.0, 0, 1, 1])})
+OFF_CELL_NODE = (2, 3)
+
+
+def with_node(F, g):
+    loops = F.loops()
+    loops[OFF_CELL_NODE] = g
+    return FrameField.from_loops(F.grid, loops, n=F.dim, symmetry=F.symmetry,
+                                 target=F.target)
+
+
 def test_split_masks_off_cell_nodes():
     rng = rng_for(48)
     gm, fp = random_basic_pair(rng, GRID)
-    F = merge(gm, fp)
-    bad = from_terms({1: np.diag([1.0, 0, 0, 0]), -1: np.diag([0.0, 1, 0, 0]),
-                      0: np.diag([0.0, 0, 1, 1])})
-    loops = F.loops()
-    loops[2, 3] = bad
-    F = FrameField.from_loops(GRID, loops)
+    F = with_node(merge(gm, fp), OFF_CELL)
     g2, f2 = split(F)
     assert not g2.mask[2, 3] and not f2.mask[2, 3]
     assert g2.mask.sum() == GRID.us.size * GRID.vs.size - 1
     assert (2, 3) in g2.info["failures"]
-    # merge propagates the mask
+    # merge propagates the mask and its cause
     F2 = merge(g2, f2)
     assert not F2.mask[2, 3]
+    assert F2.info["failures"][2, 3] == g2.info["failures"][2, 3]
     masked_dist = field_distance(F2, F)  # compares only commonly valid nodes
     assert masked_dist < 1e-7
+
+
+POINTWISE_OPS = {
+    "split": lambda gm, fp: split(with_node(merge(gm, fp), OFF_CELL))[1],
+    "merge": lambda gm, fp: merge(with_node(gm, OFF_CELL), with_node(fp, identity(4))),
+    "dress_plus": lambda gm, fp: dress_plus(identity(4), with_node(fp, OFF_CELL)),
+    "dress_minus": lambda gm, fp: dress_minus(identity(4), with_node(gm, OFF_CELL)),
+    "dress_pair": lambda gm, fp: dress_pair(identity(4), identity(4),
+                                            with_node(merge(gm, fp), OFF_CELL)),
+    "tau_merge": lambda gm, fp: tau_merge(with_node(fp, OFF_CELL), SymmetrySpec(2, 1),
+                                          constant_group="general"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(POINTWISE_OPS))
+def test_pointwise_op_masks_exactly_the_off_cell_node(op):
+    gm, fp = random_basic_pair(rng_for(48), GRID)
+    out = POINTWISE_OPS[op](gm, fp)
+    expected = np.ones(GRID.shape, dtype=bool)
+    expected[OFF_CELL_NODE] = False
+    assert np.array_equal(out.mask, expected)
+    assert list(out.info["failures"]) == [OFF_CELL_NODE]
+    assert out.info["failures"][OFF_CELL_NODE]
 
 
 def test_tau_merge_identity_field():
@@ -225,6 +254,10 @@ def test_tau_merge_random_potential():
         assert fm.hi <= 0
     order = connection_order(maurer_cartan(F), tol_order=1e-6)
     assert order == (-1, 1, False)
+    # the per-node residuals fill the same diagnostics rows as split's
+    cols, rows = ls.fields.field_diagnostics_rows(F)
+    residual = [row[cols.index("residual")] for row in rows]
+    assert len(residual) == F.mask.size and all(0.0 <= r < 1e-7 for r in residual)
 
 
 def test_gauge_parallel_trivial_and_oracle():
@@ -272,7 +305,8 @@ def test_dress_identity_and_action():
     c = expm(0.3 * rng.standard_normal((4, 4)))
     dressed = dress_plus(constant(c), fp)
     cinv = constant(np.linalg.inv(c))
-    conj = fp.map_values(lambda gg: mul(constant(c), mul(gg, cinv)))
+    conj = FrameField.from_loops(GRID, {node: mul(constant(c), mul(gg, cinv))
+                                        for node, gg in fp.loops().items()})
     assert field_distance(dressed, conj) < 1e-8
 
 

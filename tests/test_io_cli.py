@@ -147,9 +147,20 @@ def test_connection_form_round_trip(rng):
     grid = Grid2D.centered(0.2, 3, 0.2, 3)
     A = assemble_connection(example_sphere_connection(grid), check=False)
     back = connection_form_from_obj(json.loads(json.dumps(connection_form_to_obj(A))))
-    assert back.declared_window == A.declared_window
     for i, j in grid.nodes():
         assert ls.distance(back.value(i, j, 0), A.value(i, j, 0)) == 0.0
+
+
+def test_connection_form_declared_window_key_still_loads():
+    # files written before the key was dropped carry "declared_window"
+    from loopsplit.spaceforms import example_sphere_connection, assemble_connection
+    grid = Grid2D.centered(0.2, 3, 0.2, 3)
+    A = assemble_connection(example_sphere_connection(grid), check=False)
+    obj = connection_form_to_obj(A)
+    assert "declared_window" not in obj
+    back = connection_form_from_obj({**obj, "declared_window": [-1, 1]})
+    assert back.lo == A.lo and np.array_equal(back.mask, A.mask)
+    assert np.array_equal(back.coeffs, A.coeffs)
 
 
 def test_symmetry_twists_key_still_loads():

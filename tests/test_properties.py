@@ -15,28 +15,38 @@ from loopsplit import (
     ConnectionForm,
     FrameField,
     Grid2D,
+    GroupSpec,
     LaurentLoop,
     SymmetrySpec,
     birkhoff_left,
+    constant,
     distance,
+    extract_immersion,
     field_distance,
     from_terms,
+    gauge_parallel,
+    integrate_potential,
     lincomb,
+    loop_exp,
+    maurer_cartan,
     merge,
     mul,
+    phi_map,
     solve_constant_tau,
     split,
     truncated_inverse,
 )
 from loopsplit.errors import NotInIwasawaCell
 from loopsplit.factorization import TOL_CONST_PRE
-from loopsplit.fields import grid_derivative
+from loopsplit.fields import _times_constant, grid_derivative
 from loopsplit.generators import (
     random_basic_pair,
     random_matrix,
     random_minus_unipotent,
+    random_skew,
     rng_for,
 )
+from loopsplit.spaceforms import phi_field
 from loopsplit.symmetry import tau_constant
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -204,7 +214,7 @@ def test_constant_solve_general_group(seed, n, k, reality, scale, turns):
 # -- sampled fields -------------------------------------------------------------
 
 
-def random_node_loops(seed, nu, nv, n, keep):
+def random_node_loops(seed, nu, nv, n, keep, real=False):
     """{(i, j): loop} on a random subset of the nodes (each kept with
     probability `keep`), every loop on its own random window with
     coefficients of random magnitude."""
@@ -217,9 +227,14 @@ def random_node_loops(seed, nu, nv, n, keep):
             lo = int(rng.integers(-3, 3))
             width = int(rng.integers(1, 5))
             loops[i, j] = from_terms(
-                {d: 10.0 ** rng.uniform(-3, 1) * random_matrix(rng, n)
+                {d: 10.0 ** rng.uniform(-3, 1) * random_matrix(rng, n, real=real)
                  for d in range(lo, lo + width)}, n=n)
     return loops
+
+
+def assert_same_loop(got, ref):
+    assert got.window == ref.window
+    assert np.array_equal(got.coeffs, ref.coeffs)
 
 
 def reference_derivative(table, mask, i, j, axis, h):
@@ -303,3 +318,99 @@ def test_merge_split_round_trip(seed, n, nu, nv, scale):
     assert g2.mask.all(), g2.info["failures"]
     assert field_distance(merge(g2, f2), F) <= 1e-7
     assert max(field_distance(g2, gm), field_distance(f2, fp)) <= 1e-7
+
+
+# -- array steps against the per-node code they replaced ------------------------
+
+
+def reference_eval(g, lam):
+    """Per-node evaluation: Horner in lam over degrees >= 0 from the top,
+    in 1/lam over degrees <= -1 from the bottom."""
+    out = np.zeros((g.n, g.n), dtype=complex)
+    if g.hi >= 0:
+        for deg in range(g.hi, -1, -1):
+            out = out * lam
+            if deg >= g.lo:
+                out = out + g.coeffs[deg - g.lo]
+    if g.lo < 0:
+        mu = 1.0 / lam
+        neg = np.zeros((g.n, g.n), dtype=complex)
+        for deg in range(g.lo, 0):
+            neg = neg * mu
+            if deg <= g.hi:
+                neg = neg + g.coeffs[deg - g.lo]
+        out = out + neg * mu
+    return out
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 6), nv=st.integers(1, 6),
+       n=st.integers(1, 3), k=st.integers(0, 2), keep=st.floats(0.0, 1.0),
+       direction=st.sampled_from(["sphere_to_hyperbolic", "hyperbolic_to_sphere"]))
+def test_phi_field_matches_per_node_phi_map(seed, nu, nv, n, k, keep, direction):
+    s = SymmetrySpec(n, k)
+    loops = random_node_loops(seed, nu, nv, s.dim, keep)
+    F = FrameField.from_loops(Grid2D.from_spacing(0.0, 0.1, nu, 0.0, 0.1, nv), loops,
+                              n=s.dim, target=GroupSpec("orthogonal", n, k))
+    out = phi_field(F, direction, s)
+    assert np.array_equal(out.mask, F.mask)
+    assert out.target == GroupSpec("lorentz", n, k)
+    for node, g in loops.items():
+        assert_same_loop(out.value(*node), phi_map(g, direction, s))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 6), nv=st.integers(1, 6),
+       n=st.integers(1, 4), keep=st.floats(0.0, 1.0), per_node=st.booleans())
+def test_constant_right_product_matches_per_node_mul(seed, nu, nv, n, keep, per_node):
+    loops = random_node_loops(seed, nu, nv, n, keep)
+    F = FrameField.from_loops(Grid2D.from_spacing(0.0, 0.1, nu, 0.0, 0.1, nv), loops, n=n)
+    rng = rng_for((seed, 1))
+    c = np.array([[random_matrix(rng, n) for _ in range(nv)] for _ in range(nu)]) \
+        if per_node else random_matrix(rng, n)
+    out = _times_constant(F, c)
+    assert np.array_equal(out.mask, F.mask)
+    for node, g in loops.items():
+        assert_same_loop(out.value(*node), mul(g, constant(c[node] if per_node else c)))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5), nu=st.integers(3, 6),
+       nv=st.integers(3, 6), scale=st.floats(0.05, 0.4), rate=st.floats(-2.0, 2.0))
+def test_gauge_parallel_matches_per_node_inverse_and_product(seed, n, nu, nv, scale, rate):
+    # F = F_plus exp(rate (u + v) X): its degree-0 connection is flat, so
+    # the gauge exists; the reference redoes the gauge node by node
+    rng = rng_for(seed)
+    grid = Grid2D.centered(0.4, nu, 0.4, nv)
+    _, fp = random_basic_pair(rng, grid, n=n, scale=scale)
+    x = from_terms({0: random_skew(rng, n, real=True)})
+    F = FrameField.from_loops(grid, {
+        (i, j): mul(fp.value(i, j), loop_exp(rate * (grid.us[i] + grid.vs[j]) * x))
+        for i, j in grid.nodes()})
+    gauged, G = gauge_parallel(F)
+    a0 = {key: a.clip(0, 0) for key, a in maurer_cartan(F).loops().items()}
+    H = integrate_potential(ConnectionForm.from_loops(grid, a0), check=False)
+    for node, h in H.loops().items():
+        g = constant(np.linalg.inv(h.coeff(0)))
+        assert_same_loop(G.value(*node), g)
+        assert_same_loop(gauged.value(*node), mul(F.value(*node), g))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 6), nv=st.integers(1, 6),
+       n=st.integers(2, 4), keep=st.floats(0.0, 1.0),
+       lam=st.one_of(st.floats(-3.0, -0.3), st.floats(0.3, 3.0)))
+def test_extract_immersion_matches_per_node_evaluation(seed, nu, nv, n, keep, lam):
+    # real coefficients are real at real lambda, so every node passes the
+    # reality check
+    loops = random_node_loops(seed, nu, nv, n, keep, real=True)
+    grid = Grid2D.from_spacing(0.0, 0.1, nu, 0.0, 0.1, nv)
+    F = FrameField.from_loops(grid, loops, n=n)
+    target = GroupSpec("orthogonal", n - 1, 0)
+    im = extract_immersion(F, lam, target)
+    assert np.array_equal(im.mask, F.mask)
+    assert np.isnan(im.points[~F.mask]).all()
+    for node, g in loops.items():
+        ref = reference_eval(g, complex(lam))
+        assert np.array_equal(g.eval(lam), ref)
+        assert np.array_equal(im.points[node], ref[:, n - 1].real)

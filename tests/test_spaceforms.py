@@ -141,7 +141,7 @@ def test_extract_immersion_at_lambda_one():
         expect = [np.sin(u) * np.cos(v), np.sin(v), np.cos(u) * np.cos(v), 0.0]
         np.testing.assert_allclose(im.points[i, j], expect, atol=1e-12)
     bi, bj = grid.base
-    np.testing.assert_allclose(im.base_point(), [0, 0, 1, 0], atol=1e-13)
+    np.testing.assert_allclose(im.points[bi, bj], [0, 0, 1, 0], atol=1e-13)
     assert np.nanmax(im.diagnostics["quadric_residual"]) < 1e-10
 
 
