@@ -160,16 +160,16 @@ def cmd_integrate(args) -> int:
 def _write_immersion(cfg, F, lam, target, mesh_path, diag_path, **meta) -> bool:
     """Extract F's immersion at lam and write the OBJ mesh and the
     diagnostics CSV (header: seed, lambda, then meta) to the paths given.
-    Returns False, with the CSV unwritten, when the mesh has no vertex."""
+    Returns False when the mesh has no vertex; the CSV, whose rows then all
+    read mask = 0, is written all the same."""
     im = extract_immersion(F, lam, target)
-    if mesh_path and emit_mesh(im, mesh_path) == 0:
-        return False
+    vertices = emit_mesh(im, mesh_path) if mesh_path else None
     if diag_path:
         cols, rows = immersion_diagnostics_rows(im)
         emit_diagnostics(diag_path, cols, rows, {
             "seed": cfg["seed"], "lambda": fmt17(lam.real) + "+" + fmt17(lam.imag) + "i",
             **meta})
-    return True
+    return vertices != 0
 
 
 def cmd_immerse(args) -> int:

@@ -1,13 +1,20 @@
-"""Pointwise Birkhoff and tau-Iwasawa factorizations of a single loop.
+"""Pointwise Birkhoff and tau-Iwasawa factorizations.
 
 The left factorization g = g_- g_+ (g_- normalized to constant term I) is
 computed by solving for y in Lambda^-_1, truncated to degrees [-N, 0], such
 that the modes -1..-N of y g vanish; this is a square block-Toeplitz system,
-solved by dense LU with partial pivoting, and g_- is the one-sided inverse
-of y, found by block forward substitution.  The right factorization is the
-lambda -> 1/lambda mirror of the left one.  Loops off the big cell surface
-as singular or ill-conditioned systems, reported as BigCellViolation together
-with a one-norm condition estimate.
+and g_- is the one-sided inverse of y, found by block forward substitution.
+The right factorization is the lambda -> 1/lambda mirror of the left one.
+Loops off the big cell surface as singular or ill-conditioned systems,
+reported as BigCellViolation together with the system's one-norm condition
+number.
+
+Birkhoff factorizations run on stacks of loops (see loops): the systems of
+every loop at one window are assembled together and, up to
+INVERSE_MAX_ORDER rows, inverted together, which gives the exact condition
+number; larger systems are factored by LU one by one and take LAPACK's
+condition estimate.  A loop is a stack of one, and birkhoff_left/right take
+a FrameField too, whose unmasked nodes are factored at once.
 
 These are finite sections of block-Toeplitz operators (the projection
 method of Gohberg and Feldman), so the truncation error falls as the window
@@ -24,20 +31,33 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import ILL_CONDITIONED, BigCellViolation, NotInIwasawaCell
 from .loops import (
+    STACK_CHUNK,
     LaurentLoop,
+    _neumann_inverse,
+    aligned,
+    cauchy,
+    chunks,
     constant,
+    degree_slice,
     distance,
     fnorm,
     identity,
     mul,
+    named_failures,
+    node_stack,
+    padded,
+    stack_windows,
+    trim_stack,
     truncated_inverse,
+    wiener_norms,
 )
 from .symmetry import SymmetrySpec, apply_tau, tau_constant
 
@@ -50,6 +70,9 @@ TOL_IWASAWA = 1e-8
 ROUNDOFF_FLOOR = 1e-13
 # largest block-Toeplitz system (rows of scalars) a window may lead to
 MAX_SYSTEM_ORDER = 1024
+# largest mode system (rows of scalars) solved through its inverse; above
+# it one LU factorization is cheaper than one inverse
+INVERSE_MAX_ORDER = 32
 # first adaptive window: this many degrees past the one read off the input
 START_PAD = 2
 # fixed window: this many degrees past twice the widest input radius
@@ -61,58 +84,90 @@ TOL_CONST_PRE = 1e-10
 TOL_CONST_POST = 1e-9
 
 
-def default_window(*loops) -> int:
+def _radius(g):
+    """A loop's radius, or the radius of each node's loop (largest over
+    directions, for a form) as an array over a sampled field's grid."""
+    if isinstance(g, LaurentLoop):
+        return g.radius
+    los, his = stack_windows(g.lo, g.coeffs)
+    radius = np.maximum(np.abs(los), np.abs(his))
+    return radius.reshape(g.mask.shape + (-1,)).max(axis=-1)
+
+
+def default_window(*loops):
     """Fixed window radius: twice the widest input radius plus a pad.
 
     Used where a caller gives no window and no residual drives the choice:
     the inverse in `merge` and the inverses in `maurer_cartan`.  The
     factorizations choose their own window from the residual instead.
+    Given sampled fields (or forms) on one grid, the window of every node,
+    as an integer array over the grid.
     """
-    radius = max((g.radius for g in loops), default=0)
-    return 2 * radius + DEFAULT_WINDOW_PAD
+    radius = 0
+    for g in loops:
+        radius = np.maximum(radius, _radius(g))
+    return 2 * (radius if np.ndim(radius) else int(radius)) + DEFAULT_WINDOW_PAD
 
 
-def _adaptive_window(attempt, start, limit, scale):
-    """Residual-driven window choice shared by the factorizations.
+def _adaptive_window(attempt, starts, limits, scales):
+    """Residual-driven window choice shared by the factorizations, run in
+    lockstep over a stack of problems.
 
-    attempt(N) returns (result, None) when window N meets the tolerance and
-    (None, failure) otherwise, where the failure is the exception to raise
-    and carries the residual; it raises BigCellViolation itself when the
-    window is ill-conditioned, and lets any failure no wider window can
-    repair propagate.  Windows grow by half from `start` up to `limit`.  The
-    search stops at the first residual within the round-off floor (relative
-    to `scale`), at the first one that does not fall, or at an
-    ill-conditioned window, and returns the result of least residual.
-    Otherwise the last failure is raised, listing every window tried.
+    attempt(N, rows) tries window N on the problems of the given rows and
+    returns one outcome per row: a result when window N meets the
+    tolerance, otherwise the failure to report, both carrying the residual.
+    A BigCellViolation with cause ILL_CONDITIONED marks a window no wider
+    one can repair; failures of other kinds that no window can repair are
+    raised by attempt itself.  Each problem's windows grow by half from its
+    start up to its limit, and the problems at the same window are tried
+    together.  A problem's search stops at the first residual within the
+    round-off floor (relative to its scale), at the first one that does not
+    fall, or at an ill-conditioned window, and keeps the result of least
+    residual.  Otherwise its last failure is kept, with every window tried.
+    Returns the outcome of every problem.
     """
-    floor = ROUNDOFF_FLOOR * scale
-    windows, best, last = [], None, math.inf
-    N = start
-    while True:
-        windows.append(N)
-        try:
-            result, failure = attempt(N)
-        except BigCellViolation as exc:
-            if best is not None:
-                return best
-            exc.windows = windows
-            raise
-        residual = (failure if result is None else result).residual
-        if result is not None and (best is None or residual < best.residual):
-            best = result
-        if not residual > floor or not residual < last or N >= limit:
-            break
-        last = residual
-        N = min(N + (N + 1) // 2, limit)
-    if best is not None:
-        return best
-    if isinstance(failure, BigCellViolation):
-        failure.windows = windows
-    raise failure
+    count = len(starts)
+    floors = [ROUNDOFF_FLOOR * float(x) for x in scales]
+    current = [int(N) for N in starts]
+    tried = [[] for _ in range(count)]
+    best = [None] * count
+    last = [math.inf] * count
+    out = [None] * count
+    active = set(range(count))
+    while active:
+        N = min(current[b] for b in active)
+        rows = [b for b in sorted(active) if current[b] == N]
+        for b, outcome in zip(rows, attempt(N, rows)):
+            tried[b].append(N)
+            failed = isinstance(outcome, Exception)
+            if failed and getattr(outcome, "cause", None) == ILL_CONDITIONED:
+                stop = True
+            else:
+                residual = outcome.residual
+                if not failed and (best[b] is None or residual < best[b].residual):
+                    best[b] = outcome
+                stop = not residual > floors[b] or not residual < last[b] or N >= limits[b]
+                last[b] = residual
+                current[b] = min(N + (N + 1) // 2, limits[b])
+            if stop:
+                active.discard(b)
+                out[b] = best[b] if best[b] is not None else outcome
+                if out[b] is outcome and isinstance(outcome, BigCellViolation):
+                    outcome.windows = tried[b]
+    return out
 
 
 @dataclass
 class BirkhoffResult:
+    """The factors of a loop, or of every node of a field.
+
+    For a field, minus and plus are fields: a node whose factorization
+    fails is masked in both, with its cause in info["failures"], and the
+    residual and condition of every factored node are in
+    info["diagnostics"]; residual and condition are the largest over the
+    factored nodes (NaN when none is).
+    """
+
     minus: LaurentLoop
     plus: LaurentLoop
     residual: float
@@ -120,6 +175,7 @@ class BirkhoffResult:
     side: str = "left"
 
     def reconstruction(self):
+        """The product of the factors of a loop, in the order of its side."""
         if self.side == "left":
             return mul(self.minus, self.plus)
         return mul(self.plus, self.minus)
@@ -137,83 +193,225 @@ class IwasawaResult:
         return max(self.residuals.values(), default=0.0)
 
 
-def _toeplitz_solve(g: LaurentLoop, N: int):
-    """Solve the mode equations for y in Lambda^-_1; returns (y, condition)."""
-    n = g.n
+class _Factors(NamedTuple):
+    """One loop's left factors at one window, as coefficient stacks."""
+
+    minus_lo: int
+    minus: np.ndarray
+    plus_lo: int
+    plus: np.ndarray
+    residual: float
+    condition: float
+
+
+def _toeplitz_solve(lo, coeffs, N: int):
+    """Solve the mode equations of every loop of a stack (B, W, n, n) for
+    y in Lambda^-_1 at window N.  Returns (y, condition): y's coefficients
+    over [-N, 0] and each system's 1-norm condition number (inf when it is
+    singular).
+
+    Systems of up to INVERSE_MAX_ORDER rows are inverted together, which
+    gives the exact condition number; larger ones, where one inverse costs
+    more than an LU factorization, are factored one by one and take
+    LAPACK's estimate.
+    """
+    B, n = coeffs.shape[0], coeffs.shape[-1]
+    m = N * n
     # coefficient lookup padded over degrees [-N, N]
-    pad = np.zeros((2 * N + 1, n, n), dtype=complex)
-    for d in range(max(g.lo, -N), min(g.hi, N) + 1):
-        pad[d + N] = g.coeffs[d - g.lo]
+    pad = padded(lo, coeffs, -N, N)
     i = np.arange(1, N + 1)
-    blocks = pad[(i[None, :] - i[:, None]) + N]          # (N, N, n, n) = g_{j-i}
-    big = blocks.transpose(0, 3, 1, 2).reshape(N * n, N * n)  # transposed blocks
-    rhs = -pad[N - i].transpose(0, 2, 1).reshape(N * n, n)    # stack of -g_{-i}^T
-    anorm = np.linalg.norm(big, 1)
-    try:
+    index = (i[None, :] - i[:, None]) + N                          # blocks g_{j-i}
+    rhs = -pad[:, N - i].transpose(0, 1, 3, 2).reshape(B, m, n)  # stack of -g_{-i}^T
+    condition = np.full(B, np.inf)
+    sol = np.zeros((B, m, n), dtype=complex)
+    for rows in chunks(B, STACK_CHUNK // (m * m) if m <= INVERSE_MAX_ORDER else 1):
+        big = pad[rows][:, index].transpose(0, 1, 4, 2, 3).reshape(-1, m, m)  # transposed blocks
+        condition[rows], sol[rows] = _solve_modes(big, rhs[rows])
+    y = np.zeros((B, N + 1, n, n), dtype=complex)
+    y[:, N] = np.eye(n)
+    y[:, N - i] = sol.reshape(B, N, n, n).transpose(0, 1, 3, 2)  # y_{-j} = (solution_j)^T
+    return y, condition
+
+
+def _solve_modes(big, rhs):
+    """(condition, solution) of a stack of mode systems: inverted together
+    up to INVERSE_MAX_ORDER rows, else one LU factorization (and LAPACK's
+    condition estimate) each.  A singular or non-finite system gets an
+    infinite condition and a zero solution."""
+    anorm = np.abs(big).sum(axis=-2).max(axis=-1)
+    condition = np.full(len(big), np.inf)
+    sol = np.zeros(rhs.shape, dtype=complex)
+    finite = np.isfinite(anorm)
+    if big.shape[-1] <= INVERSE_MAX_ORDER:
+        inverse = np.zeros_like(big)
+        singular = ~finite
+        try:
+            inverse[finite] = np.linalg.inv(big[finite])
+        except np.linalg.LinAlgError:
+            for b in np.flatnonzero(finite):
+                try:
+                    inverse[b] = np.linalg.inv(big[b])
+                except np.linalg.LinAlgError:
+                    singular[b] = True
+        ok = ~singular
+        condition[ok] = anorm[ok] * np.abs(inverse[ok]).sum(axis=-2).max(axis=-1)
+        ok &= np.isfinite(condition)
+        sol[ok] = inverse[ok] @ rhs[ok]
+        return condition, sol
+    for b in np.flatnonzero(finite):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(big)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise BigCellViolation(f"singular mode system: {exc}",
-                               cause=ILL_CONDITIONED) from exc
-    gecon = sla.get_lapack_funcs("gecon", (big,))
-    rcond, _ = gecon(lu, anorm)
-    condition = np.inf if rcond == 0 else 1.0 / rcond
-    sol = sla.lu_solve((lu, piv), rhs)
-    coeffs = np.zeros((N + 1, n, n), dtype=complex)
-    coeffs[N] = np.eye(n)
-    blocks_t = sol.reshape(N, n, n).transpose(0, 2, 1)   # y_{-j} = (solution_j)^T
-    coeffs[N - i] = blocks_t
-    return LaurentLoop(-N, coeffs), float(condition)
+            lu, piv = sla.lu_factor(big[b])
+        rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, anorm[b])
+        if rcond != 0:
+            condition[b] = 1.0 / rcond
+            sol[b] = sla.lu_solve((lu, piv), rhs[b])
+    return condition, sol
 
 
-def _birkhoff_left_at(g: LaurentLoop, N: int, tol):
-    """One left factorization at window N, in the form _adaptive_window takes."""
-    y, condition = _toeplitz_solve(g, N)
-    if not condition <= CONDITION_LIMIT:
-        raise BigCellViolation(
-            f"left factorization failed: condition {condition:.3e}",
-            condition=condition, cause=ILL_CONDITIONED)
-    yg = mul(y, g)
-    plus = yg.project("plus")
-    tail = yg.project("strict_minus").wiener_norm()
-    minus = truncated_inverse(y, N)
-    residual = tail + distance(mul(minus, plus), g)
-    if np.isfinite(residual) and residual <= tol:
-        return BirkhoffResult(minus, plus, residual, condition, side="left"), None
-    return None, BigCellViolation(
-        f"left factorization failed: residual {residual:.3e}, "
-        f"condition {condition:.3e}",
-        residual=residual, condition=condition)
+def _birkhoff_left_at(lo, coeffs, N: int, tol):
+    """Left factorizations of the loops of a trimmed stack at window N, in
+    the form _adaptive_window takes."""
+    y, condition = _toeplitz_solve(lo, coeffs, N)
+    out = [None] * len(coeffs)
+    ok = np.flatnonzero(condition <= CONDITION_LIMIT)
+    for b in np.flatnonzero(~(condition <= CONDITION_LIMIT)):
+        out[b] = BigCellViolation(f"left factorization failed: condition {condition[b]:.3e}",
+                                  condition=float(condition[b]), cause=ILL_CONDITIONED)
+    if not ok.size:
+        return out
+    g = coeffs[ok]
+    y_lo, y, _, _ = trim_stack(-N, y[ok])
+    yg_lo, yg, _, _ = trim_stack(y_lo + lo, cauchy(y, g))
+    plus_lo, plus, _, _ = trim_stack(*degree_slice(yg_lo, yg, 0, yg_lo + yg.shape[1]))
+    tail = wiener_norms(degree_slice(yg_lo, yg, yg_lo, -1)[1]) if yg_lo < 0 else np.zeros(len(ok))
+    minus_lo, minus, _, _ = trim_stack(-N, _neumann_inverse(
+        degree_slice(y_lo, y, y_lo, 0)[1], N, "minus"))
+    _, back, g = aligned(minus_lo + plus_lo, cauchy(minus, plus), lo, g)
+    residual = tail + wiener_norms(back - g)
+    for k, b in enumerate(ok):
+        r, c = float(residual[k]), float(condition[b])
+        if np.isfinite(r) and r <= tol:
+            out[b] = _Factors(minus_lo, minus[k], plus_lo, plus[k], r, c)
+        else:
+            out[b] = BigCellViolation(
+                f"left factorization failed: residual {r:.3e}, condition {c:.3e}",
+                residual=r, condition=c)
+    return out
 
 
-def birkhoff_left(g: LaurentLoop, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
+def _birkhoff_stack(lo, coeffs, N, tol):
+    """Left factorizations of every loop of a trimmed stack (B, W, n, n):
+    one outcome per loop, its _Factors or the BigCellViolation to report.
+
+    Loops without negative degrees factor trivially.  With N given (and at
+    least the depth of a loop's negative part) only that window is solved;
+    otherwise each loop's window starts just past that depth and grows with
+    the residual (see _adaptive_window), the loops at one window together.
+    """
+    n = coeffs.shape[-1]
+    los, his = stack_windows(lo, coeffs)
+    out = [None] * len(coeffs)
+    eye = np.eye(n, dtype=complex)[None]
+    for b in np.flatnonzero(los >= 0):
+        out[b] = _Factors(0, eye, los[b], coeffs[b, los[b] - lo : his[b] - lo + 1], 0.0, 1.0)
+    rows = np.flatnonzero(los < 0)
+    if not rows.size:
+        return out
+    depth = -los[rows]
+    radius = np.maximum(depth, np.abs(his[rows]))
+    if N is None:
+        starts = depth + START_PAD
+        limits = np.maximum(starts, MAX_SYSTEM_ORDER // n)
+    else:
+        starts = np.where(N < depth, 2 * radius + DEFAULT_WINDOW_PAD, N)
+        limits = starts
+
+    def attempt(w, at):
+        at = rows[at]
+        size = STACK_CHUNK // ((coeffs.shape[1] + w) * n * n)
+        return [outcome for part in chunks(len(at), size)
+                for outcome in _birkhoff_left_at(lo, coeffs[at[part]], w, tol)]
+
+    outcomes = _adaptive_window(attempt, starts, limits, wiener_norms(coeffs)[rows])
+    for b, outcome in zip(rows, outcomes):
+        out[b] = outcome
+    return out
+
+
+def _mirror(lo, coeffs):
+    """The stack of the loops lambda -> value at 1/lambda."""
+    return -(lo + coeffs.shape[-3] - 1), coeffs[..., ::-1, :, :]
+
+
+def _birkhoff(g, N, tol, side):
+    """Left or right factorization of a loop or of every node of a field.
+
+    The nodes go through the stack kernel in parts of bounded size, and
+    each part's factors are copied out before the next part starts.  The
+    plus factor of a left factorization of a loop over [lo, hi] lies in
+    [0, hi], so its array is allocated once, before the first part.
+    """
+    loop = isinstance(g, LaurentLoop)
+    lo, coeffs = (g.lo, g.coeffs[None]) if loop else node_stack(g, g.mask)
+    lead, nodes = ((1,), [(0,)]) if loop else (g.mask.shape, [tuple(x) for x in np.argwhere(g.mask)])
+    if side == "right":
+        lo, coeffs = _mirror(lo, coeffs)
+    count, width, n = coeffs.shape[:2] + coeffs.shape[-1:]
+    plus = np.zeros(lead + (max(lo + width, 1), n, n), dtype=complex)
+    minus_parts, measures, failures = {}, {}, {}
+    p_lo, p_hi = math.inf, -math.inf
+    for part in chunks(count, STACK_CHUNK // (width * n * n)):
+        for b, o in enumerate(_birkhoff_stack(lo, coeffs[part], N, tol), start=part.start):
+            if isinstance(o, Exception):
+                if loop:
+                    raise o
+                failures[b] = str(o)
+                continue
+            measures[nodes[b]] = {"residual": o.residual, "condition": o.condition}
+            minus_parts[b] = (o.minus_lo, np.array(o.minus))
+            plus[nodes[b]][o.plus_lo : o.plus_lo + len(o.plus)] = o.plus
+            p_lo, p_hi = min(p_lo, o.plus_lo), max(p_hi, o.plus_lo + len(o.plus) - 1)
+    m_lo = min((m for m, _ in minus_parts.values()), default=0)
+    minus = np.zeros(lead + (1 - m_lo, n, n), dtype=complex)
+    for b, (m, c) in minus_parts.items():
+        minus[nodes[b]][m - m_lo : m - m_lo + len(c)] = c
+    minus = (m_lo, minus)
+    plus = (0, plus[..., :1, :, :]) if not measures else (p_lo, plus[..., p_lo : p_hi + 1, :, :])
+    if side == "right":
+        minus, plus = _mirror(*plus), _mirror(*minus)
+    residual = max((d["residual"] for d in measures.values()), default=math.nan)
+    condition = max((d["condition"] for d in measures.values()), default=math.nan)
+    if loop:
+        return BirkhoffResult(LaurentLoop(minus[0], minus[1][0]), LaurentLoop(plus[0], plus[1][0]),
+                              residual, condition, side=side)
+    mask = g.mask.copy()
+    for b in failures:
+        mask[nodes[b]] = False
+    info = {"failures": named_failures(g, nodes, failures), "diagnostics": measures}
+    return BirkhoffResult(replace(g, lo=minus[0], coeffs=minus[1], mask=mask, info=info),
+                          replace(g, lo=plus[0], coeffs=plus[1], mask=mask.copy(), info=dict(info)),
+                          residual, condition, side=side)
+
+
+def birkhoff_left(g, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
     """g = minus * plus with minus in Lambda^-_1 and plus in Lambda^+.
 
-    With N given (and at least the depth of g's negative part) only that
-    window is solved; otherwise the window starts just past that depth and
-    grows with the residual (see _adaptive_window).
+    g is a loop, or a FrameField whose unmasked nodes are all factored
+    together (see BirkhoffResult).  With N given (and at least the depth of
+    a loop's negative part) only that window is solved; otherwise the
+    window starts just past that depth and grows with the residual (see
+    _adaptive_window).  A loop that does not factor raises
+    BigCellViolation; a field masks the node.
     """
-    if g.lo >= 0:
-        return BirkhoffResult(identity(g.n), g, 0.0, 1.0, side="left")
-    if N is not None and N < abs(g.lo):
-        N = default_window(g)
-    start = abs(g.lo) + START_PAD if N is None else N
-    limit = start if N is not None else max(start, MAX_SYSTEM_ORDER // g.n)
-    return _adaptive_window(lambda w: _birkhoff_left_at(g, w, tol),
-                            start, limit, g.wiener_norm())
+    return _birkhoff(g, N, tol, "left")
 
 
-def birkhoff_right(g: LaurentLoop, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
-    """g = plus * minus with plus in Lambda^+_1 and minus in Lambda^-."""
-    res = birkhoff_left(g.mirror(), N=N, tol=tol)
-    return BirkhoffResult(
-        minus=res.plus.mirror(),
-        plus=res.minus.mirror(),
-        residual=res.residual,
-        condition=res.condition,
-        side="right",
-    )
+def birkhoff_right(g, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
+    """g = plus * minus with plus in Lambda^+_1 and minus in Lambda^-: the
+    lambda -> 1/lambda mirror of the left factorization, for a loop or a
+    field as birkhoff_left."""
+    return _birkhoff(g, N, tol, "right")
 
 
 # -- constant-group solve ----------------------------------------------------
@@ -419,9 +617,20 @@ def tau_iwasawa(x: LaurentLoop, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
     """
     start = _decay_window(x) + START_PAD if N is None else N
     limit = start if N is not None else max(start, MAX_SYSTEM_ORDER // (2 * x.n))
-    return _adaptive_window(
-        lambda w: _tau_iwasawa_at(x, s, w, tol, constant_group, form),
-        start, limit, x.wiener_norm())
+
+    def attempt(w, rows):
+        try:
+            result, failure = _tau_iwasawa_at(x, s, w, tol, constant_group, form)
+        except BigCellViolation as exc:
+            if exc.cause != ILL_CONDITIONED:
+                raise
+            return [exc]
+        return [failure if result is None else result]
+
+    outcome, = _adaptive_window(attempt, [start], [limit], [x.wiener_norm()])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def tau_iwasawa_minus(x: LaurentLoop, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,

@@ -5,10 +5,13 @@ loop group; a ConnectionForm holds the two directional components of a
 Maurer-Cartan form, one loop per node per direction.  Each stores one complex
 coefficient array over a degree window shared by the grid, so every step that
 needs no solve (distances, orders, finite differences, constant products,
-evaluation) is an array operation, while the pointwise factorizations run
-through one node loop (_pointwise) on per-node LaurentLoop views.  They never
-fail a whole field: nodes where a solve breaks are masked out and reported,
-mirroring the restriction to the open subset where the decompositions exist.
+evaluation, flatness residuals) is an array operation, and the pointwise
+factorizations and inverses run over all nodes at once, through whole-field
+calls of birkhoff_left/right and truncated_inverse; only tau_merge, whose
+gauge sweep makes each node depend on the last, keeps a node loop
+(_pointwise).  They never fail a whole field: nodes where a solve breaks are
+masked out and reported, mirroring the restriction to the open subset where
+the decompositions exist.
 
 Tolerance hierarchy, loosest consumer last: trimming 1e-14 < factorization
 1e-9 / 1e-8 < round trips 1e-7 < integrability and order measurement 1e-6.
@@ -16,7 +19,7 @@ Tolerance hierarchy, loosest consumer last: trimming 1e-14 < factorization
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -36,7 +39,21 @@ from .factorization import (
     default_window,
     tau_iwasawa_minus,
 )
-from .loops import GroupSpec, LaurentLoop, constant, distance, identity, lincomb, mul, truncated_inverse
+from .loops import (
+    GroupSpec,
+    LaurentLoop,
+    aligned,
+    cauchy,
+    constant,
+    distance,
+    identity,
+    lincomb,
+    mul,
+    node_stack,
+    on_nodes,
+    trim_stack,
+    truncated_inverse,
+)
 from .symmetry import SymmetrySpec
 
 TOL_ROUNDTRIP = 1e-7
@@ -231,6 +248,29 @@ def _like(F: FrameField, loops, info) -> FrameField:
                                  target=F.target, info=info)
 
 
+def _inherited(*fields) -> dict:
+    """The failures the fields' info name, in the order of the fields."""
+    failures = {}
+    for F in fields:
+        failures.update(F.info.get("failures", {}))
+    return failures
+
+
+def _restrict(F: FrameField, mask, info) -> FrameField:
+    """F on the nodes of mask only, with the given info."""
+    out = on_nodes(F, mask, F.lo, F.coeffs[mask])
+    out.info = info
+    return out
+
+
+def _product(X: FrameField, Y: FrameField) -> FrameField:
+    """X Y at every unmasked node of X (where Y must be unmasked), tagged
+    like X and naming X's failures."""
+    lo_x, x = node_stack(X, X.mask)
+    lo_y, y = node_stack(Y, X.mask)
+    return on_nodes(X, X.mask, lo_x + lo_y, cauchy(x, y))
+
+
 def _times_constant(F: FrameField, c) -> FrameField:
     """F times a loop constant in lambda at every node: c is one n x n
     matrix or one per node, (nu, nv, n, n)."""
@@ -324,24 +364,24 @@ def maurer_cartan(F: FrameField) -> ConnectionForm:
     """Discrete F^{-1} dF: central differences inside, one-sided at edges.
 
     F^{-1} is truncated at each node to the default window of the node's
-    value and its two derivatives.
+    value and its two derivatives; the inverses of all nodes are taken
+    together, and a node whose inverse fails is masked.
     """
     grid = F.grid
     if min(grid.shape) < 3:
         raise ValueError("maurer_cartan needs at least 3 nodes per direction")
     du, ok_u = grid_derivative(F.coeffs, F.mask, grid.h_u, 0)
     dv, ok_v = grid_derivative(F.coeffs, F.mask, grid.h_v, 1)
-
-    def pull_back(node):
-        g = F.value(*node)
-        a_u, a_v = LaurentLoop(F.lo, du[node]), LaurentLoop(F.lo, dv[node])
-        inv = truncated_inverse(g, default_window(g, a_u, a_v))
-        return mul(inv, a_u), mul(inv, a_v)
-
-    results, _ = _pointwise(pull_back, mask=ok_u & ok_v)
-    return ConnectionForm.from_loops(
-        grid, {node + (d,): a for node, pair in results.items() for d, a in enumerate(pair)},
-        n=F.dim)
+    ok = ok_u & ok_v
+    dF = ConnectionForm(grid, F.lo, np.where(ok[:, :, None, None, None, None],
+                                             np.stack([du, dv], axis=2), 0.0), ok)
+    inv = truncated_inverse(replace(F, mask=ok), default_window(F, dF))
+    lo_x, x = node_stack(inv, inv.mask)
+    lo_d, d = node_stack(dF, inv.mask)
+    lo, a, _, _ = trim_stack(lo_x + lo_d, cauchy(x[:, None], d))
+    coeffs = np.zeros(grid.shape + a.shape[1:], dtype=complex)
+    coeffs[inv.mask] = a
+    return ConnectionForm(grid, lo, coeffs, inv.mask)
 
 
 def connection_order(A: ConnectionForm, tol_order=TOL_ORDER):
@@ -387,15 +427,19 @@ def mc_residual(A: ConnectionForm, per_degree=False):
         raise ValueError("mc_residual needs at least 3 nodes per direction")
     dudv, ok_u = grid_derivative(A.coeffs[:, :, 1], A.mask, grid.h_u, 0)
     dvdu, ok_v = grid_derivative(A.coeffs[:, :, 0], A.mask, grid.h_v, 1)
-    worst = 0.0
-    grades = {}
-    for i, j in _nodes(ok_u & ok_v):
-        au, av = A.value(i, j, 0), A.value(i, j, 1)
-        r = (LaurentLoop(A.lo, dudv[i, j]) - LaurentLoop(A.lo, dvdu[i, j])
-             + mul(au, av) - mul(av, au))
-        for d, nm in zip(range(r.lo, r.hi + 1), _coeff_norms(r.coeffs)):
-            grades[d] = max(grades.get(d, 0.0), float(nm))
-            worst = max(worst, float(nm))
+    ok = ok_u & ok_v
+    if not ok.any():
+        return (0.0, {}) if per_degree else 0.0
+    lo_a, a = node_stack(A, ok)
+    lo_d, d_u, d_v = aligned(*trim_stack(A.lo, dudv[ok])[:2], *trim_stack(A.lo, dvdu[ok])[:2])
+    lo, d, wedge = aligned(lo_d, d_u - d_v,
+                           2 * lo_a, cauchy(a[:, 0], a[:, 1]) - cauchy(a[:, 1], a[:, 0]))
+    lo, r, los, his = trim_stack(lo, d + wedge)
+    norms = _coeff_norms(r)
+    degs = lo + np.arange(r.shape[1])
+    covered = ((degs >= los[:, None]) & (degs <= his[:, None])).any(axis=0)
+    grades = {int(d): float(g) for d, g, c in zip(degs, norms.max(axis=0), covered) if c}
+    worst = max(grades.values())
     if per_degree:
         return worst, grades
     return worst
@@ -407,23 +451,20 @@ def mc_residual(A: ConnectionForm, per_degree=False):
 _FACTOR_ERRORS = (BigCellViolation, SingularLoop, NotInIwasawaCell)
 
 
-def _pointwise(fn, *inputs, mask=None):
-    """The node loop of every pointwise operation: fn(node) at each node
-    unmasked in all input fields (or True in mask), in row-major order.
+def _pointwise(fn, F: FrameField):
+    """The node loop of the one pointwise operation whose nodes depend on
+    each other, tau_merge: fn(node) at each unmasked node of F, in
+    row-major order.
 
     A node where a factorization does not exist (fn raises BigCellViolation,
     SingularLoop or NotInIwasawaCell) is left out of the results and its
-    message recorded next to the failures the inputs' info already names, so
-    every masked node with a known cause keeps it.  Returns
+    message recorded next to the failures F's info already names, so every
+    masked node with a known cause keeps it.  Returns
     ({node: result}, {node: message}).
     """
-    if mask is None:
-        mask = np.logical_and.reduce([F.mask for F in inputs])
     results = {}
-    failures = {}
-    for F in inputs:
-        failures.update(F.info.get("failures", {}))
-    for node in _nodes(mask):
+    failures = _inherited(F)
+    for node in _nodes(F.mask):
         try:
             results[node] = fn(node)
         except _FACTOR_ERRORS as exc:
@@ -435,22 +476,21 @@ def split(F: FrameField, tol=TOL_BIRKHOFF):
     """Pointwise Birkhoff split into the (a,-1) and (1,b) basic pair.
 
     The left factorization supplies G_minus (normalized in Lambda^-_1), the
-    right factorization supplies F_plus (normalized in Lambda^+_1); failed
-    nodes are masked in both outputs.  Both factors are based whenever F is.
-    Per-node residuals and condition estimates land in info["diagnostics"].
+    right factorization supplies F_plus (normalized in Lambda^+_1); a node
+    either fails on is masked in both outputs, with the left failure named
+    first.  Both factors are based whenever F is.  Per-node residuals and
+    condition numbers land in info["diagnostics"].
     """
-    def factor(node):
-        g = F.value(*node)
-        return birkhoff_left(g, tol=tol), birkhoff_right(g, tol=tol)
-
-    results, failures = _pointwise(factor, F)
-    diagnostics = {node: {"residual": max(left.residual, right.residual),
-                          "condition": max(left.condition, right.condition)}
-                   for node, (left, right) in results.items()}
+    left = birkhoff_left(F, tol=tol).minus
+    right = birkhoff_right(F, tol=tol).plus
+    mask = left.mask & right.mask
+    failures = dict(right.info["failures"])
+    failures.update(left.info["failures"])
+    diagnostics = {node: {key: max(d, right.info["diagnostics"][node][key])
+                          for key, d in entry.items()}
+                   for node, entry in left.info["diagnostics"].items() if mask[node]}
     info = {"failures": failures, "diagnostics": diagnostics}
-    g_minus = _like(F, {node: left.minus for node, (left, _) in results.items()}, dict(info))
-    f_plus = _like(F, {node: right.plus for node, (_, right) in results.items()}, dict(info))
-    return g_minus, f_plus
+    return _restrict(left, mask, dict(info)), _restrict(right, mask, dict(info))
 
 
 def field_diagnostics_rows(F: FrameField):
@@ -472,19 +512,17 @@ def merge(G_minus: FrameField, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameFie
 
     Pointwise: left-factorize F_plus^{-1} G_minus = F_minus G_plus^{-1} with
     F_minus normalized, then F = F_plus F_minus.  F_plus^{-1} is truncated
-    to the default window of the node's two values.
+    to the default window of the node's two values.  Every step runs over
+    all nodes at once; a node where one fails is masked, with its cause
+    recorded after the failures the inputs name.
     """
     if G_minus.grid.shape != F_plus.grid.shape:
         raise DimensionMismatch("basic pair fields live on different grids")
-
-    def recombine(node):
-        fp = F_plus.value(*node)
-        gm = G_minus.value(*node)
-        q = mul(truncated_inverse(fp, default_window(fp, gm)), gm)
-        return mul(fp, birkhoff_left(q, tol=tol).minus)
-
-    vals, failures = _pointwise(recombine, G_minus, F_plus)
-    return _like(F_plus, vals, {"failures": failures})
+    both = replace(F_plus, mask=G_minus.mask & F_plus.mask,
+                   info={"failures": _inherited(G_minus, F_plus)})
+    inverse = truncated_inverse(both, default_window(F_plus, G_minus))
+    minus = birkhoff_left(_product(inverse, G_minus), tol=tol).minus
+    return _product(replace(F_plus, mask=minus.mask, info=minus.info), minus)
 
 
 # -- tau-merge ---------------------------------------------------------------
@@ -548,9 +586,9 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
         i, j = node
         seed = vals.get((i, j - 1)) or vals.get((i - 1, j))
         if seed is not None:
-            aligned = _align_gauge(z, seed, s, sigma_fixed, b_signs)
-            if aligned is not None:
-                z = aligned  # otherwise keep the raw (still valid) factor
+            moved = _align_gauge(z, seed, s, sigma_fixed, b_signs)
+            if moved is not None:
+                z = moved  # otherwise keep the raw (still valid) factor
         vals[node] = z
         return res.residual
 
@@ -739,6 +777,14 @@ def _holonomy_residual(grid: Grid2D, loops) -> float:
 # -- dressing ------------------------------------------------------------------
 
 
+def _left_times(g: LaurentLoop, F: FrameField) -> FrameField:
+    """g F at every unmasked node of F, tagged like F."""
+    if g.n != F.dim:
+        raise DimensionMismatch(f"loop dimension {g.n} vs field dimension {F.dim}")
+    lo, c = node_stack(F, F.mask)
+    return on_nodes(F, F.mask, g.lo + lo, cauchy(g.coeffs, c))
+
+
 def dress_plus(g_minus: LaurentLoop, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameField:
     """Left action of a Lambda^- element on a (1,b) field.
 
@@ -746,16 +792,12 @@ def dress_plus(g_minus: LaurentLoop, F_plus: FrameField, tol=TOL_BIRKHOFF) -> Fr
     field is the Lambda^+_1 factor, masked where the product leaves the big
     cell.
     """
-    vals, failures = _pointwise(lambda node: birkhoff_right(
-        mul(g_minus, F_plus.value(*node)), tol=tol).plus, F_plus)
-    return _like(F_plus, vals, {"failures": failures})
+    return birkhoff_right(_left_times(g_minus, F_plus), tol=tol).plus
 
 
 def dress_minus(g_plus: LaurentLoop, G_minus: FrameField, tol=TOL_BIRKHOFF) -> FrameField:
     """Mirror action of a Lambda^+ element on an (a,-1) field."""
-    vals, failures = _pointwise(lambda node: birkhoff_left(
-        mul(g_plus, G_minus.value(*node)), tol=tol).minus, G_minus)
-    return _like(G_minus, vals, {"failures": failures})
+    return birkhoff_left(_left_times(g_plus, G_minus), tol=tol).minus
 
 
 def dress_pair(g_minus: LaurentLoop, g_plus: LaurentLoop, F: FrameField,

@@ -9,7 +9,7 @@ everything here is safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -168,6 +168,94 @@ def _trim(lo, coeffs):
     return lo + first, np.array(coeffs[first : last + 1])
 
 
+# -- stacks of loops ------------------------------------------------------------
+#
+# A stack is one coefficient array (..., W, n, n) whose axis -3 runs over the
+# degrees lo, lo + 1, ... shared by every loop in it.  The kernels below work
+# over any leading axes; a LaurentLoop is the stack of one loop.
+
+
+def stack_windows(lo, coeffs):
+    """The window (los, his) of every loop of a stack, as LaurentLoop
+    trims it: (0, 0) for a zero loop, the whole window when the largest
+    coefficient is not finite."""
+    return _windows(lo, np.abs(coeffs).max(axis=(-2, -1)))
+
+
+def _windows(lo, peaks):
+    scale = peaks.max(axis=-1, keepdims=True)
+    keep = peaks > TOL_TRIM * scale
+    first = keep.argmax(axis=-1)
+    last = peaks.shape[-1] - 1 - keep[..., ::-1].argmax(axis=-1)
+    zero = scale[..., 0] == 0.0
+    return np.where(zero, 0, lo + first), np.where(zero, 0, lo + last)
+
+
+def trim_stack(lo, coeffs):
+    """Trim every loop of a stack as LaurentLoop does: coefficients outside
+    a loop's own window are zeroed and the shared window is cut to the
+    union of the loops' windows.  Returns (lo, coeffs, los, his); coeffs
+    is a view of the input where that is zero outside every window
+    already."""
+    peaks = np.abs(coeffs).max(axis=(-2, -1))
+    los, his = _windows(lo, peaks)
+    if los.size == 0:
+        return lo, coeffs, los, his
+    new_lo, new_hi = int(los.min()), int(his.max())
+    inside = lo <= new_lo and new_hi < lo + coeffs.shape[-3]
+    cut = slice(new_lo - lo, new_hi - lo + 1)
+    if inside and (los == new_lo).all() and (his == new_hi).all():
+        return new_lo, coeffs[..., cut, :, :], los, his
+    degs = np.arange(new_lo, new_hi + 1)
+    outside = (degs < los[..., None]) | (degs > his[..., None])
+    if inside and not peaks[..., cut][outside].any():
+        return new_lo, coeffs[..., cut, :, :], los, his
+    out = padded(lo, coeffs, new_lo, new_hi)
+    out[outside] = 0.0
+    return new_lo, out, los, his
+
+
+def node_stack(F, mask):
+    """(lo, coeffs): the loops of a sampled field at the nodes of mask,
+    row-major (and by direction, for a form), each trimmed to its own
+    window (see trim_stack)."""
+    rows = F.coeffs.reshape((-1,) + F.coeffs.shape[2:]) if mask.all() else F.coeffs[mask]
+    return trim_stack(F.lo, rows)[:2]
+
+
+def padded(lo, coeffs, a, b):
+    """A stack re-embedded into exactly the degrees [a, b]: coefficients
+    outside are dropped, degrees the stack lacks are zero."""
+    out = np.zeros(coeffs.shape[:-3] + (b - a + 1,) + coeffs.shape[-2:], dtype=complex)
+    s, e = max(a, lo), min(b, lo + coeffs.shape[-3] - 1)
+    if s <= e:
+        out[..., s - a : e - a + 1, :, :] = coeffs[..., s - lo : e - lo + 1, :, :]
+    return out
+
+
+def degree_slice(lo, coeffs, a, b):
+    """(lo, coeffs) of a stack restricted to the degrees [a, b] (a zero
+    degree a when the two windows do not meet)."""
+    a, b = max(a, lo), min(b, lo + coeffs.shape[-3] - 1)
+    if a > b:
+        return 0, np.zeros(coeffs.shape[:-3] + (1,) + coeffs.shape[-2:], dtype=complex)
+    return a, coeffs[..., a - lo : b - lo + 1, :, :]
+
+
+def aligned(lo_x, x, lo_y, y):
+    """Two stacks re-embedded into the union of their windows: (lo, x, y)."""
+    lo = min(lo_x, lo_y)
+    hi = max(lo_x + x.shape[-3], lo_y + y.shape[-3]) - 1
+    x, y = (c if l == lo and c.shape[-3] == hi - lo + 1 else padded(l, c, lo, hi)
+            for l, c in ((lo_x, x), (lo_y, y)))
+    return lo, x, y
+
+
+def wiener_norms(coeffs):
+    """Wiener norm of every loop of a stack."""
+    return np.linalg.norm(coeffs.reshape(coeffs.shape[:-2] + (-1,)), axis=-1).sum(axis=-1)
+
+
 def horner(lo, coeffs, lam):
     """Value at lam != 0 of the loops whose degree lo, lo + 1, ...
     coefficients run along axis -3 of coeffs, over any leading axes.
@@ -229,19 +317,50 @@ def from_terms(terms, n=None) -> LaurentLoop:
 # -- core operations --------------------------------------------------------
 
 
+def cauchy(x, y):
+    """Full Cauchy products of two stacks (..., wx, n, n) and (..., wy, n, n),
+    leading axes broadcast: wx + wy - 1 degrees from lo_x + lo_y, untrimmed.
+
+    Stacks, and loops with one or two degrees on a side, take one batched
+    product per degree of the shorter operand.  For longer single loops one
+    matrix product gives every block product x_a y_b; the row of that table
+    at a degree k of the shorter operand, shifted right by k, lands on
+    degrees a + b, and the shifted rows are summed in the order of k, as
+    the batched products are.  The table holds min(wx, wy) rows of the
+    whole product, too much memory for a stack.
+    """
+    wx, wy, n = x.shape[-3], y.shape[-3], x.shape[-1]
+    lead = x.shape[:-3]
+    if lead != y.shape[:-3]:
+        lead = np.broadcast_shapes(lead, y.shape[:-3])
+    w = wx + wy - 1
+    if lead or min(wx, wy) <= 2:
+        out = np.zeros(lead + (w, n, n), dtype=complex)
+        if wx <= wy:
+            for a in range(wx):
+                out[..., a : a + wy, :, :] += x[..., a : a + 1, :, :] @ y
+        else:
+            for b in range(wy):
+                out[..., b : b + wx, :, :] += x @ y[..., b : b + 1, :, :]
+        return out
+    table = (x.reshape(x.shape[:-3] + (wx * n, n))
+             @ np.moveaxis(y, -3, -2).reshape(y.shape[:-3] + (n, wy * n)))
+    table = table.reshape(lead + (wx, n, wy, n))
+    # one row per degree of the shorter operand, over those of the longer
+    rows = table.swapaxes(-3, -2) if wx <= wy else np.moveaxis(table, -2, -4)
+    r, c = rows.shape[-4], rows.shape[-3]
+    shifted = np.zeros(lead + (r, w + 1, n, n), dtype=complex)
+    shifted[..., :c, :, :] = rows
+    # rows of length w + 1 read as rows of length w: row k moves right by k
+    flat = shifted.reshape(lead + (r * (w + 1), n, n))[..., : r * w, :, :]
+    return flat.reshape(lead + (r, w, n, n)).sum(axis=-4)
+
+
 def mul(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
     """Cauchy product; full window [x.lo+y.lo, x.hi+y.hi] retained, then trimmed."""
     if x.n != y.n:
         raise DimensionMismatch(f"loop dimensions differ: {x.n} vs {y.n}")
-    wx, wy = x.coeffs.shape[0], y.coeffs.shape[0]
-    out = np.zeros((wx + wy - 1, x.n, x.n), dtype=complex)
-    if wx <= wy:
-        for a in range(wx):
-            out[a : a + wy] += x.coeffs[a] @ y.coeffs
-    else:
-        for b in range(wy):
-            out[b : b + wx] += x.coeffs @ y.coeffs[b]
-    return LaurentLoop(x.lo + y.lo, out)
+    return LaurentLoop(x.lo + y.lo, cauchy(x.coeffs, y.coeffs))
 
 
 def lincomb(pairs) -> LaurentLoop:
@@ -274,9 +393,11 @@ def distance(x: LaurentLoop, y: LaurentLoop) -> float:
     return (x - y).wiener_norm()
 
 
-def _neumann_inverse(g: LaurentLoop, N: int, side: str) -> LaurentLoop:
-    """Inverse of g = I + s, s strictly negative (side "minus") or strictly
-    positive ("plus"), truncated to degree N on that side.
+def _neumann_inverse(c, N: int, side: str):
+    """Inverses of the loops I + s of a stack c (B, r + 1, n, n), s strictly
+    negative (side "minus", c over the degrees [-r, 0]) or strictly
+    positive ("plus", c over [0, r]), truncated to degree N on that side:
+    their coefficients over [-N, 0] or [0, N].
 
     Sums the terminating Neumann series sum_k (-s)^k by block forward
     substitution instead of power by power: with degrees counted away from
@@ -284,65 +405,183 @@ def _neumann_inverse(g: LaurentLoop, N: int, side: str) -> LaurentLoop:
     O(N r) block products for s of degree r.  The coefficients are exactly
     those of the truncated series.
     """
-    n = g.n
-    c = g.coeffs[::-1] if side == "minus" else g.coeffs  # degree |d| at index |d|
-    r = c.shape[0] - 1
+    c = c[:, ::-1] if side == "minus" else c  # degree |d| at index |d|
+    B, n, r = c.shape[0], c.shape[-1], c.shape[1] - 1
     # s_1 .. s_r side by side, so one product sums the whole recurrence row
-    s_row = np.asarray(c[1:]).transpose(1, 0, 2).reshape(n, r * n)
-    x = np.zeros((N + 1, n, n), dtype=complex)
-    x[0] = np.eye(n)
+    s_row = c[:, 1:].transpose(0, 2, 1, 3).reshape(B, n, r * n)
+    x = np.zeros((B, N + 1, n, n), dtype=complex)
+    x[:, 0] = np.eye(n)
     for k in range(1, N + 1):
         m = min(k, r)
-        x[k] = -(s_row[:, : m * n] @ x[k - m : k][::-1].reshape(m * n, n))
-    if side == "minus":
-        return LaurentLoop(-N, np.ascontiguousarray(x[::-1]))
-    return LaurentLoop(0, x)
+        x[:, k] = -(s_row[:, :, : m * n] @ x[:, k - m : k][:, ::-1].reshape(B, m * n, n))
+    return x[:, ::-1] if side == "minus" else x
 
 
-def truncated_inverse(g: LaurentLoop, N: int) -> LaurentLoop:
-    """Inverse truncated to the window [-N, N].
+# largest stack (in scalar entries of its widest intermediate array) that a
+# kernel works on at once; bigger stacks are taken in parts of this size
+STACK_CHUNK = 1 << 13
 
-    Normalized one-sided loops I + (strictly negative / strictly positive)
-    have a one-sided inverse whose coefficients follow from block forward
-    substitution, exactly and without a solve; everything else goes through
-    a square block-Toeplitz least-squares solve for P_[-N,N](g x - I) = 0.
-    Raises SingularLoop when the in-window residual exceeds TOL_INVERSE.
-    """
-    n = g.n
-    if g.window == (0, 0):
-        try:
-            return constant(np.linalg.inv(g.coeffs[0]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularLoop("constant loop is singular") from exc
-    c0 = g.coeff(0)
-    normalized = fnorm(c0 - np.eye(n)) <= 1e-13 * max(1.0, fnorm(c0))
-    if normalized and g.hi <= 0:
-        return _neumann_inverse(g, N, "minus")
-    if normalized and g.lo >= 0:
-        return _neumann_inverse(g, N, "plus")
 
+def chunks(count, size):
+    """Consecutive slices of range(count), `size` long but for the last."""
+    size = max(1, int(size))
+    return [slice(at, at + size) for at in range(0, count, size)]
+
+
+def _toeplitz_inverse(lo, coeffs, N):
+    """General truncated inverses of a stack at window N: the square
+    block-Toeplitz solves of P_[-N,N](g x - I) = 0, their coefficients over
+    [-N, N] and each one's in-window residual."""
+    B, n = coeffs.shape[0], coeffs.shape[-1]
     width = 2 * N + 1
     # rows: product modes m in [-N, N]; unknown blocks x_j, j in [-N, N]
-    gpad = np.zeros((2 * width + 1, n, n), dtype=complex)
-    for d in range(g.lo, g.hi + 1):
-        if -width <= d <= width:
-            gpad[d + width] = g.coeffs[d - g.lo]
+    gpad = padded(lo, coeffs, -width, width)
     rows = np.arange(-N, N + 1)
-    block = gpad[(rows[:, None] - rows[None, :]) + width]  # (W, W, n, n)
-    big = block.transpose(0, 2, 1, 3).reshape(width * n, width * n)
+    index = (rows[:, None] - rows[None, :]) + width
     rhs = np.zeros((width * n, n), dtype=complex)
     rhs[N * n : (N + 1) * n] = np.eye(n)
-    try:
-        sol = np.linalg.solve(big, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-    x = LaurentLoop(-N, sol.reshape(width, n, n))
-    residual = distance(mul(g, x).clip(-N, N), identity(n))
-    if not np.isfinite(residual) or residual > TOL_INVERSE:
-        raise SingularLoop(
-            f"truncated inverse residual {residual:.3e} exceeds {TOL_INVERSE:.1e}"
-        )
-    return x
+    x = np.empty((B, width, n, n), dtype=complex)
+    residual = np.empty(B)
+    for part in chunks(B, STACK_CHUNK // (width * n) ** 2):
+        block = gpad[part][:, index]  # (b, W, W, n, n)
+        big = block.transpose(0, 1, 3, 2, 4).reshape(-1, width * n, width * n)
+        try:
+            sol = np.linalg.solve(big, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.empty((len(big), width * n, n), dtype=complex)
+            for k, system in enumerate(big):
+                try:
+                    sol[k] = np.linalg.solve(system, rhs)
+                except np.linalg.LinAlgError:
+                    sol[k] = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        x[part] = sol.reshape(-1, width, n, n)
+        prod = padded(lo - N, cauchy(coeffs[part], x[part]), -N, N)
+        prod[:, N] -= np.eye(n)
+        residual[part] = wiener_norms(prod)
+    return x, residual
+
+
+def inverse_stack(lo, coeffs, N):
+    """Truncated inverses of the loops of a trimmed stack (B, W, n, n), loop
+    b to the window [-N_b, N_b] (N an integer or one per loop).
+
+    Constant loops are inverted directly.  Normalized one-sided loops
+    I + (strictly negative / strictly positive) have a one-sided inverse
+    whose coefficients follow from block forward substitution, exactly and
+    without a solve; the rest go through a square block-Toeplitz solve of
+    P_[-N,N](g x - I) = 0.  Loops of one kind and window are done together.
+    Returns (lo, X, failures): failures maps the rows whose inverse is
+    singular or leaves an in-window residual above TOL_INVERSE to the
+    message of that failure; their rows of X are zero.
+    """
+    B, n = coeffs.shape[0], coeffs.shape[-1]
+    Ns = np.asarray(N, dtype=int)
+    Ns = np.full(B, int(Ns)) if Ns.ndim == 0 else Ns
+    width = int(Ns.max(initial=0))
+    los, his = stack_windows(lo, coeffs)
+    # normalized: |c_0 - I| <= 1e-13 max(1, |c_0|), compared in squares
+    c0 = padded(lo, coeffs, 0, 0).reshape(B, n * n)
+    size = (np.abs(c0) ** 2).sum(axis=-1)
+    c0[:, :: n + 1] -= 1.0
+    normalized = (np.abs(c0) ** 2).sum(axis=-1) <= 1e-26 * np.maximum(1.0, size)
+    # 0 constant, 1 normalized minus side, 2 normalized plus side, 3 general
+    kind = np.where((los == 0) & (his == 0), 0,
+                    3 - 2 * (normalized & (his <= 0)) - (normalized & (los >= 0)))
+    groups = {}
+    for b, key in enumerate(zip(kind.tolist(), Ns.tolist())):
+        groups.setdefault(key, []).append(b)
+    out_lo, out = -width, np.zeros((B, 2 * width + 1, n, n), dtype=complex)
+    failures = {}
+    for (k, Nk), idx in sorted(groups.items()):
+        if k == 0:
+            x_lo, x = 0, np.zeros((len(idx), 1, n, n), dtype=complex)
+            for row, b in enumerate(idx):
+                try:
+                    x[row, 0] = np.linalg.inv(coeffs[b, -lo])
+                except np.linalg.LinAlgError:
+                    failures[b] = "constant loop is singular"
+        elif k in (1, 2):
+            side = "minus" if k == 1 else "plus"
+            a, b = (int(los[idx].min()), 0) if k == 1 else (0, int(his[idx].max()))
+            x_lo = -Nk if k == 1 else 0
+            x = _neumann_inverse(degree_slice(lo, coeffs[idx], a, b)[1], Nk, side)
+        else:
+            x_lo = -Nk
+            x, residual = _toeplitz_inverse(lo, coeffs[idx], Nk)
+            for b, r in zip(idx, residual):
+                if not np.isfinite(r) or r > TOL_INVERSE:
+                    failures[b] = f"truncated inverse residual {r:.3e} exceeds {TOL_INVERSE:.1e}"
+        if len(groups) == 1:
+            out_lo, out = x_lo, x
+        else:
+            out[idx, x_lo + width : x_lo + width + x.shape[1]] = x
+    if failures:
+        out[list(failures)] = 0.0
+    lo, out, _, _ = trim_stack(out_lo, out)
+    return lo, out, failures
+
+
+def truncated_inverse(g, N):
+    """Inverse truncated to the window [-N, N] (see inverse_stack).
+
+    g is a LaurentLoop, or a sampled field (anything with a node mask and
+    an info dict, such as a FrameField) whose unmasked loops are inverted
+    together, N an integer or an integer array over the grid.  A loop
+    raises SingularLoop when its in-window residual exceeds TOL_INVERSE; a
+    field masks such nodes and records why, after the failures its info
+    already names.
+    """
+    if isinstance(g, LaurentLoop):
+        lo, x, failures = inverse_stack(g.lo, g.coeffs[None], N)
+        if failures:
+            raise SingularLoop(failures[0])
+        return LaurentLoop(lo, x[0], trim=False)
+    lo, c = node_stack(g, g.mask)
+    N = np.asarray(N)
+    lo, x, failures = inverse_stack(lo, c, N[g.mask] if N.ndim else N)
+    return on_nodes(g, g.mask, lo, x, failures)
+
+
+def on_nodes(F, mask, lo, coeffs, failures=None, **info):
+    """A copy of the sampled field F holding the loops of the stack coeffs,
+    one per node of mask in row-major order, and nothing elsewhere.
+
+    failures maps stack rows to the message of a node that failed: those
+    nodes are masked, and their messages recorded after the failures F's
+    info already names.  Other keyword arguments are stored in the info,
+    which starts with nothing else; the shared window is cut to the union
+    of the windows of the loops kept.
+    """
+    failures = failures or {}
+    nodes = np.argwhere(mask)
+    ok = np.ones(len(nodes), dtype=bool)
+    ok[list(failures)] = False
+    keep = np.zeros_like(mask)
+    keep[tuple(nodes[ok].T)] = True
+    kept = coeffs if ok.all() else coeffs[ok]
+    los, his = stack_windows(lo, kept)
+    w_lo, w_hi = (int(los.min()), int(his.max())) if len(kept) else (0, 0)
+    full = np.zeros(mask.shape + (w_hi - w_lo + 1,) + coeffs.shape[-2:], dtype=complex)
+    if lo <= w_lo and w_hi < lo + coeffs.shape[-3]:
+        full[keep] = kept[:, w_lo - lo : w_hi - lo + 1]
+    else:
+        full[keep] = padded(lo, kept, w_lo, w_hi)
+    if not ((los == w_lo).all() and (his == w_hi).all()):
+        # zero each node outside its own window, in place
+        node_lo, node_hi = np.zeros(mask.shape, dtype=int), np.zeros(mask.shape, dtype=int)
+        node_lo[keep], node_hi[keep] = los, his
+        degs = np.arange(w_lo, w_hi + 1)
+        full[(degs < node_lo[..., None]) | (degs > node_hi[..., None])] = 0.0
+    return replace(F, lo=w_lo, coeffs=full, mask=keep,
+                   info={"failures": named_failures(F, nodes, failures), **info})
+
+
+def named_failures(F, nodes, failures):
+    """The failures F's info names, then {node: message} for the stack rows
+    in failures ({row: message}), nodes giving each row's node."""
+    named = dict(F.info.get("failures", {}))
+    named.update({(int(nodes[b][0]), int(nodes[b][1])): msg for b, msg in sorted(failures.items())})
+    return named
 
 
 # -- group membership --------------------------------------------------------

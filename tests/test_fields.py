@@ -232,6 +232,15 @@ def test_pointwise_op_masks_exactly_the_off_cell_node(op):
     assert out.info["failures"][OFF_CELL_NODE]
 
 
+def test_field_ops_on_a_fully_masked_field():
+    empty = FrameField.from_loops(GRID, {}, n=4)
+    g_minus, f_plus = split(empty)
+    outs = [g_minus, f_plus, merge(g_minus, f_plus), dress_plus(identity(4), f_plus),
+            dress_minus(identity(4), g_minus), maurer_cartan(empty),
+            truncated_inverse(empty, 3)]
+    assert not any(out.mask.any() for out in outs)
+
+
 def test_tau_merge_identity_field():
     s = SymmetrySpec(2, 1)
     eye_field = FrameField.constant_field(GRID, identity(4))

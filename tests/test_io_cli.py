@@ -467,6 +467,25 @@ def test_cli_immerse_diagnostics_deterministic(tmp_path):
     assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
 
 
+def test_cli_immerse_fully_masked_field_writes_diagnostics(tmp_path):
+    # the mesh is empty (exit 2), and the CSV is the one file saying why
+    from loopsplit.cli import main
+    grid = Grid2D.centered(0.3, 5, 0.3, 5)
+    F = ls.FrameField.from_loops(grid, {}, n=4, target=GroupSpec("orthogonal", 2, 1))
+    fpath = tmp_path / "F.json"
+    fpath.write_text(json.dumps(frame_field_to_obj(F)))
+    cpath = tmp_path / "run.json"
+    cpath.write_text(json.dumps({"paths": {"in": str(fpath)}}))
+    diag = tmp_path / "d.csv"
+    code = main(["immerse", "--config", str(cpath), "--lambda", "1.0",
+                 "--mesh", str(tmp_path / "m.obj"), "--diag", str(diag)])
+    assert code == 2
+    header, *rows = [ln.split(",") for ln in diag.read_text().splitlines()
+                     if not ln.startswith("#")]
+    assert len(rows) == 25
+    assert {row[header.index("mask")] for row in rows} == {"0"}
+
+
 def test_cli_config_print(tmp_path):
     out = run_cli("config", "--out", str(tmp_path / "c.json"))
     assert out.returncode == 0

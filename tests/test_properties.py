@@ -5,11 +5,13 @@ Hypothesis runs derandomized and without an example database, so the suite
 draws the same examples on every run.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import LinAlgWarning, expm, get_lapack_funcs, lu_factor, lu_solve
 
 from loopsplit import (
     ConnectionForm,
@@ -19,6 +21,7 @@ from loopsplit import (
     LaurentLoop,
     SymmetrySpec,
     birkhoff_left,
+    birkhoff_right,
     constant,
     distance,
     extract_immersion,
@@ -29,6 +32,7 @@ from loopsplit import (
     lincomb,
     loop_exp,
     maurer_cartan,
+    mc_residual,
     merge,
     mul,
     phi_map,
@@ -414,3 +418,205 @@ def test_extract_immersion_matches_per_node_evaluation(seed, nu, nv, n, keep, la
         ref = reference_eval(g, complex(lam))
         assert np.array_equal(g.eval(lam), ref)
         assert np.array_equal(im.points[node], ref[:, n - 1].real)
+
+
+# -- stack kernels against the per-node code they replaced ----------------------
+#
+# The references below are the per-node factorization and inverse the node
+# stacks replaced: one LU factorization and LAPACK's condition estimate per
+# mode system, one window search per loop.  Sums now run in another order,
+# so coefficients are compared within 1e-12 relative, and the exact
+# condition number of a stack must bound the estimate from above.
+
+
+def reference_neumann(g, N, side):
+    c = g.coeffs[::-1] if side == "minus" else g.coeffs
+    x = [np.eye(g.n, dtype=complex)]
+    for k in range(1, N + 1):
+        x.append(-sum(c[j] @ x[k - j] for j in range(1, min(k, len(c) - 1) + 1)))
+    x = np.array(x)
+    return LaurentLoop(-N, x[::-1]) if side == "minus" else LaurentLoop(0, x)
+
+
+def reference_inverse(g, N):
+    """A loop's truncated inverse, or None where it raises SingularLoop."""
+    n = g.n
+    if g.window == (0, 0):
+        c = g.coeffs[0]
+        return None if abs(np.linalg.det(c)) == 0 else constant(np.linalg.inv(c))
+    c0 = g.coeff(0)
+    if np.linalg.norm(c0 - np.eye(n)) <= 1e-13 * max(1.0, np.linalg.norm(c0)):
+        if g.hi <= 0:
+            return reference_neumann(g, N, "minus")
+        if g.lo >= 0:
+            return reference_neumann(g, N, "plus")
+    rows = np.arange(-N, N + 1)
+    big = np.block([[g.coeff(int(m - j)) for j in rows] for m in rows])
+    rhs = np.zeros((len(rows) * n, n))
+    rhs[N * n : (N + 1) * n] = np.eye(n)
+    x = LaurentLoop(-N, np.linalg.solve(big, rhs).reshape(len(rows), n, n))
+    residual = distance(mul(g, x).clip(-N, N), constant(np.eye(n)))
+    return x if residual <= 1e-10 else None
+
+
+def reference_birkhoff_left(g, tol=1e-9):
+    """(minus, plus, condition estimate) of a loop's left factorization,
+    or None where it raises BigCellViolation."""
+    if g.lo >= 0:
+        return constant(np.eye(g.n)), g, 1.0
+    n = g.n
+    N = start = -g.lo + 2
+    limit = max(start, 1024 // n)
+    floor = 1e-13 * g.wiener_norm()
+    best, last = None, np.inf
+    while True:
+        i = np.arange(1, N + 1)
+        big = np.block([[g.coeff(int(j - k)).T for j in i] for k in i])
+        rhs = -np.concatenate([g.coeff(int(-k)).T for k in i])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(big)
+        rcond, _ = get_lapack_funcs("gecon", (big,))(lu, np.linalg.norm(big, 1))
+        if rcond == 0 or not 1.0 / rcond <= 1e12:
+            return best
+        sol = lu_solve((lu, piv), rhs).reshape(N, n, n).transpose(0, 2, 1)
+        y = LaurentLoop(-N, np.concatenate([sol[::-1], np.eye(n)[None]]))
+        yg = mul(y, g)
+        plus = yg.project("plus")
+        minus = reference_neumann(y, N, "minus") if y.lo < 0 else constant(np.eye(n))
+        residual = yg.project("strict_minus").wiener_norm() + distance(mul(minus, plus), g)
+        if residual <= tol and (best is None or residual < best[3]):
+            best = (minus, plus, 1.0 / rcond, residual)
+        if not residual > floor or not residual < last or N >= limit:
+            return best
+        last = residual
+        N = min(N + (N + 1) // 2, limit)
+
+
+def assert_close_loop(got, ref):
+    assert got.window == ref.window
+    assert distance(got, ref) <= 1e-12 * max(1.0, ref.wiener_norm())
+
+
+def off_cell(n):
+    """diag(lambda, 1/lambda, 1, ...): its mode systems are exactly singular."""
+    return from_terms({1: np.diag([1.0] + [0.0] * (n - 1)),
+                       -1: np.diag([0.0, 1.0] + [0.0] * (n - 2)),
+                       0: np.diag([0.0, 0.0] + [1.0] * (n - 2))}, n=n)
+
+
+def birkhoff_node_loops(seed, nu, nv, n, keep):
+    """{(i, j): g_- g_+} on a random subset of the nodes, with a random
+    depth of g_- and degree of g_+ at every node, so windows differ."""
+    rng = rng_for(seed)
+    loops = {}
+    for i in range(nu):
+        for j in range(nv):
+            if rng.uniform() >= keep:
+                continue
+            gm = random_minus_unipotent(rng, n, depth=int(rng.integers(1, 4)), scale=0.3,
+                                        decay=0.4)
+            terms = {d: (0.2 * 0.5 ** d / n) * random_matrix(rng, n)
+                     for d in range(int(rng.integers(0, 4)) + 1)}
+            terms[0] = terms[0] + np.eye(n)
+            loops[i, j] = mul(gm, from_terms(terms))
+    return loops
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 5), nv=st.integers(1, 5),
+       n=st.integers(2, 5), keep=st.floats(0.3, 1.0), side=st.sampled_from(["left", "right"]),
+       singular=st.booleans())
+def test_field_birkhoff_matches_per_node_reference(seed, nu, nv, n, keep, side, singular):
+    loops = birkhoff_node_loops(seed, nu, nv, n, keep)
+    if singular:
+        loops[nu // 2, nv // 2] = off_cell(n)
+    assume(loops)
+    F = FrameField.from_loops(Grid2D.from_spacing(0.0, 0.1, nu, 0.0, 0.1, nv), loops, n=n)
+    out = (birkhoff_left if side == "left" else birkhoff_right)(F)
+    for node, g in loops.items():
+        ref = reference_birkhoff_left(g if side == "left" else g.mirror())
+        assert out.minus.mask[node] == out.plus.mask[node] == (ref is not None)
+        if ref is None:
+            assert "ill_conditioned" in out.minus.info["failures"][node]
+            continue
+        minus, plus = (ref[0], ref[1]) if side == "left" else (ref[1].mirror(), ref[0].mirror())
+        assert_close_loop(out.minus.value(*node), minus)
+        assert_close_loop(out.plus.value(*node), plus)
+        condition = out.minus.info["diagnostics"][node]["condition"]
+        assert ref[2] * (1 - 1e-9) <= condition <= 10 * ref[2]
+    assert not out.minus.mask[~F.mask].any()
+    assert set(out.minus.info["failures"]) == {node for node in loops if not out.minus.mask[node]}
+    if singular:
+        assert not out.minus.mask[nu // 2, nv // 2]
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 5), nv=st.integers(1, 5),
+       n=st.integers(2, 5), keep=st.floats(0.3, 1.0), singular=st.booleans())
+def test_field_truncated_inverse_matches_per_node_reference(seed, nu, nv, n, keep, singular):
+    # normalized one-sided loops, constants and two-sided loops near I,
+    # each inverted to its own window
+    rng = rng_for(seed)
+    loops = {}
+    for i in range(nu):
+        for j in range(nv):
+            if rng.uniform() >= keep:
+                continue
+            kind = int(rng.integers(0, 4))
+            if kind < 2:
+                g = random_minus_unipotent(rng, n, depth=int(rng.integers(1, 4)), scale=0.3)
+                loops[i, j] = g if kind == 0 else g.mirror()
+            elif kind == 2:
+                loops[i, j] = constant(np.eye(n) + 0.3 * random_matrix(rng, n))
+            else:
+                loops[i, j] = from_terms({d: (np.eye(n) if d == 0 else 0.0)
+                                          + 0.1 * random_matrix(rng, n) / n
+                                          for d in range(-1, 2)}, n=n)
+    if singular:
+        loops[nu // 2, nv // 2] = constant(np.zeros((n, n)))
+    assume(loops)
+    F = FrameField.from_loops(Grid2D.from_spacing(0.0, 0.1, nu, 0.0, 0.1, nv), loops, n=n)
+    N = rng.integers(1, 9, size=(nu, nv))
+    out = truncated_inverse(F, N)
+    for node, g in loops.items():
+        ref = reference_inverse(g, int(N[node]))
+        assert out.mask[node] == (ref is not None)
+        if ref is None:
+            assert "singular" in out.info["failures"][node]
+        else:
+            assert_close_loop(out.value(*node), ref)
+    assert set(out.info["failures"]) == {node for node in loops if not out.mask[node]}
+
+
+def reference_mc_residual(A):
+    """The per-node flatness residual the stacked products replaced."""
+    dudv, ok_u = grid_derivative(A.coeffs[:, :, 1], A.mask, A.grid.h_u, 0)
+    dvdu, ok_v = grid_derivative(A.coeffs[:, :, 0], A.mask, A.grid.h_v, 1)
+    worst, grades = 0.0, {}
+    for i, j in np.argwhere(ok_u & ok_v):
+        au, av = A.value(i, j, 0), A.value(i, j, 1)
+        r = (LaurentLoop(A.lo, dudv[i, j]) - LaurentLoop(A.lo, dvdu[i, j])
+             + mul(au, av) - mul(av, au))
+        for d, c in zip(range(r.lo, r.hi + 1), r.coeffs):
+            grades[d] = max(grades.get(d, 0.0), float(np.linalg.norm(c)))
+            worst = max(worst, grades[d])
+    return worst, grades
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(3, 6), nv=st.integers(3, 6),
+       n=st.integers(1, 4), keep=st.floats(0.3, 1.0), h=st.floats(0.01, 1.0))
+def test_mc_residual_matches_per_node_reference(seed, nu, nv, n, keep, h):
+    loops = random_node_loops(seed, nu, nv, n, keep)
+    more = random_node_loops(seed + 1, nu, nv, n, 1.0)
+    A = ConnectionForm.from_loops(
+        Grid2D.from_spacing(0.0, h, nu, 0.0, h, nv),
+        {(i, j, d): g for (i, j), g0 in loops.items() for d, g in enumerate((g0, more[i, j]))},
+        n=n)
+    worst, grades = mc_residual(A, per_degree=True)
+    ref_worst, ref_grades = reference_mc_residual(A)
+    assert grades.keys() == ref_grades.keys()
+    scale = 1e-12 * max(1.0, ref_worst)
+    assert abs(worst - ref_worst) <= scale
+    assert all(abs(grades[d] - ref_grades[d]) <= scale for d in grades)
