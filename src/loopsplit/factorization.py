@@ -10,10 +10,11 @@ reported as BigCellViolation together with the system's one-norm condition
 number.
 
 Birkhoff factorizations run on stacks of loops (see loops): the systems of
-every loop at one window are assembled together and, up to
-INVERSE_MAX_ORDER rows, inverted together, which gives the exact condition
+every loop at one window are assembled together.  Up to INVERSE_MAX_ORDER
+rows they are inverted together, which gives the exact one-norm condition
 number; larger systems are factored by LU one by one and take LAPACK's
-condition estimate.  A loop is a stack of one, and birkhoff_left/right take
+estimate of it, where one inverse costs more than one LU factorization
+even in a batch.  A loop is a stack of one, and birkhoff_left/right take
 a FrameField too, whose unmasked nodes are factored at once.
 
 These are finite sections of block-Toeplitz operators (the projection
@@ -41,7 +42,6 @@ from .errors import ILL_CONDITIONED, BigCellViolation, NotInIwasawaCell
 from .loops import (
     STACK_CHUNK,
     LaurentLoop,
-    _neumann_inverse,
     aligned,
     cauchy,
     chunks,
@@ -49,6 +49,7 @@ from .loops import (
     degree_slice,
     distance,
     fnorm,
+    forward_substitution,
     identity,
     mul,
     named_failures,
@@ -70,8 +71,11 @@ TOL_IWASAWA = 1e-8
 ROUNDOFF_FLOOR = 1e-13
 # largest block-Toeplitz system (rows of scalars) a window may lead to
 MAX_SYSTEM_ORDER = 1024
-# largest mode system (rows of scalars) solved through its inverse; above
-# it one LU factorization is cheaper than one inverse
+# largest mode system (rows of scalars) solved through its inverse.  Per
+# system, a batched inverse is at least as fast as one LU factorization
+# after another up to 32 rows, alone or in batches of 8 or 56, and slower
+# from 48 rows on, 2-3x at 128 rows (BENCH_11.json); field_roundtrip solves
+# 12-row systems in batches, pointwise_factor lone systems of 24-156 rows
 INVERSE_MAX_ORDER = 32
 # first adaptive window: this many degrees past the one read off the input
 START_PAD = 2
@@ -285,8 +289,8 @@ def _birkhoff_left_at(lo, coeffs, N: int, tol):
     yg_lo, yg, _, _ = trim_stack(y_lo + lo, cauchy(y, g))
     plus_lo, plus, _, _ = trim_stack(*degree_slice(yg_lo, yg, 0, yg_lo + yg.shape[1]))
     tail = wiener_norms(degree_slice(yg_lo, yg, yg_lo, -1)[1]) if yg_lo < 0 else np.zeros(len(ok))
-    minus_lo, minus, _, _ = trim_stack(-N, _neumann_inverse(
-        degree_slice(y_lo, y, y_lo, 0)[1], N, "minus"))
+    minus_lo, minus, _, _ = trim_stack(-N, forward_substitution(
+        degree_slice(y_lo, y, y_lo, 0)[1][:, ::-1], N)[:, ::-1])
     _, back, g = aligned(minus_lo + plus_lo, cauchy(minus, plus), lo, g)
     residual = tail + wiener_norms(back - g)
     for k, b in enumerate(ok):

@@ -8,10 +8,10 @@ needs no solve (distances, orders, finite differences, constant products,
 evaluation, flatness residuals) is an array operation, and the pointwise
 factorizations and inverses run over all nodes at once, through whole-field
 calls of birkhoff_left/right and truncated_inverse; only tau_merge, whose
-gauge sweep makes each node depend on the last, keeps a node loop
-(_pointwise).  They never fail a whole field: nodes where a solve breaks are
-masked out and reported, mirroring the restriction to the open subset where
-the decompositions exist.
+gauge sweep makes each node depend on the last, keeps a node loop.  They
+never fail a whole field: nodes where a solve breaks are masked out and
+reported, mirroring the restriction to the open subset where the
+decompositions exist.
 
 Tolerance hierarchy, loosest consumer last: trimming 1e-14 < factorization
 1e-9 / 1e-8 < round trips 1e-7 < integrability and order measurement 1e-6.
@@ -242,12 +242,6 @@ class FrameField(_SampledLoops):
             self.base_value(), identity(self.dim)) <= tol
 
 
-def _like(F: FrameField, loops, info) -> FrameField:
-    """A field of {node: loop} on F's grid, with F's dimension and tags."""
-    return FrameField.from_loops(F.grid, loops, n=F.dim, symmetry=F.symmetry,
-                                 target=F.target, info=info)
-
-
 def _inherited(*fields) -> dict:
     """The failures the fields' info name, in the order of the fields."""
     failures = {}
@@ -448,30 +442,6 @@ def mc_residual(A: ConnectionForm, per_degree=False):
 # -- splitting and merging ----------------------------------------------------
 
 
-_FACTOR_ERRORS = (BigCellViolation, SingularLoop, NotInIwasawaCell)
-
-
-def _pointwise(fn, F: FrameField):
-    """The node loop of the one pointwise operation whose nodes depend on
-    each other, tau_merge: fn(node) at each unmasked node of F, in
-    row-major order.
-
-    A node where a factorization does not exist (fn raises BigCellViolation,
-    SingularLoop or NotInIwasawaCell) is left out of the results and its
-    message recorded next to the failures F's info already names, so every
-    masked node with a known cause keeps it.  Returns
-    ({node: result}, {node: message}).
-    """
-    results = {}
-    failures = _inherited(F)
-    for node in _nodes(F.mask):
-        try:
-            results[node] = fn(node)
-        except _FACTOR_ERRORS as exc:
-            failures[node] = str(exc)
-    return results, failures
-
-
 def split(F: FrameField, tol=TOL_BIRKHOFF):
     """Pointwise Birkhoff split into the (a,-1) and (1,b) basic pair.
 
@@ -578,10 +548,14 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
         if form == "lorentz":
             b_signs[s.n] = -1.0
     vals = {}  # the nodes done so far, which the gauge sweep aligns with
-
-    def factor(node):
-        res = tau_iwasawa_minus(F_plus.value(*node), s, tol=tol,
-                                constant_group=constant_group, form=form)
+    residuals, failures = {}, _inherited(F_plus)
+    for node in _nodes(F_plus.mask):
+        try:
+            res = tau_iwasawa_minus(F_plus.value(*node), s, tol=tol,
+                                    constant_group=constant_group, form=form)
+        except (BigCellViolation, SingularLoop, NotInIwasawaCell) as exc:
+            failures[node] = str(exc)  # left out, next to the inherited causes
+            continue
         z = res.z
         i, j = node
         seed = vals.get((i, j - 1)) or vals.get((i - 1, j))
@@ -590,9 +564,7 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
             if moved is not None:
                 z = moved  # otherwise keep the raw (still valid) factor
         vals[node] = z
-        return res.residual
-
-    residuals, failures = _pointwise(factor, F_plus)
+        residuals[node] = res.residual
     info = {"failures": failures,
             "diagnostics": {node: {"residual": r} for node, r in residuals.items()}}
     out = FrameField.from_loops(grid, vals, n=F_plus.dim, symmetry=s, target=F_plus.target,

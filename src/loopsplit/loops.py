@@ -321,39 +321,23 @@ def cauchy(x, y):
     """Full Cauchy products of two stacks (..., wx, n, n) and (..., wy, n, n),
     leading axes broadcast: wx + wy - 1 degrees from lo_x + lo_y, untrimmed.
 
-    Stacks, and loops with one or two degrees on a side, take one batched
-    product per degree of the shorter operand.  For longer single loops one
-    matrix product gives every block product x_a y_b; the row of that table
-    at a degree k of the shorter operand, shifted right by k, lands on
-    degrees a + b, and the shifted rows are summed in the order of k, as
-    the batched products are.  The table holds min(wx, wy) rows of the
-    whole product, too much memory for a stack.
+    One product per degree of the shorter operand, against the blocks of
+    the longer one stacked as rows, (wx n, n) @ (n, n) when x is the
+    longer; when y is, through (x y)^T = y^T x^T, and the result is a
+    transposed view.
     """
-    wx, wy, n = x.shape[-3], y.shape[-3], x.shape[-1]
+    wx, wy = x.shape[-3], y.shape[-3]
+    if wx < wy:
+        return np.swapaxes(cauchy(np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2)), -1, -2)
+    n = x.shape[-1]
     lead = x.shape[:-3]
     if lead != y.shape[:-3]:
         lead = np.broadcast_shapes(lead, y.shape[:-3])
-    w = wx + wy - 1
-    if lead or min(wx, wy) <= 2:
-        out = np.zeros(lead + (w, n, n), dtype=complex)
-        if wx <= wy:
-            for a in range(wx):
-                out[..., a : a + wy, :, :] += x[..., a : a + 1, :, :] @ y
-        else:
-            for b in range(wy):
-                out[..., b : b + wx, :, :] += x @ y[..., b : b + 1, :, :]
-        return out
-    table = (x.reshape(x.shape[:-3] + (wx * n, n))
-             @ np.moveaxis(y, -3, -2).reshape(y.shape[:-3] + (n, wy * n)))
-    table = table.reshape(lead + (wx, n, wy, n))
-    # one row per degree of the shorter operand, over those of the longer
-    rows = table.swapaxes(-3, -2) if wx <= wy else np.moveaxis(table, -2, -4)
-    r, c = rows.shape[-4], rows.shape[-3]
-    shifted = np.zeros(lead + (r, w + 1, n, n), dtype=complex)
-    shifted[..., :c, :, :] = rows
-    # rows of length w + 1 read as rows of length w: row k moves right by k
-    flat = shifted.reshape(lead + (r * (w + 1), n, n))[..., : r * w, :, :]
-    return flat.reshape(lead + (r, w, n, n)).sum(axis=-4)
+    out = np.zeros(lead + (wx + wy - 1, n, n), dtype=complex)
+    rows = x.reshape(x.shape[:-3] + (wx * n, n))
+    for b in range(wy):
+        out[..., b : b + wx, :, :] += (rows @ y[..., b, :, :]).reshape(lead + (wx, n, n))
+    return out
 
 
 def mul(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
@@ -393,28 +377,28 @@ def distance(x: LaurentLoop, y: LaurentLoop) -> float:
     return (x - y).wiener_norm()
 
 
-def _neumann_inverse(c, N: int, side: str):
-    """Inverses of the loops I + s of a stack c (B, r + 1, n, n), s strictly
-    negative (side "minus", c over the degrees [-r, 0]) or strictly
-    positive ("plus", c over [0, r]), truncated to degree N on that side:
-    their coefficients over [-N, 0] or [0, N].
+def forward_substitution(c, N: int):
+    """Inverses of the loops I + s of a stack c (B, r + 1, n, n) over the
+    degrees [0, r], s strictly positive, truncated to degree N: their
+    coefficients over [0, N].  The mirror lambda -> 1/lambda of a stack
+    gives the strictly negative side.
 
     Sums the terminating Neumann series sum_k (-s)^k by block forward
-    substitution instead of power by power: with degrees counted away from
-    zero, x_0 = I and x_k = -sum_{j=1..min(k,r)} s_j x_{k-j}, which takes
-    O(N r) block products for s of degree r.  The coefficients are exactly
-    those of the truncated series.
+    substitution instead of power by power: x_0 = I and
+    x_k = -sum_{j=1..min(k,r)} s_j x_{k-j}, which takes O(N r) block
+    products for s of degree r.  The coefficients are exactly those of the
+    truncated series.
     """
-    c = c[:, ::-1] if side == "minus" else c  # degree |d| at index |d|
     B, n, r = c.shape[0], c.shape[-1], c.shape[1] - 1
-    # s_1 .. s_r side by side, so one product sums the whole recurrence row
-    s_row = c[:, 1:].transpose(0, 2, 1, 3).reshape(B, n, r * n)
+    # -s_r .. -s_1 side by side, so that one product with x_{k-r} .. x_{k-1}
+    # stacked sums the whole recurrence row
+    s_row = -c[:, :0:-1].transpose(0, 2, 1, 3).reshape(B, n, r * n)
     x = np.zeros((B, N + 1, n, n), dtype=complex)
     x[:, 0] = np.eye(n)
     for k in range(1, N + 1):
         m = min(k, r)
-        x[:, k] = -(s_row[:, :, : m * n] @ x[:, k - m : k][:, ::-1].reshape(B, m * n, n))
-    return x[:, ::-1] if side == "minus" else x
+        x[:, k] = s_row[:, :, (r - m) * n :] @ x[:, k - m : k].reshape(B, m * n, n)
+    return x
 
 
 # largest stack (in scalar entries of its widest intermediate array) that a
@@ -461,64 +445,99 @@ def _toeplitz_inverse(lo, coeffs, N):
     return x, residual
 
 
-def inverse_stack(lo, coeffs, N):
+def _neumann_inverse(lo, coeffs, N, los, his):
+    """Truncated inverses of normalized one-sided loops of a stack
+    (B, W, n, n) with windows [los_b, his_b]: loop b, I + (strictly
+    negative) when his_b <= 0 and I + (strictly positive) otherwise, to
+    degree N_b on its side (los, his and N lists), by one forward
+    substitution over the whole stack, the negative side mirrored.
+    Returns (x_lo, x), x over the degrees [-max N, 0], [0, max N] or, when
+    both sides occur, [-max N, max N]."""
+    top, r = max(N), max(max(his), -min(los))
+    minus = [h <= 0 for h in his]
+    if all(minus):
+        c = degree_slice(lo, coeffs, -r, 0)[1][:, ::-1]
+    elif not any(minus):
+        c = degree_slice(lo, coeffs, 0, r)[1]
+    else:
+        c = padded(lo, coeffs, -r, r)
+        c = np.where(np.array(minus)[:, None, None, None], c[:, r::-1], c[:, r:])
+    x = forward_substitution(c, top)
+    for b, Nb in enumerate(N):
+        if Nb < top:
+            x[b, Nb + 1 :] = 0.0  # each loop to its own window
+    if all(minus):
+        return -top, x[:, ::-1]
+    if not any(minus):
+        return 0, x
+    minus = np.array(minus)
+    out = np.zeros((len(x), 2 * top + 1) + x.shape[2:], dtype=complex)
+    out[minus, : top + 1] = x[minus, ::-1]
+    out[~minus, top:] = x[~minus]
+    return -top, out
+
+
+def inverse_stack(lo, coeffs, N, los, his):
     """Truncated inverses of the loops of a trimmed stack (B, W, n, n), loop
-    b to the window [-N_b, N_b] (N an integer or one per loop).
+    b to the window [-N_b, N_b] (N an integer or one per loop); los and his
+    list the loops' own windows.
 
     Constant loops are inverted directly.  Normalized one-sided loops
     I + (strictly negative / strictly positive) have a one-sided inverse
     whose coefficients follow from block forward substitution, exactly and
-    without a solve; the rest go through a square block-Toeplitz solve of
-    P_[-N,N](g x - I) = 0.  Loops of one kind and window are done together.
-    Returns (lo, X, failures): failures maps the rows whose inverse is
-    singular or leaves an in-window residual above TOL_INVERSE to the
-    message of that failure; their rows of X are zero.
+    without a solve (_neumann_inverse, all of them at once); the rest go
+    through a square block-Toeplitz solve of P_[-N,N](g x - I) = 0, those
+    at one window together.  Returns (lo, X, failures), X untrimmed:
+    failures maps the rows whose inverse is singular or leaves an in-window
+    residual above TOL_INVERSE to the message of that failure; their rows
+    of X are zero.
     """
     B, n = coeffs.shape[0], coeffs.shape[-1]
-    Ns = np.asarray(N, dtype=int)
-    Ns = np.full(B, int(Ns)) if Ns.ndim == 0 else Ns
-    width = int(Ns.max(initial=0))
-    los, his = stack_windows(lo, coeffs)
-    # normalized: |c_0 - I| <= 1e-13 max(1, |c_0|), compared in squares
-    c0 = padded(lo, coeffs, 0, 0).reshape(B, n * n)
-    size = (np.abs(c0) ** 2).sum(axis=-1)
-    c0[:, :: n + 1] -= 1.0
-    normalized = (np.abs(c0) ** 2).sum(axis=-1) <= 1e-26 * np.maximum(1.0, size)
-    # 0 constant, 1 normalized minus side, 2 normalized plus side, 3 general
-    kind = np.where((los == 0) & (his == 0), 0,
-                    3 - 2 * (normalized & (his <= 0)) - (normalized & (los >= 0)))
-    groups = {}
-    for b, key in enumerate(zip(kind.tolist(), Ns.tolist())):
+    Ns = [int(N)] * B if np.ndim(N) == 0 else np.asarray(N).tolist()
+    # one-sided loops are normalized when |c_0 - I| <= 1e-13 max(1, |c_0|),
+    # compared in squares
+    sided = [b for b, (l, h) in enumerate(zip(los, his)) if (h <= 0 or l >= 0) and (l, h) != (0, 0)]
+    unit = set()
+    if sided:
+        c0 = padded(lo, coeffs if len(sided) == B else coeffs[sided], 0, 0).reshape(-1, n * n)
+        size = (np.abs(c0) ** 2).sum(axis=-1)
+        c0[:, :: n + 1] -= 1.0
+        normalized = (np.abs(c0) ** 2).sum(axis=-1) <= 1e-26 * np.maximum(1.0, size)
+        unit = {b for b, ok in zip(sided, normalized.tolist()) if ok}
+    groups = {}  # rows by kind: "constant", "one-sided" or a general solve's window
+    for b, (l, h, Nb) in enumerate(zip(los, his, Ns)):
+        key = "constant" if l == h == 0 else "one-sided" if b in unit else Nb
         groups.setdefault(key, []).append(b)
-    out_lo, out = -width, np.zeros((B, 2 * width + 1, n, n), dtype=complex)
-    failures = {}
-    for (k, Nk), idx in sorted(groups.items()):
-        if k == 0:
-            x_lo, x = 0, np.zeros((len(idx), 1, n, n), dtype=complex)
-            for row, b in enumerate(idx):
+    parts, failures = [], {}  # parts: (rows, x_lo, x)
+    for key, rows in groups.items():
+        part = coeffs if len(rows) == B else coeffs[rows]
+        if key == "constant":
+            x_lo, x = 0, np.zeros((len(rows), 1, n, n), dtype=complex)
+            for k, b in enumerate(rows):
                 try:
-                    x[row, 0] = np.linalg.inv(coeffs[b, -lo])
+                    x[k, 0] = np.linalg.inv(coeffs[b, -lo])
                 except np.linalg.LinAlgError:
                     failures[b] = "constant loop is singular"
-        elif k in (1, 2):
-            side = "minus" if k == 1 else "plus"
-            a, b = (int(los[idx].min()), 0) if k == 1 else (0, int(his[idx].max()))
-            x_lo = -Nk if k == 1 else 0
-            x = _neumann_inverse(degree_slice(lo, coeffs[idx], a, b)[1], Nk, side)
+        elif key == "one-sided":
+            x_lo, x = _neumann_inverse(lo, part, [Ns[b] for b in rows],
+                                       [los[b] for b in rows], [his[b] for b in rows])
         else:
-            x_lo = -Nk
-            x, residual = _toeplitz_inverse(lo, coeffs[idx], Nk)
-            for b, r in zip(idx, residual):
+            x_lo, (x, residual) = -key, _toeplitz_inverse(lo, part, key)
+            for b, r in zip(rows, residual.tolist()):
                 if not np.isfinite(r) or r > TOL_INVERSE:
                     failures[b] = f"truncated inverse residual {r:.3e} exceeds {TOL_INVERSE:.1e}"
-        if len(groups) == 1:
-            out_lo, out = x_lo, x
-        else:
-            out[idx, x_lo + width : x_lo + width + x.shape[1]] = x
+        parts.append((rows, x_lo, x))
+    if len(parts) == 1:  # its rows are all rows
+        _, out_lo, out = parts[0]
+    else:
+        out_lo = min((x_lo for _, x_lo, _ in parts), default=0)
+        out_hi = max((x_lo + x.shape[1] - 1 for _, x_lo, x in parts), default=0)
+        out = np.zeros((B, out_hi - out_lo + 1, n, n), dtype=complex)
+        for rows, x_lo, x in parts:
+            out[rows, x_lo - out_lo : x_lo - out_lo + x.shape[1]] = x
     if failures:
         out[list(failures)] = 0.0
-    lo, out, _, _ = trim_stack(out_lo, out)
-    return lo, out, failures
+    return out_lo, out, failures
 
 
 def truncated_inverse(g, N):
@@ -532,13 +551,14 @@ def truncated_inverse(g, N):
     already names.
     """
     if isinstance(g, LaurentLoop):
-        lo, x, failures = inverse_stack(g.lo, g.coeffs[None], N)
+        lo, x, failures = inverse_stack(g.lo, g.coeffs[None], N, [g.lo], [g.hi])
         if failures:
             raise SingularLoop(failures[0])
-        return LaurentLoop(lo, x[0], trim=False)
+        return LaurentLoop(lo, x[0])
     lo, c = node_stack(g, g.mask)
     N = np.asarray(N)
-    lo, x, failures = inverse_stack(lo, c, N[g.mask] if N.ndim else N)
+    los, his = stack_windows(lo, c)
+    lo, x, failures = inverse_stack(lo, c, N[g.mask] if N.ndim else N, los.tolist(), his.tolist())
     return on_nodes(g, g.mask, lo, x, failures)
 
 

@@ -72,3 +72,6 @@ def test_traced_item_yields_every_declared_per_layer_metric(tracing):
     missing = [name for name in declared if name not in metrics and name not in RUN_METRICS]
     assert not missing
     assert all(math.isfinite(value) for value, _ in metrics.values())
+    # a share of the truncated_inverse calls: the Birkhoff kernel's own
+    # forward substitution must not count as one
+    assert 0.0 <= metrics["loops.truncated_inverse.neumann_share"][0] <= 1.0
