@@ -7,11 +7,11 @@ coefficient array over a degree window shared by the grid, so every step that
 needs no solve (distances, orders, finite differences, constant products,
 evaluation, flatness residuals) is an array operation, and the pointwise
 factorizations and inverses run over all nodes at once, through whole-field
-calls of birkhoff_left/right and truncated_inverse; only tau_merge, whose
-gauge sweep makes each node depend on the last, keeps a node loop.  They
-never fail a whole field: nodes where a solve breaks are masked out and
-reported, mirroring the restriction to the open subset where the
-decompositions exist.
+calls of birkhoff_left/right and truncated_inverse; only tau_merge keeps a
+node loop, whose nodes share nothing: each fixes its gauge from its own
+tau-Iwasawa factor.  They never fail a whole field: nodes where a solve
+breaks are masked out and reported, mirroring the restriction to the open
+subset where the decompositions exist.
 
 Tolerance hierarchy, loosest consumer last: trimming 1e-14 < factorization
 1e-9 / 1e-8 < round trips 1e-7 < integrability and order measurement 1e-6.
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import (
     BigCellViolation,
@@ -32,6 +33,7 @@ from .errors import (
     SingularLoop,
 )
 from .factorization import (
+    CONDITION_LIMIT,
     TOL_BIRKHOFF,
     TOL_IWASAWA,
     birkhoff_left,
@@ -44,8 +46,8 @@ from .loops import (
     LaurentLoop,
     aligned,
     cauchy,
-    constant,
     distance,
+    fnorm,
     identity,
     lincomb,
     mul,
@@ -498,32 +500,29 @@ def merge(G_minus: FrameField, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameFie
 # -- tau-merge ---------------------------------------------------------------
 
 
-def _project_gauge_constant(c, s: SymmetrySpec, sigma_fixed, b_signs):
-    """Project a near-gauge constant onto the tau-fixed constant subgroup.
+def _gauge_factor(m, b_signs, tol):
+    """The constant a node's tau-fixed factor z is divided by on the right,
+    from its degree-0 coefficient m = z_0: h = m in GL, else the generalized
+    polar factor h = m (B m^T B m)^{-1/2} (principal root), B = diag(b_signs).
 
-    b_signs is the +-1 diagonal of the ambient invariant form (None for the
-    general linear case, where no isometry projection applies).
+    m commutes with Q (and with P when z is sigma-fixed) and keeps z's
+    reality, and h(m c) = h(m) c for every constant c of the gauge group,
+    so z h^{-1} is the same for every representative z, and I wherever z is
+    constant (Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 27,
+    2006).  Raises NotInIwasawaCell where m is singular or B m^T B m has an
+    eigenvalue within tol of the cut (-inf, 0].
     """
-    c = np.asarray(c, dtype=complex)
-    q = np.sign(np.diag(s.tau_matrix).real)
-    c = 0.5 * (c + (q[:, None] * c * q[None, :]))  # commute with Q
-    if sigma_fixed:
-        p = np.sign(np.diag(s.sigma_matrix).real)
-        c = 0.5 * (c + (p[:, None] * c * p[None, :]))
-    if s.reality in ("R1", "R2", "Rm1", "Rm2"):
-        c = c.real.astype(complex)
-    elif s.reality in ("Rhat1", "Rhat2"):
-        c = 0.5 * (c + q[:, None] * np.conj(c) * q[None, :])
-    if b_signs is not None:
-        # Newton steps X <- (X + B X^{-T} B)/2 toward the form's isometries
-        for _ in range(2):
-            try:
-                c = 0.5 * (c + b_signs[:, None] * np.linalg.inv(c).T * b_signs[None, :])
-            except np.linalg.LinAlgError:
-                return None
-    if not np.all(np.isfinite(c)):
-        return None
-    return c
+    if np.linalg.cond(m) > CONDITION_LIMIT:
+        raise NotInIwasawaCell("degree-0 coefficient of the tau-fixed factor is singular")
+    if b_signs is None:
+        return m
+    square = (b_signs[:, None] * m.T * b_signs[None, :]) @ m
+    reach = tol * max(1.0, fnorm(square))
+    eig = np.linalg.eigvals(square)
+    if np.any((eig.real <= reach) & (np.abs(eig.imag) <= reach)):
+        raise NotInIwasawaCell("B z_0^T B z_0 has an eigenvalue on the cut (-inf, 0]; "
+                               "the gauge has no polar factor")
+    return np.linalg.solve(sla.sqrtm(square).T, m.T).T
 
 
 def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
@@ -531,63 +530,37 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
     """Promote a (1,b) field to the tau-fixed frame F = F_plus F_minus.
 
     Pointwise tau-Iwasawa against Lambda^-; the constant right gauge left
-    free by the factorization is pinned by aligning every node with an
-    already-processed neighbor (sweep order is row-major), then re-basing so
-    the output is I at the base node whenever the input is based.  The
-    invariant form is F_plus's declared target (detected per node when none
-    is declared), and gauges are projected onto the sigma blocks only when
-    F_plus declares a symmetry.  Per-node factorization residuals land in
-    info["diagnostics"].
+    free by the factorization is fixed at each node by its own factor z:
+    the output is z h^{-1}, h the polar factor of z_0 (see _gauge_factor),
+    so nodes share nothing and a based input gives a based output.  The
+    invariant form is F_plus's declared target (the plain form when none
+    is declared, none in GL).  A node where either step fails is masked,
+    with its cause in info["failures"]; per-node factorization residuals
+    land in info["diagnostics"].
     """
-    grid = F_plus.grid
     form = F_plus.target.kind if F_plus.target is not None else None
-    sigma_fixed = F_plus.symmetry is not None
     b_signs = None
     if constant_group != "general":
         b_signs = np.ones(F_plus.dim)
         if form == "lorentz":
             b_signs[s.n] = -1.0
-    vals = {}  # the nodes done so far, which the gauge sweep aligns with
+    vals, gauges = {}, np.zeros(F_plus.grid.shape + (F_plus.dim,) * 2, dtype=complex)
     residuals, failures = {}, _inherited(F_plus)
     for node in _nodes(F_plus.mask):
         try:
             res = tau_iwasawa_minus(F_plus.value(*node), s, tol=tol,
                                     constant_group=constant_group, form=form)
+            gauges[node] = np.linalg.inv(_gauge_factor(res.z.coeff(0), b_signs, tol))
         except (BigCellViolation, SingularLoop, NotInIwasawaCell) as exc:
             failures[node] = str(exc)  # left out, next to the inherited causes
             continue
-        z = res.z
-        i, j = node
-        seed = vals.get((i, j - 1)) or vals.get((i - 1, j))
-        if seed is not None:
-            moved = _align_gauge(z, seed, s, sigma_fixed, b_signs)
-            if moved is not None:
-                z = moved  # otherwise keep the raw (still valid) factor
-        vals[node] = z
+        vals[node] = res.z
         residuals[node] = res.residual
     info = {"failures": failures,
             "diagnostics": {node: {"residual": r} for node, r in residuals.items()}}
-    out = FrameField.from_loops(grid, vals, n=F_plus.dim, symmetry=s, target=F_plus.target,
-                                info=info)
-    if F_plus.is_based() and grid.base in vals:
-        base = out.base_value()
-        c = _project_gauge_constant(base.coeff(0), s, sigma_fixed, b_signs)
-        if c is not None and distance(base, constant(c)) <= 100 * max(tol, 1e-12):
-            out = _times_constant(out, np.linalg.inv(c))
-    return out
-
-
-def _align_gauge(z, z_prev, s, sigma_fixed, b_signs):
-    """Right-multiply z by the tau-fixed constant bringing it nearest z_prev,
-    or return None when no well-conditioned gauge move exists."""
-    try:
-        c_raw = np.linalg.solve(z.eval(1.0), z_prev.eval(1.0))
-    except np.linalg.LinAlgError:
-        return None
-    c = _project_gauge_constant(c_raw, s, sigma_fixed, b_signs)
-    if c is None or np.linalg.cond(c) > 1e6:
-        return None
-    return mul(z, constant(c))
+    out = FrameField.from_loops(F_plus.grid, vals, n=F_plus.dim, symmetry=s,
+                                target=F_plus.target, info=info)
+    return _times_constant(out, gauges)
 
 
 # -- gauging a (0,b) field to (1,b) -------------------------------------------

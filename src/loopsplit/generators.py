@@ -161,26 +161,29 @@ def random_basic_pair(rng, grid: Grid2D, n=4, scale=0.4):
 
 def commuting_flat_pair(rng, target: GroupSpec, scale=0.8):
     """Two commuting lambda-linear generators with independent coframe
-    directions; rows orthogonal for the plain form, form-orthogonal for the
-    Lorentz one (the Clifford-torus pattern and its Lorentz analogue)."""
-    n = target.n_tan
-    k = target.k_nor
-    m = target.dim
-    if n != 2 or k != 1:
-        raise ValueError("flat pair generator is wired for n=2, k=1")
+    directions: tangent row i points along w_i in the normal block
+    {n, ..., n + k}, with w_1, w_2 form-orthogonal there (the Clifford-torus
+    pattern and its Lorentz analogue).  For k >= 2, w_2 leans out of the
+    plane of e_n and w_1 by a random angle, so the block is not a k = 1
+    block padded with zeros."""
+    n, k, m = target.n_tan, target.k_nor, target.dim
+    if n != 2 or k < 1:
+        raise ValueError("flat pair generator is wired for n=2, k>=1")
     alpha = rng.uniform(0.3, 1.2)
     c, d = np.cos(alpha), np.sin(alpha)
     t = rng.uniform(0.6, 1.2)
-    rows = [(c, d), ((-t * d, t * c) if target.kind == "orthogonal"
-                     else (t * d, t * c))]
+    lean = rng.uniform(0.3, 1.2) if k >= 2 else 0.0
+    sign = 1.0 if target.kind == "orthogonal" else -1.0  # form sign at index n
+    w1, w2 = np.zeros(k + 1), np.zeros(k + 1)
+    w1[:2] = c, d
+    w2[:3] = t * np.array([-sign * d * np.cos(lean), c * np.cos(lean), c * np.sin(lean)])[: k + 1]
+    b = np.ones(k + 1)
+    b[0] = sign
     mats = []
-    for which, (rc, rd) in enumerate(rows):
+    for which, w in enumerate((w1, w2)):
         g = np.zeros((m, m))
-        g[which, 2], g[which, 3] = rc, rd
-        if target.kind == "orthogonal":
-            g[2, which], g[3, which] = -rc, -rd
-        else:
-            g[2, which], g[3, which] = rc, -rd  # symmetric f-row, skew normal
+        g[which, n:] = w
+        g[n:, which] = -b * w  # so g^T B + B g = 0
         mats.append(scale * g)
     comm = np.abs(mats[0] @ mats[1] - mats[1] @ mats[0]).max()
     if comm > 1e-12:

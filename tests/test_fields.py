@@ -32,9 +32,12 @@ from loopsplit import (
     truncated_inverse,
     zero_loop,
 )
+from loopsplit.factorization import TOL_IWASAWA
+from loopsplit.fields import _gauge_factor
 from loopsplit.generators import (
     random_basic_pair,
     random_dressing_element,
+    random_flat_field,
     rng_for,
 )
 
@@ -269,6 +272,48 @@ def test_tau_merge_random_potential():
     assert len(residual) == F.mask.size and all(0.0 <= r < 1e-7 for r in residual)
 
 
+# a rotation in the (e_0, e_3) plane by the angle theta of lambda = exp(i theta):
+# tau-fixed and invertible at every lambda, with singular degree-0 coefficient
+ROTATION_03 = from_terms({1: np.array([[0.5, 0, 0, -0.5j], [0, 0, 0, 0], [0, 0, 0, 0],
+                                        [0.5j, 0, 0, 0.5]]),
+                          0: np.diag([0.0, 1, 1, 0]),
+                          -1: np.array([[0.5, 0, 0, 0.5j], [0, 0, 0, 0], [0, 0, 0, 0],
+                                        [-0.5j, 0, 0, 0.5]])})
+# swaps the timelike axis e_2 of the Lorentz form with e_1, so B c^T B c =
+# diag(1, -1, -1, 1) has eigenvalues on the cut of the principal root
+SWAP_12 = np.eye(4)[[0, 2, 1, 3]]
+LORENTZ = np.array([1.0, 1, -1, 1])
+
+
+def test_gauge_factor_polar_and_its_failures():
+    rng = rng_for(58)
+    m = expm(0.3 * rng.standard_normal((4, 4)))
+    assert np.array_equal(_gauge_factor(m, None, TOL_IWASAWA), m)
+    h = _gauge_factor(m, LORENTZ, TOL_IWASAWA)
+    assert np.abs(h.T @ np.diag(LORENTZ) @ h - np.diag(LORENTZ)).max() < 1e-12
+    with pytest.raises(ls.NotInIwasawaCell, match="singular"):
+        _gauge_factor(ROTATION_03.coeff(0), None, TOL_IWASAWA)
+    with pytest.raises(ls.NotInIwasawaCell, match="cut"):
+        _gauge_factor(SWAP_12, LORENTZ, TOL_IWASAWA)
+
+
+@pytest.mark.parametrize("case", ["singular", "cut"])
+def test_tau_merge_masks_a_node_without_gauge(case):
+    if case == "singular":
+        _, F = random_basic_pair(rng_for(59), GRID)
+        F, s, group = with_node(F, ROTATION_03), SymmetrySpec(2, 1), "general"
+    else:
+        F = random_flat_field(rng_for(59), GRID, "R2", ls.GroupSpec("lorentz", 2, 1))
+        F, s, group = with_node(F, constant(SWAP_12)), SymmetrySpec(2, 1, "R2"), "auto"
+    out = tau_merge(F, s, constant_group=group)
+    expected = np.ones(GRID.shape, dtype=bool)
+    expected[OFF_CELL_NODE] = False
+    assert np.array_equal(out.mask, expected)
+    assert list(out.info["failures"]) == [OFF_CELL_NODE]
+    assert case in out.info["failures"][OFF_CELL_NODE]
+    assert out.is_based(1e-12)
+
+
 def test_gauge_parallel_trivial_and_oracle():
     rng = rng_for(50)
     b = np.zeros((4, 4))
@@ -375,23 +420,15 @@ def transpose_field(F):
 
 
 def test_tau_merge_gauge_class_invariance():
-    # two runs that differ only in the order gauge representatives are chosen
-    # (plain sweep vs transposed sweep) agree up to a constant tau-fixed field
+    # each node's gauge is fixed by its own data, so a transposed grid, which
+    # visits the nodes in another order, gives exactly the same field
     rng = rng_for(56)
     s = SymmetrySpec(2, 1)
     _, fp = random_basic_pair(rng, GRID)
     F1 = tau_merge(fp, s, constant_group="general")
-    F2t = tau_merge(transpose_field(fp), s, constant_group="general")
-    F2 = transpose_field(F2t)
-    from loopsplit.symmetry import tau_constant
-    lams = np.exp(2j * np.pi * np.arange(7) / 7)
-    for i, j in ((0, 0), (2, 5), (6, 1)):
-        z1, z2 = F1.value(i, j), F2.value(i, j)
-        dc = np.linalg.solve(z1.eval(1.0), z2.eval(1.0))
-        worst = max(np.abs(np.linalg.solve(z1.eval(w), z2.eval(w)) - dc).max()
-                    for w in lams)
-        assert worst < 1e-7  # mismatch is constant in lambda
-        assert np.linalg.norm(tau_constant(dc, s) - dc) < 1e-7
+    F2 = transpose_field(tau_merge(transpose_field(fp), s, constant_group="general"))
+    assert F1.mask.all() and F2.mask.all()
+    assert field_distance(F1, F2) == 0.0
 
 
 def test_shape_mismatches_raise():

@@ -6,6 +6,7 @@ draws the same examples on every run.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from loopsplit import (
     phi_map,
     solve_constant_tau,
     split,
+    tau_merge,
     truncated_inverse,
 )
 from loopsplit.errors import NotInIwasawaCell
@@ -45,6 +47,7 @@ from loopsplit.factorization import TOL_CONST_PRE
 from loopsplit.fields import _times_constant, grid_derivative
 from loopsplit.generators import (
     random_basic_pair,
+    random_flat_field,
     random_matrix,
     random_minus_unipotent,
     random_skew,
@@ -322,6 +325,31 @@ def test_merge_split_round_trip(seed, n, nu, nv, scale):
     assert g2.mask.all(), g2.info["failures"]
     assert field_distance(merge(g2, f2), F) <= 1e-7
     assert max(field_distance(g2, gm), field_distance(f2, fp)) <= 1e-7
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(3, 5), nv=st.integers(3, 5),
+       keep=st.floats(0.0, 1.0),
+       case=st.sampled_from([("general", None), ("orthogonal", "R1"), ("lorentz", "R2")]))
+def test_tau_merge_nodes_are_independent(seed, nu, nv, keep, case):
+    # each node's gauge is fixed by its own factor, so masking other nodes,
+    # the base node among them, leaves a node's output bit for bit as it was
+    rng = rng_for(seed)
+    grid = Grid2D.centered(0.4, nu, 0.4, nv)
+    kind, reality = case
+    if reality is None:
+        _, F = random_basic_pair(rng, grid)
+    else:
+        F = random_flat_field(rng, grid, reality, GroupSpec(kind, 2, 1))
+    s = SymmetrySpec(2, 1, reality)
+    group = "general" if reality is None else "auto"
+    mask = rng.uniform(size=grid.shape) < keep
+    whole = tau_merge(F, s, constant_group=group)
+    part = tau_merge(replace(F, mask=mask), s, constant_group=group)
+    assert whole.mask.all(), whole.info["failures"]
+    assert np.array_equal(part.mask, mask)
+    for node in zip(*np.nonzero(mask)):
+        assert_same_loop(part.value(*node), whole.value(*node))
 
 
 # -- array steps against the per-node code they replaced ------------------------

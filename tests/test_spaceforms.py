@@ -29,6 +29,7 @@ from loopsplit import (
     maurer_cartan,
     mul,
     nonflat_to_flat,
+    tau_merge,
     validate_adapted,
 )
 from loopsplit.generators import random_flat_field, rng_for, sphere_family_instance
@@ -273,7 +274,7 @@ def test_round_trip_up_to_gauge():
     lam = np.exp(1j * np.pi / 6)
     im_f = extract_immersion(F, lam, SPH)
     im_b = extract_immersion(back, lam, SPH, real_tol=1e-6)
-    assert np.nanmax(np.abs(im_f.points - im_b.points)) < 1e-6
+    assert np.nanmax(np.abs(im_f.points - im_b.points)) < 1e-12
     P, Q = S_RM1.sigma_matrix, S_RM1.tau_matrix
     for i, j in ((0, 0), (2, 5), (6, 3)):
         d = mul(F.value(i, j).transpose(), back.value(i, j))
@@ -281,6 +282,38 @@ def test_round_trip_up_to_gauge():
         assert distance(d, ls.constant(dc)) < 1e-6
         assert np.abs(P @ dc @ P - dc).max() < 1e-6
         assert np.abs(Q @ dc @ Q - dc).max() < 1e-6
+
+
+@pytest.mark.parametrize("kind, reality", [("orthogonal", "R1"), ("lorentz", "R2")])
+def test_tau_merge_keeps_based_flat_fields_based_and_in_the_group(kind, reality):
+    # scale 1.6 puts the tau-fixed factors far from I, where a gauge that is
+    # only approximately in the group would show as a group or base error
+    grid = Grid2D.centered(0.4, 9, 0.4, 9)
+    target = GroupSpec(kind, 2, 1)
+    flat = random_flat_field(rng_for(71), grid, reality, target, scale=1.6)
+    assert flat.is_based(1e-12)
+    F = tau_merge(flat, SymmetrySpec(2, 1, reality))
+    assert F.mask.all(), F.info["failures"]
+    assert F.is_based(1e-12)
+    assert max(group_residual(F.value(*node), target) for node in grid.nodes()) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind, reality", [("orthogonal", "R1"), ("orthogonal", "R2"),
+                                           ("lorentz", "R1"), ("lorentz", "R2")])
+def test_codimension_round_trip(kind, reality, k):
+    # for k >= 2 the flat generators reach two normal directions, so the
+    # tau-fixed factor and its gauge act on a normal block wider than 1
+    grid = Grid2D.centered(0.3, 7, 0.3, 7)
+    target = GroupSpec(kind, 2, k)
+    s = SymmetrySpec(2, k, reality)
+    flat = random_flat_field(rng_for((72, k)), grid, reality, target)
+    F = flat_to_nonflat(flat, s)
+    back = nonflat_to_flat(F, s)
+    assert F.mask.all() and back.mask.all()
+    assert field_distance(back, flat) <= 1e-7
+    assert F.is_based(1e-12) and back.is_based(1e-12)
+    assert max(group_residual(F.value(*node), target) for node in grid.nodes()) <= 1e-12
 
 
 def test_r2_pipeline_flat_shape():
