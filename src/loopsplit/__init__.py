@@ -28,7 +28,6 @@ from .loops import (
     from_terms,
     group_residual,
     identity,
-    lincomb,
     loop_exp,
     mul,
     truncated_inverse,

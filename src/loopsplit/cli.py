@@ -152,8 +152,9 @@ def cmd_dress(args) -> int:
 def cmd_integrate(args) -> int:
     cfg = _load_config(args)
     eta = connection_form_from_obj(load_json(cfg.path("in")))
-    F = integrate_potential(eta, holonomy=True)
+    F = integrate_potential(eta)
     _write_field(F, cfg.path("out"))
+    print(f"integrate: holonomy {F.info['holonomy']:.3e}")
     return _field_exit(F)
 
 

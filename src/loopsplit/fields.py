@@ -7,11 +7,13 @@ coefficient array over a degree window shared by the grid, so every step that
 needs no solve (distances, orders, finite differences, constant products,
 evaluation, flatness residuals) is an array operation, and the pointwise
 factorizations and inverses run over all nodes at once, through whole-field
-calls of birkhoff_left/right and truncated_inverse; only tau_merge keeps a
-node loop, whose nodes share nothing: each fixes its gauge from its own
-tau-Iwasawa factor.  They never fail a whole field: nodes where a solve
-breaks are masked out and reported, mirroring the restriction to the open
-subset where the decompositions exist.
+calls of birkhoff_left/right and truncated_inverse.  Potential integration
+takes its RK4 steps on coefficient stacks, a whole line or every edge at
+once.  Only tau_merge keeps a node loop, whose nodes share nothing: each
+fixes its gauge from its own tau-Iwasawa factor.  Field operations never
+fail a whole field: nodes where a solve breaks are masked out and reported,
+mirroring the restriction to the open subset where the decompositions
+exist.
 
 Tolerance hierarchy, loosest consumer last: trimming 1e-14 < factorization
 1e-9 / 1e-8 < round trips 1e-7 < integrability and order measurement 1e-6.
@@ -49,12 +51,12 @@ from .loops import (
     distance,
     fnorm,
     identity,
-    lincomb,
-    mul,
     node_stack,
     on_nodes,
+    padded,
     trim_stack,
     truncated_inverse,
+    wiener_norms,
 )
 from .symmetry import SymmetrySpec
 
@@ -594,6 +596,10 @@ def gauge_parallel(F: FrameField):
 
 
 # -- potential integration -----------------------------------------------------
+#
+# Stacks here are (lo, coeffs) pairs, coeffs (..., W, n, n) with every loop
+# trimmed to its own window, and each step trims where LaurentLoop arithmetic
+# would: after every product, scaling and sum.
 
 
 _MID_CENTER = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
@@ -601,52 +607,87 @@ _MID_LEFT = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0     # between nodes 0 and 1
 _MID_RIGHT = _MID_LEFT[::-1].copy()                     # between nodes -2 and -1
 
 
-def _midpoint(seq, i):
-    """O(h^4) interpolation of a loop sequence halfway between i and i+1."""
-    m = len(seq)
+def _mid_table(m):
+    """(m - 1, m) weights of the O(h^4) interpolation of a line of m
+    samples halfway between samples t and t + 1, row t."""
+    w = np.zeros((max(m - 1, 0), m))
     if m == 2:
-        return lincomb([(0.5, seq[0]), (0.5, seq[1])])
-    if m == 3:
-        w = (0.375, 0.75, -0.125) if i == 0 else (-0.125, 0.75, 0.375)
-        return lincomb(list(zip(w, seq)))
-    if i == 0:
-        nodes, w = seq[0:4], _MID_LEFT
-    elif i >= m - 2:
-        nodes, w = seq[m - 4 : m], _MID_RIGHT
-    else:
-        nodes, w = seq[i - 1 : i + 3], _MID_CENTER
-    return lincomb(list(zip(w, nodes)))
+        w[0] = 0.5
+    elif m == 3:
+        w[:] = [[0.375, 0.75, -0.125], [-0.125, 0.75, 0.375]]
+    elif m > 3:
+        w[0, :4], w[-1, -4:] = _MID_LEFT, _MID_RIGHT
+        for t in range(1, m - 2):
+            w[t, t - 1 : t + 3] = _MID_CENTER
+    return w
 
 
-def _rk4_step(F: LaurentLoop, a0, amid, a1, h):
-    k1 = mul(F, a0)
-    k2 = mul(F + (0.5 * h) * k1, amid)
-    k3 = mul(F + (0.5 * h) * k2, amid)
-    k4 = mul(F + h * k3, a1)
-    return F + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _trimmed(lo, c):
+    return trim_stack(lo, c)[:2]
 
 
-def _integrate_line(start_value, coeffs, h, reverse=False):
-    """Solve dF = F A along a line of sampled loop coefficients."""
-    if reverse:
-        coeffs = coeffs[::-1]
-        h = -h
-    out = [start_value]
-    for t in range(len(coeffs) - 1):
-        mid = _midpoint(coeffs, t)
-        out.append(_rk4_step(out[-1], coeffs[t], mid, coeffs[t + 1], h))
-    if reverse:
-        out.reverse()
-    return out
+def _scaled(s, x):
+    return _trimmed(x[0], complex(s) * x[1])
 
 
-def integrate_potential(eta: ConnectionForm, check=True, holonomy=False) -> FrameField:
+def _plus(x, y):
+    lo, a, b = aligned(*x, *y)
+    return _trimmed(lo, a + b)
+
+
+def _times(x, y):
+    return _trimmed(x[0] + y[0], cauchy(x[1], y[1]))
+
+
+def _rk4(f, a0, amid, a1, h):
+    """One RK4 step of dF = F A over a stack, A sampled at both ends and
+    halfway."""
+    k1 = _times(f, a0)
+    k2 = _times(_plus(f, _scaled(0.5 * h, k1)), amid)
+    k3 = _times(_plus(f, _scaled(0.5 * h, k2)), amid)
+    k4 = _times(_plus(f, _scaled(h, k3)), a1)
+    k = _plus(_plus(_plus(k1, _scaled(2.0, k2)), _scaled(2.0, k3)), k4)
+    return _plus(f, _scaled(h / 6.0, k))
+
+
+def _midpoints(lo, c):
+    """The midpoints along axis 0 of a stack of lines, (m, ...) -> (m - 1, ...)."""
+    return _trimmed(lo, np.tensordot(_mid_table(len(c)), c, axes=1))
+
+
+def _transport(f, lo, c, h, base):
+    """Solve dF = F A along axis 0 of the stack (lo, c) of lines, from the
+    stack f at index base both ways, each half-line interpolated on its own
+    samples: (lo, F) over the whole axis."""
+    halves = []
+    for line, step in ((c[base:], h), (c[base::-1], -h)):
+        mid_lo, mid = _midpoints(lo, line)
+        out = [f]
+        for t in range(len(line) - 1):
+            out.append(_rk4(out[-1], (lo, line[t]), (mid_lo, mid[t]), (lo, line[t + 1]), step))
+        halves.append(out)
+    values = halves[1][:0:-1] + halves[0]
+    out_lo = min(v_lo for v_lo, _ in values)
+    out_hi = max(v_lo + v.shape[-3] - 1 for v_lo, v in values)
+    return out_lo, np.stack([padded(v_lo, v, out_lo, out_hi) for v_lo, v in values])
+
+
+def _edge_steps(f, lo, c, h):
+    """One RK4 step from the stack f over every edge along axis 0 of the
+    stack (lo, c) of lines."""
+    return _rk4(f, (lo, c[:-1]), _midpoints(lo, c), (lo, c[1:]), h)
+
+
+def integrate_potential(eta: ConnectionForm, check=True) -> FrameField:
     """Integrate dF = F eta by RK4: along u on the base row, then along v.
 
-    The based solution (F = I at the base node) exists when eta is flat;
-    the flatness precondition is enforced with mc_residual (against
-    fd_mc_tolerance) unless check is False.  With holonomy=True a path-independence diagnostic (max plaquette
-    holonomy deviation) is stored under info["holonomy"].
+    The based solution (F = I at the base node) exists when eta is flat.
+    Flatness is checked with mc_residual against fd_mc_tolerance, unless
+    check is False or the grid has fewer than 3 nodes in a direction.  Each
+    RK4 step runs on one stack: the base row, then all columns at once.
+    info["holonomy"] is always stored: the largest Wiener distance between
+    the one-step transports along u then v and along v then u around a
+    plaquette (0.0 when there is none).
     """
     grid = eta.grid
     if not np.all(eta.mask):
@@ -658,30 +699,18 @@ def integrate_potential(eta: ConnectionForm, check=True, holonomy=False) -> Fram
                 f"potential fails the flatness check: residual {res:.3e}",
                 {"mc": res})
     bi, bj = grid.base
-    n = eta.dim
-    nu, nv = grid.shape
-    loops = eta.loops()
-    vals = {}
-    row = [loops[i, bj, 0] for i in range(nu)]
-    fwd = _integrate_line(identity(n), row[bi:], grid.h_u)
-    for t, g in enumerate(fwd):
-        vals[bi + t, bj] = g
-    if bi > 0:
-        bwd = _integrate_line(identity(n), row[: bi + 1], grid.h_u, reverse=True)
-        for t, g in enumerate(bwd[:-1]):
-            vals[t, bj] = g
-    for i in range(nu):
-        col = [loops[i, j, 1] for j in range(nv)]
-        up = _integrate_line(vals[i, bj], col[bj:], grid.h_v)
-        for t, g in enumerate(up):
-            vals[i, bj + t] = g
-        if bj > 0:
-            down = _integrate_line(vals[i, bj], col[: bj + 1], grid.h_v, reverse=True)
-            for t, g in enumerate(down[:-1]):
-                vals[i, t] = g
-    out = FrameField.from_loops(grid, vals)
-    if holonomy:
-        out.info["holonomy"] = _holonomy_residual(grid, loops)
+    eye = (0, np.eye(eta.dim, dtype=complex)[None])
+    lo, a = _trimmed(eta.lo, eta.coeffs)
+    a_u, a_v = a[:, :, 0], a[:, :, 1].swapaxes(0, 1)  # lines along axis 0
+    f_lo, f = _transport(_transport(eye, lo, a_u[:, bj], grid.h_u, bi), lo, a_v, grid.h_v, bj)
+    out = FrameField(grid, f_lo, np.ascontiguousarray(f.swapaxes(0, 1)))
+    u_lo, su = _edge_steps(eye, lo, a_u, grid.h_u)  # (nu - 1, nv)
+    v_lo, sv = _edge_steps(eye, lo, a_v, grid.h_v)  # (nv - 1, nu)
+    sv = sv.swapaxes(0, 1)
+    # around each plaquette: along u then v against along v then u
+    lhs = _times((u_lo, su[:, :-1]), (v_lo, sv[1:]))
+    rhs = _times((v_lo, sv[:-1]), (u_lo, su[:, 1:]))
+    out.info["holonomy"] = float(wiener_norms(_plus(lhs, _scaled(-1.0, rhs))[1]).max(initial=0.0))
     return out
 
 
@@ -694,29 +723,6 @@ def integrate_basic_pair(p: Potential):
     if p.eta_minus is None or p.eta_plus is None:
         raise IntegrabilityViolation("both halves of the potential are required")
     return integrate_potential(p.eta_minus), integrate_potential(p.eta_plus)
-
-
-def _holonomy_residual(grid: Grid2D, loops) -> float:
-    """Max plaquette deviation of one-step transfer matrices of the form
-    whose loops, keyed (i, j, direction), are given."""
-    nu, nv = grid.shape
-    eye = identity(loops[0, 0, 0].n)
-
-    def step_u(i, j):
-        seq = [loops[t, j, 0] for t in range(nu)]
-        return _rk4_step(eye, seq[i], _midpoint(seq, i), seq[i + 1], grid.h_u)
-
-    def step_v(i, j):
-        seq = [loops[i, t, 1] for t in range(nv)]
-        return _rk4_step(eye, seq[j], _midpoint(seq, j), seq[j + 1], grid.h_v)
-
-    worst = 0.0
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            lhs = mul(step_u(i, j), step_v(i + 1, j))
-            rhs = mul(step_v(i, j), step_u(i, j + 1))
-            worst = max(worst, distance(lhs, rhs))
-    return worst
 
 
 # -- dressing ------------------------------------------------------------------

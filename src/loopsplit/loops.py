@@ -253,7 +253,8 @@ def aligned(lo_x, x, lo_y, y):
 
 def wiener_norms(coeffs):
     """Wiener norm of every loop of a stack."""
-    return np.linalg.norm(coeffs.reshape(coeffs.shape[:-2] + (-1,)), axis=-1).sum(axis=-1)
+    n = coeffs.shape[-1]
+    return np.linalg.norm(coeffs.reshape(coeffs.shape[:-2] + (n * n,)), axis=-1).sum(axis=-1)
 
 
 def horner(lo, coeffs, lam):
@@ -345,18 +346,6 @@ def mul(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
     if x.n != y.n:
         raise DimensionMismatch(f"loop dimensions differ: {x.n} vs {y.n}")
     return LaurentLoop(x.lo + y.lo, cauchy(x.coeffs, y.coeffs))
-
-
-def lincomb(pairs) -> LaurentLoop:
-    """Linear combination sum_i s_i * g_i of a non-empty list of loops with
-    scalar weights."""
-    n = pairs[0][1].n
-    lo = min(g.lo for _, g in pairs)
-    hi = max(g.hi for _, g in pairs)
-    out = np.zeros((hi - lo + 1, n, n), dtype=complex)
-    for s, g in pairs:
-        out[g.lo - lo : g.hi - lo + 1] += complex(s) * g.coeffs
-    return LaurentLoop(lo, out)
 
 
 def loop_exp(x: LaurentLoop) -> LaurentLoop:

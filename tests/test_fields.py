@@ -117,6 +117,7 @@ def test_integrate_zero_potential():
     eta = uniform_form(GRID, zero_loop(4), zero_loop(4))
     F = integrate_potential(eta)
     assert field_distance(F, FrameField.constant_field(GRID, identity(4))) == 0.0
+    assert F.info["holonomy"] == 0.0
 
 
 def test_integrate_constant_direction_oracle():
@@ -126,7 +127,7 @@ def test_integrate_constant_direction_oracle():
 
     def err_at(grid):
         eta = uniform_form(grid, from_terms({1: x}), zero_loop(4))
-        F = integrate_potential(eta, holonomy=True)
+        F = integrate_potential(eta)
         assert F.info["holonomy"] < 1e-12
         assert F.is_based()
         return max(distance(F.value(i, j), loop_exp(from_terms({1: grid.us[i] * x})))
@@ -324,6 +325,7 @@ def test_gauge_parallel_trivial_and_oracle():
     assert field_distance(gauged, parallel) < 1e-10
     worst = max(distance(G.value(i, j), identity(4)) for i, j in GRID.nodes())
     assert worst < 1e-10
+    assert G.info["holonomy"] < 1e-10  # the gauge's transport is recorded
 
     x = np.zeros((4, 4))
     x[0, 1], x[1, 0] = 1.0, -1.0  # constant direction, exact 1-form d(phi)
@@ -392,6 +394,7 @@ def test_integrate_basic_pair():
     gm, fp = random_basic_pair(rng, GRID)
     pot = ls.Potential(eta_minus=maurer_cartan(gm), eta_plus=maurer_cartan(fp))
     gm2, fp2 = ls.integrate_basic_pair(pot)
+    assert np.isfinite(gm2.info["holonomy"]) and np.isfinite(fp2.info["holonomy"])
     h2 = max(GRID.h_u, GRID.h_v) ** 2
     # the discrete potentials carry O(h^2), the transport another O(h^4)
     assert field_distance(gm2, gm) < 5 * h2

@@ -433,6 +433,9 @@ def test_cli_iwasawa_merge_and_integrate(tmp_path):
     cpath2.write_text(json.dumps(cfg2))
     out = run_cli("integrate", "--config", str(cpath2))
     assert out.returncode == 0, out.stderr
+    holonomy = [line for line in out.stdout.splitlines() if line.startswith("integrate: holonomy ")]
+    assert len(holonomy) == 1
+    assert np.isfinite(float(holonomy[0].split()[-1]))
     Fi = frame_field_from_obj(json.loads((tmp_path / "Fi.json").read_text()))
     h2 = max(grid.h_u, grid.h_v) ** 2
     assert ls.field_distance(Fi, fp) < 5 * h2

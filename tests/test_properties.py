@@ -29,8 +29,8 @@ from loopsplit import (
     field_distance,
     from_terms,
     gauge_parallel,
+    identity,
     integrate_potential,
-    lincomb,
     loop_exp,
     maurer_cartan,
     mc_residual,
@@ -44,7 +44,7 @@ from loopsplit import (
 )
 from loopsplit.errors import NotInIwasawaCell
 from loopsplit.factorization import TOL_CONST_PRE
-from loopsplit.fields import _times_constant, grid_derivative
+from loopsplit.fields import _MID_CENTER, _MID_LEFT, _MID_RIGHT, _times_constant, grid_derivative
 from loopsplit.generators import (
     random_basic_pair,
     random_flat_field,
@@ -53,6 +53,7 @@ from loopsplit.generators import (
     random_skew,
     rng_for,
 )
+from loopsplit.loops import TOL_TRIM
 from loopsplit.spaceforms import phi_field
 from loopsplit.symmetry import tau_constant
 
@@ -270,7 +271,8 @@ def reference_derivative(table, mask, i, j, axis, h):
             idxs, wts = (pos, pos + 1, pos + 2), (-1.5, 2.0, -0.5)
         else:
             return None
-    return lincomb([(w / h, val(t)) for t, w in zip(idxs, wts)])
+    terms = [(w / h) * val(t) for t, w in zip(idxs, wts)]
+    return sum(terms[1:], terms[0])
 
 
 @SETTINGS
@@ -648,3 +650,118 @@ def test_mc_residual_matches_per_node_reference(seed, nu, nv, n, keep, h):
     scale = 1e-12 * max(1.0, ref_worst)
     assert abs(worst - ref_worst) <= scale
     assert all(abs(grades[d] - ref_grades[d]) <= scale for d in grades)
+
+
+def reference_midpoint(seq, i):
+    """The per-node O(h^4) midpoint of a loop sequence between i and i + 1
+    that the stacked weight tables replaced."""
+    m = len(seq)
+    if m == 2:
+        nodes, w = seq, (0.5, 0.5)
+    elif m == 3:
+        nodes, w = seq, (0.375, 0.75, -0.125) if i == 0 else (-0.125, 0.75, 0.375)
+    elif i == 0:
+        nodes, w = seq[0:4], _MID_LEFT
+    elif i >= m - 2:
+        nodes, w = seq[m - 4 : m], _MID_RIGHT
+    else:
+        nodes, w = seq[i - 1 : i + 3], _MID_CENTER
+    terms = [wk * g for wk, g in zip(w, nodes)]
+    return sum(terms[1:], terms[0])
+
+
+def reference_rk4_step(F, a0, amid, a1, h):
+    k1 = mul(F, a0)
+    k2 = mul(F + (0.5 * h) * k1, amid)
+    k3 = mul(F + (0.5 * h) * k2, amid)
+    k4 = mul(F + h * k3, a1)
+    return F + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_line(start, seq, h, reverse=False):
+    """RK4 solution of dF = F A along a sequence of loops, node by node."""
+    if reverse:
+        seq, h = seq[::-1], -h
+    out = [start]
+    for t in range(len(seq) - 1):
+        out.append(reference_rk4_step(out[-1], seq[t], reference_midpoint(seq, t),
+                                      seq[t + 1], h))
+    return out[::-1] if reverse else out
+
+
+def reference_holonomy(grid, loops):
+    """Max plaquette deviation of one-step transports, node by node."""
+    nu, nv = grid.shape
+    eye = identity(loops[0, 0, 0].n)
+
+    def step_u(i, j):
+        seq = [loops[t, j, 0] for t in range(nu)]
+        return reference_rk4_step(eye, seq[i], reference_midpoint(seq, i), seq[i + 1], grid.h_u)
+
+    def step_v(i, j):
+        seq = [loops[i, t, 1] for t in range(nv)]
+        return reference_rk4_step(eye, seq[j], reference_midpoint(seq, j), seq[j + 1], grid.h_v)
+
+    return max((distance(mul(step_u(i, j), step_v(i + 1, j)), mul(step_v(i, j), step_u(i, j + 1)))
+                for i in range(nu - 1) for j in range(nv - 1)), default=0.0)
+
+
+def reference_integrate(eta):
+    """The per-node transport the stacked RK4 replaced: the base row from
+    I both ways, then every column from the base row both ways."""
+    grid, loops = eta.grid, eta.loops()
+    (bi, bj), (nu, nv) = grid.base, grid.shape
+    row = [loops[i, bj, 0] for i in range(nu)]
+    start = identity(eta.dim)
+    base_row = (reference_line(start, row[: bi + 1], grid.h_u, reverse=True)[:-1]
+                + reference_line(start, row[bi:], grid.h_u))
+    vals = {}
+    for i in range(nu):
+        col = [loops[i, j, 1] for j in range(nv)]
+        line = (reference_line(base_row[i], col[: bj + 1], grid.h_v, reverse=True)[:-1]
+                + reference_line(base_row[i], col[bj:], grid.h_v))
+        vals.update({(i, j): g for j, g in enumerate(line)})
+    return FrameField.from_loops(grid, vals), reference_holonomy(grid, loops)
+
+
+def random_window_loop(rng, n, lo, width, tiny):
+    """A loop over [lo, lo + width) with unit-size coefficients; with tiny,
+    some degrees sit near TOL_TRIM relative to the rest."""
+    terms = {}
+    for d in range(lo, lo + width):
+        size = 10.0 ** rng.uniform(-1.0, 0.3)
+        if tiny and rng.uniform() < 0.4:
+            size *= TOL_TRIM * 10.0 ** rng.uniform(-1.0, 1.0)
+        terms[d] = size * random_matrix(rng, n)
+    return from_terms(terms, n=n)
+
+
+@SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 7),
+       nv=st.integers(1, 7), n=st.integers(1, 5), lo=st.integers(-2, 0),
+       width=st.integers(1, 3), tiny=st.booleans(), flat=st.booleans(),
+       h=st.floats(0.02, 0.3))
+def test_integrate_potential_matches_per_node_reference(data, seed, nu, nv, n, lo, width,
+                                                        tiny, flat, h):
+    base = (data.draw(st.integers(0, nu - 1)), data.draw(st.integers(0, nv - 1)))
+    grid = Grid2D.from_spacing(0.0, h, nu, 0.0, h, nv, base=base)
+    rng = rng_for(seed)
+    if flat:
+        # A = a(u) X du + b(v) X dv is flat for any scalar samples a, b
+        x = random_window_loop(rng, n, lo, width, tiny)
+        a, b = rng.uniform(-1.0, 1.0, nu), rng.uniform(-1.0, 1.0, nv)
+        loops = {(i, j, d): (a[i] if d == 0 else b[j]) * x
+                 for i, j in grid.nodes() for d in (0, 1)}
+    else:
+        loops = {(i, j, d): random_window_loop(rng, n, lo, width, tiny)
+                 for i, j in grid.nodes() for d in (0, 1)}
+    eta = ConnectionForm.from_loops(grid, loops, n=n)
+    F = integrate_potential(eta, check=False)
+    ref, ref_holonomy = reference_integrate(eta)
+    assert (F.lo, F.hi) == (ref.lo, ref.hi)
+    assert np.array_equal(F.mask, ref.mask)
+    for node in grid.nodes():
+        assert F.value(*node).window == ref.value(*node).window
+    scale = max(1.0, float(np.abs(ref.coeffs).max()))
+    assert np.abs(F.coeffs - ref.coeffs).max() <= 1e-14 * scale
+    assert abs(F.info["holonomy"] - ref_holonomy) <= 1e-12 * ref_holonomy + 1e-15

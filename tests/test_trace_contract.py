@@ -75,3 +75,20 @@ def test_traced_item_yields_every_declared_per_layer_metric(tracing):
     # a share of the truncated_inverse calls: the Birkhoff kernel's own
     # forward substitution must not count as one
     assert 0.0 <= metrics["loops.truncated_inverse.neumann_share"][0] <= 1.0
+
+
+def test_traced_integration_counts_its_nodes(tracing):
+    grid = ls.Grid2D.from_spacing(0.1, 0.05, 7, -0.2, 0.05, 7, base=(3, 3))
+    eta = ls.assemble_connection(ls.spaceforms.example_sphere_connection(grid))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.item = 0
+        ls.integrate_potential(eta)
+    finally:
+        tracer.remove()
+    metrics = tracing.layer_metrics(tracer, 1)
+    assert metrics["fields.integrate_potential.calls"][0] == 1
+    assert metrics["fields.integrate_potential.busy_ms"][0] > 0
+    assert metrics["fields.nodes_attempted"][0] == 49
+    assert metrics["fields.nodes_masked"][0] == 0
