@@ -25,11 +25,16 @@ the round-off floor, when the residual stops falling, or when the system
 becomes ill-conditioned.  An explicit N is used as given.
 
 tau-Iwasawa reduces to a = k^{-1} tau(k) for a constant a, solved in closed
-form by the principal square root or, in GL, the Cayley form.
+form by the principal square root or, in GL, the Cayley form.  It runs on
+stacks too: every step of a window, the inner right Birkhoff factorization
+and the first attempt of the constant solve included, covers the loops at
+that window at once, and tau_iwasawa(_minus) take a FrameField whose
+unmasked nodes are factored together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -38,29 +43,34 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ILL_CONDITIONED, BigCellViolation, NotInIwasawaCell
+from .errors import (
+    ILL_CONDITIONED,
+    BigCellViolation,
+    DimensionMismatch,
+    NotInIwasawaCell,
+    SingularLoop,
+)
 from .loops import (
     STACK_CHUNK,
     LaurentLoop,
     aligned,
     cauchy,
     chunks,
-    constant,
     degree_slice,
-    distance,
     fnorm,
     forward_substitution,
-    identity,
     mul,
     named_failures,
     node_stack,
+    on_nodes,
+    own_cauchy,
     padded,
     stack_windows,
     trim_stack,
     truncated_inverse,
     wiener_norms,
 )
-from .symmetry import SymmetrySpec, apply_tau, tau_constant
+from .symmetry import SymmetrySpec, tau_constant
 
 CONDITION_LIMIT = 1e12
 TOL_BIRKHOFF = 1e-9
@@ -121,13 +131,14 @@ def _adaptive_window(attempt, starts, limits, scales):
     returns one outcome per row: a result when window N meets the
     tolerance, otherwise the failure to report, both carrying the residual.
     A BigCellViolation with cause ILL_CONDITIONED marks a window no wider
-    one can repair; failures of other kinds that no window can repair are
-    raised by attempt itself.  Each problem's windows grow by half from its
+    one can repair; a failure without a residual is structural, and no
+    window repairs it either.  Each problem's windows grow by half from its
     start up to its limit, and the problems at the same window are tried
     together.  A problem's search stops at the first residual within the
     round-off floor (relative to its scale), at the first one that does not
     fall, or at an ill-conditioned window, and keeps the result of least
-    residual.  Otherwise its last failure is kept, with every window tried.
+    residual; at a structural failure it stops and keeps that failure.
+    Otherwise its last failure is kept, with every window tried.
     Returns the outcome of every problem.
     """
     count = len(starts)
@@ -146,6 +157,8 @@ def _adaptive_window(attempt, starts, limits, scales):
             failed = isinstance(outcome, Exception)
             if failed and getattr(outcome, "cause", None) == ILL_CONDITIONED:
                 stop = True
+            elif failed and getattr(outcome, "residual", None) is None:
+                stop, best[b] = True, None  # structural: reported, whatever came before
             else:
                 residual = outcome.residual
                 if not failed and (best[b] is None or residual < best[b].residual):
@@ -187,6 +200,16 @@ class BirkhoffResult:
 
 @dataclass
 class IwasawaResult:
+    """The tau-Iwasawa factors of a loop, or of every node of a field.
+
+    For a field, z and y_plus are fields: a node whose factorization fails
+    is masked in both, with its cause in info["failures"], and the residual
+    (the largest of its residuals) and the inner Birkhoff condition of
+    every factored node are in info["diagnostics"]; k_const holds one
+    constant per node (zero where masked), and each residual is the largest
+    over the factored nodes (NaN when none is).
+    """
+
     z: LaurentLoop
     y_plus: LaurentLoop
     k_const: np.ndarray
@@ -421,49 +444,65 @@ def birkhoff_right(g, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
 # -- constant-group solve ----------------------------------------------------
 
 
-def _resolve_form(a, s: SymmetrySpec, group, form):
-    """The +-1 diagonal of the invariant bilinear form, or None for GL.
+def _fnorms(m):
+    """fnorm of every matrix of a stack (B, r, c), from the same two dot
+    products, so bit for bit."""
+    v = m.reshape(len(m), 1, -1)
+    return np.sqrt((v.real @ v.real.swapaxes(1, 2) + v.imag @ v.imag.swapaxes(1, 2))[:, 0, 0])
+
+
+def _form_kinds(a, s: SymmetrySpec, group, form):
+    """The invariant bilinear form of every matrix of a stack (B, m, m):
+    (signs, kind), signs the +-1 diagonals of the plain form (row 0) and of
+    the Lorentz one (row 1), kind the row of each matrix's form, -1 for GL.
 
     form may be "orthogonal", "lorentz", or None to detect it: the plain form
     is tried first, then the Lorentz one, then GL.
     """
+    signs = np.ones((2, a.shape[-1]))
+    signs[1, s.n] = -1.0
+    kind = np.full(len(a), -1)
     if group == "general":
-        return None
-    plain, lorentz = np.ones(a.shape[0]), np.ones(a.shape[0])
-    lorentz[s.n] = -1.0
+        return signs, kind
     if form is not None:
         if form not in ("orthogonal", "lorentz"):
             raise ValueError(f"unknown form {form!r}")
-        return lorentz if form == "lorentz" else plain
-    scale = max(1.0, fnorm(a) ** 2)
-    for b in (plain, lorentz):
-        if fnorm(a.T @ (b[:, None] * a) - np.diag(b)) <= 1e-8 * scale:
-            return b
-    return None
+        kind[:] = 1 if form == "lorentz" else 0
+        return signs, kind
+    scale = np.maximum(1.0, _fnorms(a) ** 2)
+    for row in (1, 0):  # the plain form last, so that it wins
+        b = signs[row]
+        kind[_fnorms(a.swapaxes(1, 2) @ (b[:, None] * a) - np.diag(b)) <= 1e-8 * scale] = row
+    return signs, kind
 
 
-def _shifts(a, s: SymmetrySpec, b):
+def _shifts(a, s: SymmetrySpec, b, loop):
     """Constants c in the group of a with tau(c) = c^{-1}: I, then exp(tX).
 
     X_ij = w g_ij and X_ji = -b_i b_j w g_ij for q_i = +1, q_j = -1 (b the
-    form's signs, all ones for GL; w = i under Rhat, else 1), inside one
-    sigma block when a commutes with P: exp(tX) keeps the form, the reality
-    and the sigma blocks of a.  The weights g_ij = 2 + cos(index) all
-    differ; equal ones leave some -1 eigenvectors of a in place, as for
-    R_03(3pi/4) R_23(pi/2) with n = 2, k = 1.
+    form's signs, all ones for GL; w = i under Rhat, else 1): exp(tX) keeps
+    the form and the reality of a.  When a commutes with P the shifts inside
+    one sigma block, which keep its sigma blocks too, come first; when a is
+    the middle term of a sigma-twisted loop (loop, a stack of one, or None)
+    they are the only ones, else the shifts across the blocks follow.  The
+    weights g_ij = 2 + cos(index) all differ; equal ones leave some -1
+    eigenvectors of a in place, as for R_03(3pi/4) R_23(pi/2) with n = 2,
+    k = 1.
     """
     m = a.shape[0]
     yield np.eye(m)
     q = np.diag(s.tau_matrix)
     p = np.diag(s.sigma_matrix)
-    pairs = np.outer(q > 0, q < 0)
+    pairs = [np.outer(q > 0, q < 0)]
     if fnorm(a * p[None, :] - p[:, None] * a) <= 1e-10 * max(1.0, fnorm(a)):
-        pairs &= np.equal.outer(p, p)
+        twisted = loop is not None and _twisted(loop, s)[0]
+        pairs = [pairs[0] & np.equal.outer(p, p)] + ([] if twisted else pairs)
     w = 1j if s.reality in ("Rhat1", "Rhat2") else 1.0
-    X = w * (2.0 + np.cos(np.arange(m * m))).reshape(m, m) * pairs
-    X = X - (1.0 if b is None else np.outer(b, b)) * X.T
-    for t in (0.5, 1.0, 1.5):
-        yield sla.expm(t * X)
+    for chosen in pairs:
+        X = w * (2.0 + np.cos(np.arange(m * m))).reshape(m, m) * chosen
+        X = X - (1.0 if b is None else np.outer(b, b)) * X.T
+        for t in (0.5, 1.0, 1.5):
+            yield sla.expm(t * X)
 
 
 def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None):
@@ -480,13 +519,20 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None):
 
     Near an eigenvalue -1 both forms lose accuracy, and on the cut they
     fail; then a' = c^{-1} a tau(c) is solved for constants c with
-    tau(c) = c^{-1} in the group of a (see _shifts), and k = k' c^{-1}.
-    The first k whose defect and distance from the group are within the
-    precondition's tolerance is returned, else the best within the
-    postcondition's.  `group` ("general" or "auto") and `form`
-    ("orthogonal", "lorentz", or None to detect it) choose the group.
+    tau(c) = c^{-1} in the group of a (see _shifts; a here is no loop's
+    middle term, so the shifts may leave its sigma blocks when no shift
+    inside them solves it), and k = k' c^{-1}.  The first k whose defect
+    and distance from the group are within the precondition's tolerance is
+    returned, else the best within the postcondition's.  `group`
+    ("general" or "auto") and `form` ("orthogonal", "lorentz", or None to
+    detect it) choose the group.
     """
-    a = np.asarray(a, dtype=complex)
+    return _solve_constant(np.asarray(a, dtype=complex), s, group, form, None)
+
+
+def _solve_constant(a, s: SymmetrySpec, group, form, loop):
+    """solve_constant_tau of one matrix, the middle term of loop (a stack
+    of one, or None; see _shifts)."""
     m = a.shape[0]
     if a.shape != (m, m) or m != s.dim:
         raise NotInIwasawaCell(
@@ -502,7 +548,8 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None):
     if fnorm(a - np.eye(m)) <= TOL_CONST_POST:
         return np.eye(m, dtype=complex)
     Q = s.tau_matrix
-    b = _resolve_form(a, s, group, form)
+    signs, (kind,) = _form_kinds(a[None], s, group, form)
+    b = None if kind < 0 else signs[kind]
     if b is not None and s.reality in ("Rhat1", "Rhat2"):
         # W = diag(1 at q=+1, i at q=-1): W^{-1} a Q W is real under Rhat
         w = np.where(np.diag(Q) > 0, 1.0, 1j)
@@ -510,24 +557,8 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None):
         if fnorm(S_work.imag) > 1e-8 * max(1.0, fnorm(S_work)):
             raise NotInIwasawaCell("middle term violates its declared reality")
     best, least = None, TOL_CONST_POST * 10
-    for c in _shifts(a, s, b):
-        c_inv = tau_constant(c, s)
-        shifted = c_inv @ a @ c_inv
-        R = 2.0 * np.eye(m)
-        if b is not None:
-            with warnings.catch_warnings():
-                # an eigenvalue on the cut or a singular root: checked below
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                r = sla.sqrtm(shifted)
-            R = r + tau_constant(r, s)
-        try:
-            k = np.linalg.solve(R, np.eye(m) + tau_constant(shifted, s)) @ c_inv
-            defect = fnorm(np.linalg.inv(k) @ Q @ k @ Q - a) / scale
-        except np.linalg.LinAlgError:
-            continue
-        if b is not None:
-            defect = max(defect, fnorm(k.T @ (b[:, None] * k) - np.diag(b))
-                         / max(1.0, fnorm(k) ** 2))
+    for c in _shifts(a, s, b, loop):
+        (k,), (defect,) = _attempt(a[None], c, scale, s, b)
         if defect <= TOL_CONST_PRE * 10:
             return k
         if defect <= least:
@@ -537,74 +568,388 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None):
     return best
 
 
-# -- tau-Iwasawa ---------------------------------------------------------------
+def _attempt(a, c, scale, s: SymmetrySpec, b):
+    """One shift c of the constant solve of a stack (B, m, m) of matrices
+    that keep the form diag(b) (None for GL): (k, defect), defect relative
+    to scale and the larger of k's defect and its distance from the group,
+    inf where a solve is singular."""
+    m = a.shape[-1]
+    c_inv = tau_constant(c, s)
+    shifted = c_inv @ a @ c_inv
+    R = 2.0 * np.eye(m)
+    if b is not None:
+        with warnings.catch_warnings():
+            # an eigenvalue on the cut or a singular root: checked below
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            r = sla.sqrtm(shifted)
+        R = r + tau_constant(r, s)
+    Q = s.tau_matrix
+    try:
+        k = np.linalg.solve(R, np.eye(m) + tau_constant(shifted, s)) @ c_inv
+        defect = _fnorms(np.linalg.inv(k) @ Q @ k @ Q - a) / scale
+    except np.linalg.LinAlgError:
+        return np.zeros_like(a), np.full(len(a), np.inf)
+    if b is not None:
+        off = (_fnorms(k.swapaxes(1, 2) @ (b[:, None] * k) - np.diag(b))
+               / np.maximum(1.0, _fnorms(k) ** 2))
+        defect = np.where(off > defect, off, defect)
+    return k, defect
 
 
-def _decay_window(x: LaurentLoop) -> int:
-    """Smallest N such that degrees outside [-N, N] carry no more than the
-    round-off floor of x's Wiener norm."""
-    norms = np.linalg.norm(x.coeffs.reshape(x.coeffs.shape[0], -1), axis=1)
-    reach = np.abs(np.arange(x.lo, x.hi + 1))
-    by_reach = np.zeros(x.radius + 2)
-    np.add.at(by_reach, reach, norms)
-    outside = np.cumsum(by_reach[::-1])[::-1][1:]   # outside[N] = mass beyond N
-    return int(np.argmax(outside <= ROUNDOFF_FLOOR * norms.sum()))
+def _solve_constants(a, s: SymmetrySpec, group, form, loops):
+    """_solve_constant of the middle terms a (B, m, m) of the loops of a
+    stack (a _Stack).
 
-
-def _tau_iwasawa_at(x, s, N, tol, constant_group, form):
-    """tau-Iwasawa at window N, in the form _adaptive_window takes.
-
-    Failures a wider window can repair carry a residual and are returned:
-    the inner Birkhoff residual, the tau(a) a = I defect of the middle term,
-    and the reconstruction and tau-fixedness postconditions.
+    With more than one, the first attempt (c = I) runs on all of them at
+    once, with its checks; a matrix it leaves unsolved within the
+    precondition's tolerance, or that fails a check, is solved on its own
+    with every shift, which gives the same k or raises the failure.  Returns
+    (k, failures): failures maps rows to their NotInIwasawaCell, and their
+    rows of k are I.
     """
-    xi = truncated_inverse(x, N)
-    w = mul(xi, apply_tau(x, s))
+    B, m = a.shape[:2]
+    eye = np.eye(m)
+    k = np.zeros_like(a)
+    done = np.zeros(B, dtype=bool)
+    if B > 1 and m == s.dim:
+        scale = np.maximum(1.0, _fnorms(a))
+        pending = _fnorms(tau_constant(a, s) @ a - eye) <= TOL_CONST_PRE * scale * 10
+        near = pending & (_fnorms(a - eye) <= TOL_CONST_POST)
+        k[near], done[near] = eye, True
+        pending &= ~near
+        signs, kind = _form_kinds(a, s, group, form)
+        if s.reality in ("Rhat1", "Rhat2"):
+            w = np.where(np.diag(s.tau_matrix) > 0, 1.0, 1j)
+            S_work = np.conj(w)[:, None] * (a @ s.tau_matrix) * w[None, :]
+            pending &= (kind < 0) | (_fnorms(S_work.imag)
+                                     <= 1e-8 * np.maximum(1.0, _fnorms(S_work)))
+        for row in (-1, 0, 1):
+            rows = np.flatnonzero(pending & (kind == row))
+            if rows.size:
+                k[rows], defect = _attempt(a[rows], eye, scale[rows], s,
+                                           None if row < 0 else signs[row])
+                done[rows] = defect <= TOL_CONST_PRE * 10
+    failures = {}
+    for b in np.flatnonzero(~done).tolist():  # the rest, each with its own shifts
+        try:
+            k[b] = _solve_constant(a[b], s, group, form, loops.rows([b]))
+        except NotInIwasawaCell as exc:
+            failures[b], k[b] = exc, eye
+    return k, failures
+
+
+# -- tau-Iwasawa ---------------------------------------------------------------
+#
+# The kernel runs on stacks whose loops keep their own windows, as LaurentLoop
+# arithmetic trims them: products are oriented and Wiener norms summed over
+# each loop's own window, and the inner Birkhoff factorization takes the loops
+# of one window together, so a loop's results do not depend on what else
+# shares its stack.  A lone loop is a stack of one.
+
+
+class _Stack(NamedTuple):
+    """A trimmed stack (see trim_stack) with the window [los, his] of each
+    of its loops."""
+
+    lo: int
+    c: np.ndarray
+    los: np.ndarray
+    his: np.ndarray
+
+    def rows(self, index):
+        return _Stack(self.lo, self.c[index], self.los[index], self.his[index])
+
+
+def _trimmed(lo, c):
+    lo, c, los, his = trim_stack(lo, c)
+    return _Stack(int(lo), c, los, his)
+
+
+def _constants(m):
+    """The stack of the constant loops m (B, n, n), each over [0, 0] (a zero
+    loop too)."""
+    zero = np.zeros(len(m), dtype=int)
+    return _Stack(0, m[:, None], zero, zero)
+
+
+def _mul(x, y):
+    return _trimmed(x.lo + y.lo, own_cauchy(x.c, y.c, x.his - x.los < y.his - y.los))
+
+
+def _tau(x, s: SymmetrySpec):
+    """apply_tau of every loop: coefficients reversed and conjugated by Q."""
+    q = np.diag(s.tau_matrix)
+    return _Stack(-(x.lo + x.c.shape[1] - 1), x.c[:, ::-1] * (q[:, None] * q[None, :]),
+                  -x.his, -x.los)
+
+
+def _sigma(x, s: SymmetrySpec):
+    """apply_sigma of every loop."""
+    p = np.diag(s.sigma_matrix)
+    signs = (-1.0) ** (x.lo + np.arange(x.c.shape[1]))
+    return _Stack(x.lo, x.c * (p[:, None] * p[None, :]) * signs[:, None, None], x.los, x.his)
+
+
+def _coefficient_norms(x):
+    return np.linalg.norm(x.c.reshape(x.c.shape[:2] + (-1,)), axis=-1)
+
+
+def _wiener(x):
+    """The Wiener norm of every loop, summed over its own window as
+    LaurentLoop.wiener_norm sums it: the loops of one width together."""
+    norms = _coefficient_norms(x)
+    widths = x.his - x.los + 1
+    if (widths == norms.shape[1]).all():
+        return norms.sum(axis=-1)
+    out = np.empty(len(widths))
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        cols = np.clip((x.los[rows] - x.lo)[:, None] + np.arange(width), 0, norms.shape[1] - 1)
+        out[rows] = norms[rows[:, None], cols].sum(axis=-1)
+    return out
+
+
+def _distance(x, y):
+    lo, a, b = aligned(x.lo, x.c, y.lo, y.c)
+    return _wiener(_trimmed(lo, a - b))
+
+
+def _decay_windows(x, scale):
+    """Smallest N per loop such that degrees outside [-N, N] carry no more
+    than the round-off floor of its Wiener norm, scale."""
+    degs = x.lo + np.arange(x.c.shape[1])
+    norms = _coefficient_norms(x)
+    by_reach = np.zeros((len(x.c), np.abs(degs).max() + 2))
+    by_reach[:, -degs[degs < 0]] += norms[:, degs < 0]  # degree -r before r, as summed alone
+    by_reach[:, degs[degs >= 0]] += norms[:, degs >= 0]
+    outside = np.cumsum(by_reach[:, ::-1], axis=1)[:, ::-1][:, 1:]  # [:, N]: mass beyond N
+    return np.argmax(outside <= ROUNDOFF_FLOOR * scale[:, None], axis=1)
+
+
+def _twisted(x, s: SymmetrySpec):
+    """Whether each loop is sigma-fixed, to 1e-10 of its Wiener norm."""
+    return _distance(x, _sigma(x, s)) <= 1e-10 * np.maximum(1.0, _wiener(x))
+
+
+def _gather(parts, n):
+    """One stack (lo, coeffs) of the loops given as (lo, coeffs) pairs, each
+    re-embedded into the union of their windows."""
+    lo = min(p for p, _ in parts)
+    out = np.zeros((len(parts), max(p + len(c) for p, c in parts) - lo, n, n), dtype=complex)
+    for b, (p, c) in enumerate(parts):
+        out[b, p - lo : p - lo + len(c)] = c
+    return lo, out
+
+
+def _right_factors(w, N, tol):
+    """w = plus * minus for every loop of a stack, the right Birkhoff
+    factorization at window max(N, the loop's radius): the left one of the
+    mirror (_birkhoff_stack), for the loops of one own window together.
+    Returns (plus, minus, residual, condition, failures); failures maps rows
+    to their BigCellViolation, and their factors are I."""
+    B, n = w.c.shape[0], w.c.shape[-1]
+    eye = (0, np.eye(n, dtype=complex)[None])
+    plus, minus = [eye] * B, [eye] * B
+    residual, condition = np.zeros(B), np.zeros(B)
+    failures = {}
+    for l, h in sorted(set(zip(w.los.tolist(), w.his.tolist()))):
+        rows = np.flatnonzero((w.los == l) & (w.his == h))
+        lo, c = _mirror(l, w.c[rows, l - w.lo : h - w.lo + 1])
+        for b, o in zip(rows.tolist(), _birkhoff_stack(lo, c, max(N, abs(l), abs(h)), tol)):
+            if isinstance(o, Exception):
+                failures[b] = o
+            else:
+                plus[b], minus[b] = _mirror(o.minus_lo, o.minus), _mirror(o.plus_lo, o.plus)
+                residual[b], condition[b] = o.residual, o.condition
+    return (_trimmed(*_gather(plus, n)), _trimmed(*_gather(minus, n)), residual, condition,
+            failures)
+
+
+def _inverses(m):
+    """np.linalg.inv of every matrix of a stack and the rows where it is
+    singular (their inverse I)."""
     try:
-        right = birkhoff_right(w, N=max(N, w.radius), tol=tol)
-    except BigCellViolation as exc:
-        if exc.cause == ILL_CONDITIONED:
-            raise
-        return None, exc
-    v_plus = right.plus
-    a = right.minus.coeff(0)
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise BigCellViolation("constant middle term is singular",
-                               cause=ILL_CONDITIONED) from exc
-    v_minus = mul(constant(a_inv), right.minus)
-    mid_residual = fnorm(tau_constant(a, s) @ a - np.eye(x.n))
-    pair_residual = distance(mul(v_minus, apply_tau(v_plus, s)), identity(x.n))
-    try:
-        k = solve_constant_tau(a, s, group=constant_group, form=form)
-    except NotInIwasawaCell as exc:
-        if exc.residual is None:
-            raise
-        return None, exc
+        return np.linalg.inv(m), []
+    except np.linalg.LinAlgError:
+        out, singular = np.broadcast_to(np.eye(m.shape[-1]), m.shape).astype(complex), []
+        for b in range(len(m)):
+            try:
+                out[b] = np.linalg.inv(m[b])
+            except np.linalg.LinAlgError:
+                singular.append(b)
+        return out, singular
+
+
+_RESIDUALS = ("reconstruction", "tau_fixed", "middle_reality", "minus_pair", "birkhoff")
+
+
+class _Solved(NamedTuple):
+    """Row `index` of the results of one window (part), as the adaptive
+    window search keeps it."""
+
+    part: dict
+    index: int
+    residual: float
+
+
+def _truncated_inverses(g, rows, N):
+    """truncated_inverse at window N of the loops of g (a loop, or a field's
+    unmasked nodes in row-major order) at the given rows, through the public
+    name, on a field masked to those rows: (the inverses as a _Stack, their
+    SingularLoop failures by position in rows)."""
+    if isinstance(g, LaurentLoop):
+        try:
+            xi = truncated_inverse(g, N)
+        except SingularLoop as exc:
+            return _constants(np.zeros((1, g.n, g.n), dtype=complex)), {0: exc}
+        return _trimmed(xi.lo, xi.coeffs[None]), {}
+    nodes = [tuple(node) for node in np.argwhere(g.mask)[rows].tolist()]
+    mask = np.zeros_like(g.mask)
+    mask[tuple(np.array(nodes).T)] = True
+    xi = truncated_inverse(replace(g, mask=mask, info={}), N)
+    failures = {j: SingularLoop(xi.info["failures"][node]) for j, node in enumerate(nodes)
+                if node in xi.info["failures"]}
+    return _trimmed(xi.lo, xi.coeffs[mask]), failures
+
+
+def _tau_iwasawa_at(x, s, N, tol, constant_group, form, inverse):
+    """tau-Iwasawa of the loops of a trimmed stack at window N, given their
+    truncated inverses (see _truncated_inverses), in the form
+    _adaptive_window takes: one _Solved or failure per loop.
+
+    Failures a wider window can repair carry a residual: the inner Birkhoff
+    residual, the tau(a) a = I defect of the middle term, and the
+    reconstruction and tau-fixedness postconditions.  An ill-conditioned
+    inner factorization or a singular middle term is ILL_CONDITIONED; a
+    singular inverse of x (SingularLoop) and a structural failure of the
+    constant solve carry no residual.  A loop keeps the first of its
+    failures in this order.
+    """
+    B, n = x.c.shape[0], x.c.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    xi, failed = inverse
+    plus, minus, birkhoff, condition, bad = _right_factors(_mul(xi, _tau(x, s)), N, tol)
+    for b, exc in bad.items():
+        failed.setdefault(b, exc)
+    a = padded(minus.lo, minus.c, 0, 0)[:, 0]
+    a_inv, singular = _inverses(a)
+    for b in singular:
+        failed.setdefault(b, BigCellViolation("constant middle term is singular",
+                                              cause=ILL_CONDITIONED))
+    middle = _fnorms(tau_constant(a, s) @ a - eye)
+    pair = _distance(_mul(_mul(_constants(a_inv), minus), _tau(plus, s)),
+                     _constants(np.broadcast_to(eye, (B, n, n))))
+    live = np.ones(B, dtype=bool)
+    live[list(failed)] = False
+    live = np.flatnonzero(live)
+    k = np.broadcast_to(eye, (B, n, n)).copy()
+    k[live], unsolved = _solve_constants(a[live], s, constant_group, form, x.rows(live))
+    for j, exc in unsolved.items():
+        failed.setdefault(int(live[j]), exc)
     k_inv = np.linalg.inv(k)
-    y_plus = mul(constant(k), truncated_inverse(v_plus, N))
-    z = mul(x, mul(v_plus, constant(k_inv)))
-    residuals = {
-        "reconstruction": distance(mul(z, y_plus), x),
-        "tau_fixed": distance(z, apply_tau(z, s)),
-        "middle_reality": mid_residual,
-        "minus_pair": pair_residual,
-        "birkhoff": right.residual,
-    }
-    result = IwasawaResult(z=z, y_plus=y_plus, k_const=k, residuals=residuals)
-    if residuals["reconstruction"] > tol or residuals["tau_fixed"] > tol:
-        return None, BigCellViolation(
-            "tau-Iwasawa postconditions failed: "
-            f"reconstruction {residuals['reconstruction']:.3e}, "
-            f"tau-fixedness {residuals['tau_fixed']:.3e}",
-            residual=result.residual,
-            condition=right.condition,
-        )
-    return result, None
+    y_plus = _mul(_constants(k), _trimmed(0, forward_substitution(plus.c, N)))
+    z = _mul(x, _mul(plus, _constants(k_inv)))
+    residuals = dict(zip(_RESIDUALS, (_distance(_mul(z, y_plus), x), _distance(z, _tau(z, s)),
+                                      middle, pair, birkhoff)))
+    worst = functools.reduce(lambda m, r: np.where(r > m, r, m), residuals.values())
+    part = {"z": z, "y_plus": y_plus, "k": k, "residuals": residuals, "condition": condition}
+    out = []
+    for b in range(B):
+        recon, fixed = residuals["reconstruction"][b], residuals["tau_fixed"][b]
+        if b in failed:
+            out.append(failed[b])
+        elif recon > tol or fixed > tol:
+            out.append(BigCellViolation(
+                "tau-Iwasawa postconditions failed: "
+                f"reconstruction {recon:.3e}, tau-fixedness {fixed:.3e}",
+                residual=float(worst[b]), condition=float(condition[b])))
+        else:
+            out.append(_Solved(part, b, float(worst[b])))
+    return out
 
 
-def tau_iwasawa(x: LaurentLoop, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
+def _tau_iwasawa_stack(g, s, N, tol, constant_group, form):
+    """tau-Iwasawa of a loop, or of the unmasked nodes of a field in
+    row-major order, on one stack: one outcome per loop, its _Solved or the
+    failure to report.
+
+    Each loop's window starts just past the degree where its coefficients
+    decay to round-off (or at N, the only one tried when given) and grows
+    with the residual (see _adaptive_window), the loops at one window
+    together; a failure without a residual stops the loop's search at once.
+    """
+    lo, coeffs = (g.lo, g.coeffs[None]) if isinstance(g, LaurentLoop) else node_stack(g, g.mask)
+    B, n = coeffs.shape[0], coeffs.shape[-1]
+    if n != s.dim:
+        raise DimensionMismatch(f"loop dim {n} vs symmetry dim {s.dim}")
+    if not B:
+        return []
+    x = _trimmed(lo, coeffs)
+    scale = _wiener(x)
+    if N is None:
+        starts = _decay_windows(x, scale) + START_PAD
+        limits = np.maximum(starts, MAX_SYSTEM_ORDER // (2 * n))
+    else:
+        starts = limits = np.full(B, N)
+
+    def attempt(w, rows):
+        return _tau_iwasawa_at(x.rows(rows), s, w, tol, constant_group, form,
+                               _truncated_inverses(g, rows, w))
+
+    return _adaptive_window(attempt, starts, limits, scale)
+
+
+def _iwasawa_field(F, outcomes):
+    """The IwasawaResult of a field from the outcomes of its unmasked nodes
+    in row-major order (see IwasawaResult)."""
+    B, n = len(outcomes), F.dim
+    nodes = [(int(i), int(j)) for i, j in np.argwhere(F.mask)]
+    failures, parts = {}, {}
+    for b, o in enumerate(outcomes):
+        if isinstance(o, Exception):
+            failures[b] = str(o)
+        else:
+            parts.setdefault(id(o.part), (o.part, [], []))[1].append(b)
+            parts[id(o.part)][2].append(o.index)
+
+    def stacked(key):
+        lo = min((p[key].lo for p, _, _ in parts.values()), default=0)
+        hi = max((p[key].lo + p[key].c.shape[1] - 1 for p, _, _ in parts.values()), default=0)
+        out = np.zeros((B, hi - lo + 1, n, n), dtype=complex)
+        for p, rows, index in parts.values():
+            out[rows, p[key].lo - lo : p[key].lo - lo + p[key].c.shape[1]] = p[key].c[index]
+        return lo, out
+
+    k = np.zeros((B, n, n), dtype=complex)
+    residuals = {key: np.full(B, np.nan) for key in _RESIDUALS}
+    condition = np.full(B, np.nan)
+    for p, rows, index in parts.values():
+        k[rows] = p["k"][index]
+        condition[rows] = p["condition"][index]
+        for key in _RESIDUALS:
+            residuals[key][rows] = p["residuals"][key][index]
+    solved = [b for b in range(B) if b not in failures]
+    diagnostics = {nodes[b]: {"residual": outcomes[b].residual, "condition": float(condition[b])}
+                   for b in solved}
+    k_const = np.zeros(F.mask.shape + (n, n), dtype=complex)
+    k_const[F.mask] = k
+    return IwasawaResult(
+        z=on_nodes(F, F.mask, *stacked("z"), failures, diagnostics=diagnostics),
+        y_plus=on_nodes(F, F.mask, *stacked("y_plus"), failures, diagnostics=dict(diagnostics)),
+        k_const=k_const,
+        residuals={key: max(r[solved].tolist(), default=math.nan)
+                   for key, r in residuals.items()})
+
+
+def _mirrored(x):
+    """x under lambda -> 1/lambda: a loop, or every node of a field."""
+    if isinstance(x, LaurentLoop):
+        return x.mirror()
+    lo, coeffs = _mirror(x.lo, x.coeffs)
+    return replace(x, lo=lo, coeffs=coeffs)
+
+
+def tau_iwasawa(x, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
                 constant_group="auto", form=None) -> IwasawaResult:
     """Factor x = z * y_plus with z tau-fixed and y_plus in Lambda^+.
 
@@ -614,41 +959,36 @@ def tau_iwasawa(x: LaurentLoop, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
     then y_plus = k v_+^{-1} and z = x v_+ k^{-1}.  z is unique up to a
     constant tau-fixed right factor.
 
-    With N given only that window is solved.  Otherwise the window starts
-    just past the degree where x's coefficients decay to round-off and
-    grows with the residual (see _adaptive_window); spectrum and signature
-    mismatches of the middle term raise at once.
+    x is a loop, or a FrameField whose unmasked nodes are all factored
+    together, on coefficient stacks (see IwasawaResult); either way each
+    loop gets the factors it gets alone.  With N given only that window is
+    solved.  Otherwise the window starts just past the degree where x's
+    coefficients decay to round-off and grows with the residual (see
+    _adaptive_window); a singular inverse and spectrum and signature
+    mismatches of the middle term stop at once.  A loop that does not
+    factor raises the failure; a field masks the node.
     """
-    start = _decay_window(x) + START_PAD if N is None else N
-    limit = start if N is not None else max(start, MAX_SYSTEM_ORDER // (2 * x.n))
-
-    def attempt(w, rows):
-        try:
-            result, failure = _tau_iwasawa_at(x, s, w, tol, constant_group, form)
-        except BigCellViolation as exc:
-            if exc.cause != ILL_CONDITIONED:
-                raise
-            return [exc]
-        return [failure if result is None else result]
-
-    outcome, = _adaptive_window(attempt, [start], [limit], [x.wiener_norm()])
+    if not isinstance(x, LaurentLoop):
+        return _iwasawa_field(x, _tau_iwasawa_stack(x, s, N, tol, constant_group, form))
+    outcome, = _tau_iwasawa_stack(x, s, N, tol, constant_group, form)
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    p, j = outcome.part, outcome.index
+    return IwasawaResult(z=LaurentLoop(p["z"].lo, p["z"].c[j]),
+                         y_plus=LaurentLoop(p["y_plus"].lo, p["y_plus"].c[j]),
+                         k_const=np.array(p["k"][j]),
+                         residuals={key: float(r[j]) for key, r in p["residuals"].items()})
 
 
-def tau_iwasawa_minus(x: LaurentLoop, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
+def tau_iwasawa_minus(x, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
                       constant_group="auto", form=None) -> IwasawaResult:
     """Mirror variant: x = z * y_minus with z tau-fixed, y_minus in Lambda^-.
 
     Obtained from tau_iwasawa through lambda -> 1/lambda, which commutes with
-    tau; the y factor stored in the result lies in Lambda^- here.
+    tau; the y factor stored in the result lies in Lambda^- here.  x is a
+    loop or a field, as for tau_iwasawa.
     """
-    res = tau_iwasawa(x.mirror(), s, N=N, tol=tol,
+    res = tau_iwasawa(_mirrored(x), s, N=N, tol=tol,
                       constant_group=constant_group, form=form)
-    return IwasawaResult(
-        z=res.z.mirror(),
-        y_plus=res.y_plus.mirror(),
-        k_const=res.k_const,
-        residuals=res.residuals,
-    )
+    return IwasawaResult(z=_mirrored(res.z), y_plus=_mirrored(res.y_plus),
+                         k_const=res.k_const, residuals=res.residuals)

@@ -7,13 +7,14 @@ coefficient array over a degree window shared by the grid, so every step that
 needs no solve (distances, orders, finite differences, constant products,
 evaluation, flatness residuals) is an array operation, and the pointwise
 factorizations and inverses run over all nodes at once, through whole-field
-calls of birkhoff_left/right and truncated_inverse.  Potential integration
-takes its RK4 steps on coefficient stacks, a whole line or every edge at
-once.  Only tau_merge keeps a node loop, whose nodes share nothing: each
-fixes its gauge from its own tau-Iwasawa factor.  Field operations never
-fail a whole field: nodes where a solve breaks are masked out and reported,
-mirroring the restriction to the open subset where the decompositions
-exist.
+calls of birkhoff_left/right, truncated_inverse and (in tau_merge)
+tau_iwasawa_minus.  Potential integration takes its RK4 steps on
+coefficient stacks, a whole line or every edge at once.  tau_merge fixes
+each node's gauge from that node's own tau-Iwasawa factor, by polar factors
+computed over the stack of nodes, so nodes share nothing.  Field operations
+never fail a whole field: nodes where a solve breaks are masked out and
+reported, mirroring the restriction to the open subset where the
+decompositions exist.
 
 Tolerance hierarchy, loosest consumer last: trimming 1e-14 < factorization
 1e-9 / 1e-8 < round trips 1e-7 < integrability and order measurement 1e-6.
@@ -27,13 +28,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    BigCellViolation,
-    DimensionMismatch,
-    IntegrabilityViolation,
-    NotInIwasawaCell,
-    SingularLoop,
-)
+from .errors import DimensionMismatch, IntegrabilityViolation
 from .factorization import (
     CONDITION_LIMIT,
     TOL_BIRKHOFF,
@@ -49,7 +44,6 @@ from .loops import (
     aligned,
     cauchy,
     distance,
-    fnorm,
     identity,
     node_stack,
     on_nodes,
@@ -502,43 +496,54 @@ def merge(G_minus: FrameField, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameFie
 # -- tau-merge ---------------------------------------------------------------
 
 
-def _gauge_factor(m, b_signs, tol):
-    """The constant a node's tau-fixed factor z is divided by on the right,
-    from its degree-0 coefficient m = z_0: h = m in GL, else the generalized
-    polar factor h = m (B m^T B m)^{-1/2} (principal root), B = diag(b_signs).
+def _gauge_factors(m, b_signs, tol):
+    """The constants the nodes' tau-fixed factors z are divided by on the
+    right, from their degree-0 coefficients m = z_0, a stack (B, n, n):
+    h = m in GL, else the generalized polar factor h = m (B m^T B m)^{-1/2}
+    (principal root), B = diag(b_signs).
 
     m commutes with Q (and with P when z is sigma-fixed) and keeps z's
     reality, and h(m c) = h(m) c for every constant c of the gauge group,
     so z h^{-1} is the same for every representative z, and I wherever z is
     constant (Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 27,
-    2006).  Raises NotInIwasawaCell where m is singular or B m^T B m has an
-    eigenvalue within tol of the cut (-inf, 0].
+    2006).  Returns (h, failures): failures maps the rows where m is
+    singular, or B m^T B m has an eigenvalue within tol of the cut
+    (-inf, 0], to the message of their NotInIwasawaCell; their h is I.
     """
-    if np.linalg.cond(m) > CONDITION_LIMIT:
-        raise NotInIwasawaCell("degree-0 coefficient of the tau-fixed factor is singular")
-    if b_signs is None:
-        return m
-    square = (b_signs[:, None] * m.T * b_signs[None, :]) @ m
-    reach = tol * max(1.0, fnorm(square))
-    eig = np.linalg.eigvals(square)
-    if np.any((eig.real <= reach) & (np.abs(eig.imag) <= reach)):
-        raise NotInIwasawaCell("B z_0^T B z_0 has an eigenvalue on the cut (-inf, 0]; "
-                               "the gauge has no polar factor")
-    return np.linalg.solve(sla.sqrtm(square).T, m.T).T
+    h = np.array(m, dtype=complex)
+    bad = np.linalg.cond(m) > CONDITION_LIMIT
+    failures = dict.fromkeys(np.flatnonzero(bad).tolist(),
+                             "degree-0 coefficient of the tau-fixed factor is singular")
+    rows = np.flatnonzero(~bad)
+    if b_signs is not None and rows.size:
+        square = (b_signs[:, None] * m[rows].swapaxes(1, 2) * b_signs[None, :]) @ m[rows]
+        reach = (tol * np.maximum(1.0, np.linalg.norm(square, axis=(1, 2))))[:, None]
+        eig = np.linalg.eigvals(square)
+        cut = ((eig.real <= reach) & (np.abs(eig.imag) <= reach)).any(axis=1)
+        failures.update(dict.fromkeys(rows[cut].tolist(),
+                                      "B z_0^T B z_0 has an eigenvalue on the cut (-inf, 0]; "
+                                      "the gauge has no polar factor"))
+        if not cut.all():
+            rows, square = rows[~cut], square[~cut]
+            h[rows] = np.linalg.solve(sla.sqrtm(square).swapaxes(1, 2),
+                                      m[rows].swapaxes(1, 2)).swapaxes(1, 2)
+    h[list(failures)] = np.eye(m.shape[-1])
+    return h, failures
 
 
 def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
               constant_group="auto") -> FrameField:
     """Promote a (1,b) field to the tau-fixed frame F = F_plus F_minus.
 
-    Pointwise tau-Iwasawa against Lambda^-; the constant right gauge left
+    Pointwise tau-Iwasawa against Lambda^-, of every node at once (one
+    tau_iwasawa_minus call on the field); the constant right gauge left
     free by the factorization is fixed at each node by its own factor z:
-    the output is z h^{-1}, h the polar factor of z_0 (see _gauge_factor),
+    the output is z h^{-1}, h the polar factor of z_0 (see _gauge_factors),
     so nodes share nothing and a based input gives a based output.  The
     invariant form is F_plus's declared target (the plain form when none
     is declared, none in GL).  A node where either step fails is masked,
     with its cause in info["failures"]; per-node factorization residuals
-    land in info["diagnostics"].
+    and inner Birkhoff conditions land in info["diagnostics"].
     """
     form = F_plus.target.kind if F_plus.target is not None else None
     b_signs = None
@@ -546,23 +551,19 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
         b_signs = np.ones(F_plus.dim)
         if form == "lorentz":
             b_signs[s.n] = -1.0
-    vals, gauges = {}, np.zeros(F_plus.grid.shape + (F_plus.dim,) * 2, dtype=complex)
-    residuals, failures = {}, _inherited(F_plus)
-    for node in _nodes(F_plus.mask):
-        try:
-            res = tau_iwasawa_minus(F_plus.value(*node), s, tol=tol,
-                                    constant_group=constant_group, form=form)
-            gauges[node] = np.linalg.inv(_gauge_factor(res.z.coeff(0), b_signs, tol))
-        except (BigCellViolation, SingularLoop, NotInIwasawaCell) as exc:
-            failures[node] = str(exc)  # left out, next to the inherited causes
-            continue
-        vals[node] = res.z
-        residuals[node] = res.residual
-    info = {"failures": failures,
-            "diagnostics": {node: {"residual": r} for node, r in residuals.items()}}
-    out = FrameField.from_loops(F_plus.grid, vals, n=F_plus.dim, symmetry=s,
-                                target=F_plus.target, info=info)
-    return _times_constant(out, gauges)
+    z = tau_iwasawa_minus(F_plus, s, tol=tol, constant_group=constant_group, form=form).z
+    lo, c = node_stack(z, z.mask)
+    h, lost = _gauge_factors(padded(lo, c, 0, 0)[:, 0], b_signs, tol)
+    gauges = np.zeros(F_plus.grid.shape + (F_plus.dim,) * 2, dtype=complex)
+    gauges[z.mask] = np.linalg.inv(h)
+    out = on_nodes(z, z.mask, lo, c, lost)
+    # F_plus's failures, then the nodes this step lost, in row-major order
+    failures = _inherited(F_plus)
+    lost = sorted((node, msg) for node, msg in out.info["failures"].items()
+                  if node not in failures)
+    info = {"failures": {**failures, **dict(lost)},
+            "diagnostics": {node: d for node, d in z.info["diagnostics"].items() if out.mask[node]}}
+    return _times_constant(replace(out, symmetry=s, info=info), gauges)
 
 
 # -- gauging a (0,b) field to (1,b) -------------------------------------------

@@ -185,10 +185,12 @@ def stack_windows(lo, coeffs):
 def _windows(lo, peaks):
     scale = peaks.max(axis=-1, keepdims=True)
     keep = peaks > TOL_TRIM * scale
-    first = keep.argmax(axis=-1)
-    last = peaks.shape[-1] - 1 - keep[..., ::-1].argmax(axis=-1)
+    los = lo + keep.argmax(axis=-1)
+    his = lo + peaks.shape[-1] - 1 - keep[..., ::-1].argmax(axis=-1)
     zero = scale[..., 0] == 0.0
-    return np.where(zero, 0, lo + first), np.where(zero, 0, lo + last)
+    if zero.any():
+        los, his = np.where(zero, 0, los), np.where(zero, 0, his)
+    return los, his
 
 
 def trim_stack(lo, coeffs):
@@ -196,7 +198,12 @@ def trim_stack(lo, coeffs):
     a loop's own window are zeroed and the shared window is cut to the
     union of the loops' windows.  Returns (lo, coeffs, los, his); coeffs
     is a view of the input where that is zero outside every window
-    already."""
+    already.  A lone loop (B, W, n, n) with B = 1 takes LaurentLoop's own
+    trim."""
+    if coeffs.ndim == 4 and len(coeffs) == 1:
+        lo, c = _trim(lo, coeffs[0])
+        hi = np.array([lo + len(c) - 1])
+        return lo, c[None], hi - len(c) + 1, hi
     peaks = np.abs(coeffs).max(axis=(-2, -1))
     los, his = _windows(lo, peaks)
     if los.size == 0:
@@ -327,9 +334,34 @@ def cauchy(x, y):
     longer; when y is, through (x y)^T = y^T x^T, and the result is a
     transposed view.
     """
+    if x.shape[-3] < y.shape[-3]:
+        return _transposed_cauchy(x, y)
+    return _rows_cauchy(x, y)
+
+
+def own_cauchy(x, y, swap):
+    """cauchy of two stacks (B, wx, n, n) and (B, wy, n, n), each pair of
+    loops oriented as cauchy orients them on their own windows: through
+    the transposes exactly where swap (one bool per loop) is True, which
+    is where the loop of x is the shorter.  Zero padding then leaves every
+    product as it is for the pair alone, bit for bit."""
+    if not swap.any():
+        return _rows_cauchy(x, y)
+    if swap.all():
+        return _transposed_cauchy(x, y)
+    out = np.empty(x.shape[:-3] + (x.shape[-3] + y.shape[-3] - 1,) + x.shape[-2:], dtype=complex)
+    out[~swap] = _rows_cauchy(x[~swap], y[~swap])
+    out[swap] = _transposed_cauchy(x[swap], y[swap])
+    return out
+
+
+def _transposed_cauchy(x, y):
+    return np.swapaxes(_rows_cauchy(np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2)), -1, -2)
+
+
+def _rows_cauchy(x, y):
+    """cauchy with x's blocks stacked as rows, one product per degree of y."""
     wx, wy = x.shape[-3], y.shape[-3]
-    if wx < wy:
-        return np.swapaxes(cauchy(np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2)), -1, -2)
     n = x.shape[-1]
     lead = x.shape[:-3]
     if lead != y.shape[:-3]:

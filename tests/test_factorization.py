@@ -23,12 +23,14 @@ from loopsplit import (
     truncated_inverse,
 )
 from loopsplit.generators import (
+    random_basic_pair,
     random_fixed_loop,
     random_matrix,
     random_minus_unipotent,
     random_tau_instance,
     rng_for,
 )
+from loopsplit.loops import padded
 from loopsplit.symmetry import tau_constant
 
 S = SymmetrySpec(2, 1)
@@ -225,6 +227,20 @@ def test_solve_constant_slightly_off_the_group():
     assert np.linalg.norm(k.T @ k - np.eye(4)) < 1e-8
 
 
+def test_solve_constant_leaves_the_sigma_blocks_when_it_must():
+    # a = diag(-1, 1, -1) commutes with P = diag(1, -1, -1), yet no k inside
+    # the sigma blocks solves a = k^{-1} tau(k); k = R_02(pi/2) does, across
+    # them, and a is no twisted loop's middle term, so the shifts may cross
+    s = SymmetrySpec(1, 1)
+    a = np.diag([-1.0, 1.0, -1.0]).astype(complex)
+    Q, J = s.tau_matrix, np.diag([1.0, -1.0, 1.0])
+    k0 = rotation(3, 0, 2, np.pi / 2)
+    assert np.linalg.norm(np.linalg.inv(k0) @ Q @ k0 @ Q - a) < 1e-15
+    k = solve_constant_tau(a, s, form="lorentz")
+    assert np.linalg.norm(np.linalg.inv(k) @ Q @ k @ Q - a) < 1e-9
+    assert np.linalg.norm(k.T @ J @ k - J) < 1e-9
+
+
 def test_solve_constant_spectrum_mismatch():
     # a = Q satisfies tau(a) = a^{-1} but aQ = I has the wrong multiplicities
     with pytest.raises(ls.NotInIwasawaCell):
@@ -290,16 +306,71 @@ def test_tau_iwasawa_retries_only_residual_failures(monkeypatch, residual):
 
     calls = []
 
-    def failing_solve(a, s, **kw):
+    def failing_solve(a, s, *args):
+        # the stack solve: every middle term of the window rejected
         calls.append(a)
-        raise ls.NotInIwasawaCell("middle term rejected", residual=residual)
+        rejected = ls.NotInIwasawaCell("middle term rejected", residual=residual)
+        return np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy(), dict.fromkeys(
+            range(len(a)), rejected)
 
-    monkeypatch.setattr(factorization, "solve_constant_tau", failing_solve)
+    monkeypatch.setattr(factorization, "_solve_constants", failing_solve)
     x, _, _ = random_tau_instance(rng_for(36), S, scale=0.15)
     with pytest.raises(ls.NotInIwasawaCell) as info:
         tau_iwasawa(x, S, constant_group="general")
     assert info.value.residual == residual
     assert len(calls) == (1 if residual is None else 2)
+
+
+def test_adaptive_window_reports_a_structural_failure():
+    # a failure without a residual ends the search and is what it reports,
+    # whatever an earlier window gave, as a lone loop raises it at once
+    from types import SimpleNamespace
+
+    from loopsplit.factorization import _adaptive_window
+
+    earlier = SimpleNamespace(residual=1e-3)
+    structural = ls.NotInIwasawaCell("middle term rejected")
+    windows = []
+
+    def attempt(N, rows):
+        windows.append(N)
+        return [earlier if N == 3 else structural for _ in rows]
+
+    assert _adaptive_window(attempt, [3], [100], [1.0]) == [structural]
+    assert windows == [3, 5]
+
+
+def test_tau_iwasawa_field_stops_a_structural_failure_at_its_first_window(monkeypatch):
+    # a singular constant node has no truncated inverse: that node alone is
+    # masked, after one window, and every other node factors as it does alone
+    from loopsplit import factorization
+
+    bad_rows = []
+    kernel = factorization._tau_iwasawa_at
+
+    def counting(x, s, N, *args):
+        const = padded(x.lo, x.c, 0, 0)[:, 0]
+        bad_rows.append(int(((x.los == x.his) & (const[:, 0, 0] == 0)).sum()))
+        return kernel(x, s, N, *args)
+
+    monkeypatch.setattr(factorization, "_tau_iwasawa_at", counting)
+    grid = ls.Grid2D.centered(0.4, 5, 0.4, 5)
+    F = random_basic_pair(rng_for(37), grid)[1]
+    loops = F.loops()
+    loops[3, 1] = constant(np.diag([0.0, 1.0, 1.0, 1.0]))
+    F = ls.FrameField.from_loops(grid, loops, n=4)
+    out = tau_iwasawa(F, S, constant_group="general")
+    assert sum(bad_rows) == 1 and len(bad_rows) > 1
+    expected = np.ones(grid.shape, dtype=bool)
+    expected[3, 1] = False
+    assert np.array_equal(out.z.mask, expected)
+    assert list(out.z.info["failures"]) == [(3, 1)]
+    assert "singular" in out.z.info["failures"][3, 1]
+    for node in zip(*np.nonzero(expected)):
+        alone = tau_iwasawa(F.value(*node), S, constant_group="general")
+        assert out.z.value(*node).window == alone.z.window
+        assert np.array_equal(out.z.value(*node).coeffs, alone.z.coeffs)
+        assert out.z.info["diagnostics"][node]["residual"] == alone.residual
 
 
 @pytest.mark.parametrize("reality", [None, "R1", "R2", "Rm1"])
@@ -310,6 +381,8 @@ def test_tau_iwasawa_quarter_turn_middle_term(reality):
     out = tau_iwasawa(constant(rotation(4, 2, 3, np.pi / 2)), s)
     assert out.residuals["reconstruction"] <= 1e-9
     assert out.residuals["tau_fixed"] <= 1e-9
+    # the loop is sigma-twisted, so the shift keeps to the sigma blocks
+    assert fixed_residual(out.z, "sigma", s) <= 1e-9
 
 
 def test_tau_iwasawa_minus_mirror():

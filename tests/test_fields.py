@@ -33,7 +33,7 @@ from loopsplit import (
     zero_loop,
 )
 from loopsplit.factorization import TOL_IWASAWA
-from loopsplit.fields import _gauge_factor
+from loopsplit.fields import _gauge_factors
 from loopsplit.generators import (
     random_basic_pair,
     random_dressing_element,
@@ -241,7 +241,8 @@ def test_field_ops_on_a_fully_masked_field():
     g_minus, f_plus = split(empty)
     outs = [g_minus, f_plus, merge(g_minus, f_plus), dress_plus(identity(4), f_plus),
             dress_minus(identity(4), g_minus), maurer_cartan(empty),
-            truncated_inverse(empty, 3)]
+            truncated_inverse(empty, 3), tau_merge(empty, SymmetrySpec(2, 1)),
+            ls.tau_iwasawa(empty, SymmetrySpec(2, 1), constant_group="general").z]
     assert not any(out.mask.any() for out in outs)
 
 
@@ -287,15 +288,18 @@ LORENTZ = np.array([1.0, 1, -1, 1])
 
 
 def test_gauge_factor_polar_and_its_failures():
+    # one stack: a factor is computed or refused per row
     rng = rng_for(58)
     m = expm(0.3 * rng.standard_normal((4, 4)))
-    assert np.array_equal(_gauge_factor(m, None, TOL_IWASAWA), m)
-    h = _gauge_factor(m, LORENTZ, TOL_IWASAWA)
-    assert np.abs(h.T @ np.diag(LORENTZ) @ h - np.diag(LORENTZ)).max() < 1e-12
-    with pytest.raises(ls.NotInIwasawaCell, match="singular"):
-        _gauge_factor(ROTATION_03.coeff(0), None, TOL_IWASAWA)
-    with pytest.raises(ls.NotInIwasawaCell, match="cut"):
-        _gauge_factor(SWAP_12, LORENTZ, TOL_IWASAWA)
+    h, failures = _gauge_factors(np.stack([m, ROTATION_03.coeff(0)]), None, TOL_IWASAWA)
+    assert np.array_equal(h[0], m)
+    assert list(failures) == [1] and "singular" in failures[1]
+    h, failures = _gauge_factors(np.stack([m, SWAP_12, ROTATION_03.coeff(0)]), LORENTZ,
+                                 TOL_IWASAWA)
+    assert np.abs(h[0].T @ np.diag(LORENTZ) @ h[0] - np.diag(LORENTZ)).max() < 1e-12
+    assert sorted(failures) == [1, 2]
+    assert "cut" in failures[1] and "singular" in failures[2]
+    assert np.array_equal(h[1:], np.broadcast_to(np.eye(4), (2, 4, 4)))
 
 
 @pytest.mark.parametrize("case", ["singular", "cut"])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgWarning, expm, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, expm, get_lapack_funcs, lu_factor, lu_solve, sqrtm
 
 from loopsplit import (
     ConnectionForm,
@@ -39,11 +39,21 @@ from loopsplit import (
     phi_map,
     solve_constant_tau,
     split,
+    tau_iwasawa_minus,
     tau_merge,
     truncated_inverse,
 )
-from loopsplit.errors import NotInIwasawaCell
-from loopsplit.factorization import TOL_CONST_PRE
+from loopsplit.errors import BigCellViolation, NotInIwasawaCell, SingularLoop
+from loopsplit.factorization import (
+    CONDITION_LIMIT,
+    TOL_CONST_PRE,
+    TOL_IWASAWA,
+    _distance,
+    _gather,
+    _mul,
+    _trimmed,
+    _wiener,
+)
 from loopsplit.fields import _MID_CENTER, _MID_LEFT, _MID_RIGHT, _times_constant, grid_derivative
 from loopsplit.generators import (
     random_basic_pair,
@@ -123,8 +133,10 @@ def plane_turn(s, b, plane, angle):
 def middle_term(s, factors):
     """a = k0^{-1} tau(k0) for k0 the product of the given (f, f^{-1}).
 
-    When a commutes with P the solve asks for a k in the sigma blocks, which
-    need not exist if k0 is not in them; such draws are set aside.
+    When a commutes with P, assert_constant_solve asks for a k in the sigma
+    blocks, which need not exist if k0 is not in them (a = diag(-1, 1, -1)
+    from k0 = R_02(pi/2) at n = k = 1 has none, and the solve leaves the
+    blocks); such draws are set aside.
     """
     k0 = k0_inv = np.eye(s.dim)
     for f, f_inv in factors:
@@ -311,6 +323,26 @@ def test_packing_returns_each_node_loop(seed, nu, nv, n, keep):
             assert np.array_equal(back[key].coeffs, g.coeffs)
 
 
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), count=st.integers(1, 6))
+def test_own_window_stack_arithmetic_matches_lone_loops(seed, n, count):
+    # the tau kernel's stacks keep each loop's own window: products, Wiener
+    # norms and distances give every loop, bit for bit, what LaurentLoop
+    # arithmetic gives it alone, however wide the window the stack shares
+    loops = list(random_node_loops(seed, 2, count, n, 1.0).values())
+    xs, ys = loops[:count], loops[count:]
+
+    def stack(gs):
+        return _trimmed(*_gather([(g.lo, g.coeffs) for g in gs], n))
+
+    x, y = stack(xs), stack(ys)
+    prod = _mul(x, y)
+    for k, (a, b) in enumerate(zip(xs, ys)):
+        assert_same_loop(LaurentLoop(prod.lo, prod.c[k]), mul(a, b))
+    assert _wiener(prod).tolist() == [mul(a, b).wiener_norm() for a, b in zip(xs, ys)]
+    assert _distance(prod, x).tolist() == [distance(mul(a, b), a) for a, b in zip(xs, ys)]
+
+
 # -- splitting ------------------------------------------------------------------
 
 
@@ -352,6 +384,115 @@ def test_tau_merge_nodes_are_independent(seed, nu, nv, keep, case):
     assert np.array_equal(part.mask, mask)
     for node in zip(*np.nonzero(mask)):
         assert_same_loop(part.value(*node), whole.value(*node))
+
+
+def reference_gauge_factor(m, b_signs, tol):
+    """The per-node polar factor tau_merge's gauge stack replaced."""
+    if np.linalg.cond(m) > CONDITION_LIMIT:
+        raise NotInIwasawaCell("degree-0 coefficient of the tau-fixed factor is singular")
+    if b_signs is None:
+        return m
+    square = (b_signs[:, None] * m.T * b_signs[None, :]) @ m
+    reach = tol * max(1.0, np.linalg.norm(square))
+    eig = np.linalg.eigvals(square)
+    if np.any((eig.real <= reach) & (np.abs(eig.imag) <= reach)):
+        raise NotInIwasawaCell("B z_0^T B z_0 has an eigenvalue on the cut (-inf, 0]; "
+                               "the gauge has no polar factor")
+    return np.linalg.solve(sqrtm(square).T, m.T).T
+
+
+def reference_tau_merge(F_plus, s, constant_group):
+    """tau_merge node by node, as before the stack kernel: one
+    tau_iwasawa_minus call and one polar factor per node."""
+    form = F_plus.target.kind if F_plus.target is not None else None
+    b_signs = None
+    if constant_group != "general":
+        b_signs = np.ones(F_plus.dim)
+        if form == "lorentz":
+            b_signs[s.n] = -1.0
+    vals, gauges = {}, np.zeros(F_plus.grid.shape + (F_plus.dim,) * 2, dtype=complex)
+    residuals, failures = {}, dict(F_plus.info.get("failures", {}))
+    for node in zip(*np.nonzero(F_plus.mask)):
+        node = (int(node[0]), int(node[1]))
+        try:
+            res = tau_iwasawa_minus(F_plus.value(*node), s, constant_group=constant_group,
+                                    form=form)
+            gauges[node] = np.linalg.inv(reference_gauge_factor(res.z.coeff(0), b_signs,
+                                                                TOL_IWASAWA))
+        except (BigCellViolation, SingularLoop, NotInIwasawaCell) as exc:
+            failures[node] = str(exc)
+            continue
+        vals[node] = res.z
+        residuals[node] = res.residual
+    info = {"failures": failures,
+            "diagnostics": {node: {"residual": r} for node, r in residuals.items()}}
+    out = FrameField.from_loops(F_plus.grid, vals, n=F_plus.dim, symmetry=s,
+                                target=F_plus.target, info=info)
+    return _times_constant(out, gauges)
+
+
+def off_cell_loop(n):
+    """diag(lambda, 1/lambda, 1, ...): partial indices (1, -1, 0, ...)."""
+    return from_terms({1: np.diag([1.0] + [0.0] * (n - 1)),
+                       -1: np.diag([0.0, 1.0] + [0.0] * (n - 2)),
+                       0: np.diag([0.0, 0.0] + [1.0] * (n - 2))})
+
+
+def gaugeless_loop(s, kind):
+    """A node whose gauge has no polar factor: in GL a tau-fixed rotation by
+    the angle of lambda in the (e_0, e_last) plane, whose degree-0
+    coefficient is singular; under the Lorentz form a swap of the timelike
+    axis e_n with e_1, on the cut.  The rotation under the plain form."""
+    n = s.dim
+    if kind == "lorentz":
+        swap = list(range(n))
+        swap[1], swap[s.n] = s.n, 1
+        return constant(np.eye(n)[swap])
+    c, d = np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
+    c[0, 0] = c[-1, -1] = 0.5
+    c[0, -1], c[-1, 0] = -0.5j, 0.5j
+    d[0, 0] = d[-1, -1] = 0.0
+    return from_terms({1: c, 0: d, -1: c.conj()})
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(3, 5), nv=st.integers(3, 5),
+       keep=st.floats(0.0, 1.0), odd_nodes=st.booleans(), k=st.integers(1, 2),
+       case=st.sampled_from([("general", None), ("orthogonal", "R1"), ("lorentz", "R2")]))
+def test_tau_merge_matches_per_node_reference(seed, nu, nv, keep, odd_nodes, k, case):
+    # the stack kernel against the node loop it replaced, on masks that
+    # may drop the base, with an off-cell node and a node without gauge
+    rng = rng_for(seed)
+    grid = Grid2D.centered(0.4, nu, 0.4, nv)
+    kind, reality = case
+    if reality is None:
+        _, F = random_basic_pair(rng, grid, n=3 + k)
+    else:
+        F = random_flat_field(rng, grid, reality, GroupSpec(kind, 2, k))
+    s = SymmetrySpec(2, k, reality)
+    group = "general" if reality is None else "auto"
+    if odd_nodes:
+        loops = F.loops()
+        loops[1, 2] = off_cell_loop(s.dim)
+        loops[nu - 1, 0] = gaugeless_loop(s, kind)
+        F = FrameField.from_loops(grid, loops, n=s.dim, symmetry=F.symmetry, target=F.target)
+    F = replace(F, mask=rng.uniform(size=grid.shape) < keep)
+    got = tau_merge(F, s, constant_group=group)
+    ref = reference_tau_merge(F, s, group)
+    assert np.array_equal(got.mask, ref.mask)
+    assert list(got.info["failures"]) == list(ref.info["failures"])
+    if odd_nodes and F.mask[1, 2]:
+        assert not got.mask[1, 2]
+    assert got.info["diagnostics"].keys() == ref.info["diagnostics"].keys()
+    for node, d in ref.info["diagnostics"].items():
+        # a node's inner Birkhoff residual is summed over the windows its
+        # stack shares, so it may differ in the last bit
+        assert got.info["diagnostics"][node]["residual"] == pytest.approx(d["residual"],
+                                                                         rel=1e-14)
+        assert got.info["diagnostics"][node]["condition"] >= 1.0
+        a, b = got.value(*node), ref.value(*node)
+        assert a.window == b.window
+        assert np.abs(a.coeffs - b.coeffs).max() <= 1e-14 * max(1.0, np.abs(b.coeffs).max())
 
 
 # -- array steps against the per-node code they replaced ------------------------
