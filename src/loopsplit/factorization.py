@@ -271,16 +271,9 @@ def _solve_modes(big, rhs):
     finite = np.isfinite(anorm)
     if big.shape[-1] <= INVERSE_MAX_ORDER:
         inverse = np.zeros_like(big)
-        singular = ~finite
-        try:
-            inverse[finite] = np.linalg.inv(big[finite])
-        except np.linalg.LinAlgError:
-            for b in np.flatnonzero(finite):
-                try:
-                    inverse[b] = np.linalg.inv(big[b])
-                except np.linalg.LinAlgError:
-                    singular[b] = True
-        ok = ~singular
+        inverse[finite], singular = _inverses(big[finite])
+        ok = finite.copy()
+        ok[np.flatnonzero(finite)[singular]] = False
         condition[ok] = anorm[ok] * np.abs(inverse[ok]).sum(axis=-2).max(axis=-1)
         ok &= np.isfinite(condition)
         sol[ok] = inverse[ok] @ rhs[ok]
@@ -294,6 +287,21 @@ def _solve_modes(big, rhs):
             condition[b] = 1.0 / rcond
             sol[b] = sla.lu_solve((lu, piv), rhs[b])
     return condition, sol
+
+
+def _inverses(m):
+    """np.linalg.inv of every matrix of a stack and the rows where it is
+    singular (their inverse I)."""
+    try:
+        return np.linalg.inv(m), []
+    except np.linalg.LinAlgError:
+        out, singular = np.broadcast_to(np.eye(m.shape[-1]), m.shape).astype(complex), []
+        for b in range(len(m)):
+            try:
+                out[b] = np.linalg.inv(m[b])
+            except np.linalg.LinAlgError:
+                singular.append(b)
+        return out, singular
 
 
 def _birkhoff_left_at(lo, coeffs, N: int, tol):
@@ -447,7 +455,7 @@ def birkhoff_right(g, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
 def _fnorms(m):
     """fnorm of every matrix of a stack (B, r, c), from the same two dot
     products, so bit for bit."""
-    v = m.reshape(len(m), 1, -1)
+    v = m.reshape(len(m), 1, m.shape[-2] * m.shape[-1])
     return np.sqrt((v.real @ v.real.swapaxes(1, 2) + v.imag @ v.imag.swapaxes(1, 2))[:, 0, 0])
 
 
@@ -477,7 +485,8 @@ def _form_kinds(a, s: SymmetrySpec, group, form):
 
 
 def _shifts(a, s: SymmetrySpec, b, loop):
-    """Constants c in the group of a with tau(c) = c^{-1}: I, then exp(tX).
+    """The constants c != I in the group of a with tau(c) = c^{-1} that the
+    constant solve retries with: exp(tX).
 
     X_ij = w g_ij and X_ji = -b_i b_j w g_ij for q_i = +1, q_j = -1 (b the
     form's signs, all ones for GL; w = i under Rhat, else 1): exp(tX) keeps
@@ -490,7 +499,6 @@ def _shifts(a, s: SymmetrySpec, b, loop):
     k = 1.
     """
     m = a.shape[0]
-    yield np.eye(m)
     q = np.diag(s.tau_matrix)
     p = np.diag(s.sigma_matrix)
     pairs = [np.outer(q > 0, q < 0)]
@@ -525,47 +533,18 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None):
     and distance from the group are within the precondition's tolerance is
     returned, else the best within the postcondition's.  `group`
     ("general" or "auto") and `form` ("orthogonal", "lorentz", or None to
-    detect it) choose the group.
+    detect it) choose the group.  a is solved as a stack of one (see
+    _solve_constants), and its failure raised.
     """
-    return _solve_constant(np.asarray(a, dtype=complex), s, group, form, None)
-
-
-def _solve_constant(a, s: SymmetrySpec, group, form, loop):
-    """solve_constant_tau of one matrix, the middle term of loop (a stack
-    of one, or None; see _shifts)."""
+    a = np.asarray(a, dtype=complex)
     m = a.shape[0]
     if a.shape != (m, m) or m != s.dim:
         raise NotInIwasawaCell(
             f"middle term has shape {a.shape}, expected ({s.dim},{s.dim})")
-    scale = max(1.0, fnorm(a))
-    defect = fnorm(tau_constant(a, s) @ a - np.eye(m))
-    if defect > TOL_CONST_PRE * scale * 10:
-        raise NotInIwasawaCell(
-            f"middle term does not satisfy tau(a) = a^{{-1}} (defect {defect:.3e}); "
-            "the loop is not in the Iwasawa cell",
-            residual=defect,
-        )
-    if fnorm(a - np.eye(m)) <= TOL_CONST_POST:
-        return np.eye(m, dtype=complex)
-    Q = s.tau_matrix
-    signs, (kind,) = _form_kinds(a[None], s, group, form)
-    b = None if kind < 0 else signs[kind]
-    if b is not None and s.reality in ("Rhat1", "Rhat2"):
-        # W = diag(1 at q=+1, i at q=-1): W^{-1} a Q W is real under Rhat
-        w = np.where(np.diag(Q) > 0, 1.0, 1j)
-        S_work = np.conj(w)[:, None] * (a @ Q) * w[None, :]
-        if fnorm(S_work.imag) > 1e-8 * max(1.0, fnorm(S_work)):
-            raise NotInIwasawaCell("middle term violates its declared reality")
-    best, least = None, TOL_CONST_POST * 10
-    for c in _shifts(a, s, b, loop):
-        (k,), (defect,) = _attempt(a[None], c, scale, s, b)
-        if defect <= TOL_CONST_PRE * 10:
-            return k
-        if defect <= least:
-            best, least = k, defect
-    if best is None:
-        raise NotInIwasawaCell("no constant of the group of a solves a = k^{-1} tau(k)")
-    return best
+    (k,), failures = _solve_constants(a[None], s, group, form, None)
+    if failures:
+        raise failures[0]
+    return k
 
 
 def _attempt(a, c, scale, s: SymmetrySpec, b):
@@ -588,7 +567,10 @@ def _attempt(a, c, scale, s: SymmetrySpec, b):
         k = np.linalg.solve(R, np.eye(m) + tau_constant(shifted, s)) @ c_inv
         defect = _fnorms(np.linalg.inv(k) @ Q @ k @ Q - a) / scale
     except np.linalg.LinAlgError:
-        return np.zeros_like(a), np.full(len(a), np.inf)
+        if len(a) == 1:
+            return np.zeros_like(a), np.full(1, np.inf)
+        parts = [_attempt(a[j : j + 1], c, scale[j : j + 1], s, b) for j in range(len(a))]
+        return np.concatenate([k for k, _ in parts]), np.concatenate([d for _, d in parts])
     if b is not None:
         off = (_fnorms(k.swapaxes(1, 2) @ (b[:, None] * k) - np.diag(b))
                / np.maximum(1.0, _fnorms(k) ** 2))
@@ -597,45 +579,72 @@ def _attempt(a, c, scale, s: SymmetrySpec, b):
 
 
 def _solve_constants(a, s: SymmetrySpec, group, form, loops):
-    """_solve_constant of the middle terms a (B, m, m) of the loops of a
-    stack (a _Stack).
+    """solve_constant_tau of a stack (B, m, m) of middle terms, those of
+    the loops of the _Stack `loops` (None for no loop's; see _shifts).
 
-    With more than one, the first attempt (c = I) runs on all of them at
-    once, with its checks; a matrix it leaves unsolved within the
-    precondition's tolerance, or that fails a check, is solved on its own
-    with every shift, which gives the same k or raises the failure.  Returns
-    (k, failures): failures maps rows to their NotInIwasawaCell, and their
-    rows of k are I.
+    The checks (the tau(a) a = I defect, a within TOL_CONST_POST of I, the
+    form and, under Rhat, the reality of a) and the first attempt (c = I)
+    run on the whole stack; a matrix that attempt leaves unsolved within
+    the precondition's tolerance is retried on its own with the other
+    shifts (see _retry).  Returns (k, failures): failures maps rows to
+    their NotInIwasawaCell, and their rows of k are I.
     """
     B, m = a.shape[:2]
     eye = np.eye(m)
-    k = np.zeros_like(a)
-    done = np.zeros(B, dtype=bool)
-    if B > 1 and m == s.dim:
-        scale = np.maximum(1.0, _fnorms(a))
-        pending = _fnorms(tau_constant(a, s) @ a - eye) <= TOL_CONST_PRE * scale * 10
-        near = pending & (_fnorms(a - eye) <= TOL_CONST_POST)
-        k[near], done[near] = eye, True
-        pending &= ~near
-        signs, kind = _form_kinds(a, s, group, form)
-        if s.reality in ("Rhat1", "Rhat2"):
-            w = np.where(np.diag(s.tau_matrix) > 0, 1.0, 1j)
-            S_work = np.conj(w)[:, None] * (a @ s.tau_matrix) * w[None, :]
-            pending &= (kind < 0) | (_fnorms(S_work.imag)
-                                     <= 1e-8 * np.maximum(1.0, _fnorms(S_work)))
-        for row in (-1, 0, 1):
-            rows = np.flatnonzero(pending & (kind == row))
-            if rows.size:
-                k[rows], defect = _attempt(a[rows], eye, scale[rows], s,
-                                           None if row < 0 else signs[row])
-                done[rows] = defect <= TOL_CONST_PRE * 10
-    failures = {}
-    for b in np.flatnonzero(~done).tolist():  # the rest, each with its own shifts
-        try:
-            k[b] = _solve_constant(a[b], s, group, form, loops.rows([b]))
-        except NotInIwasawaCell as exc:
-            failures[b], k[b] = exc, eye
+    k = np.broadcast_to(eye, a.shape).astype(complex)
+    scale = np.maximum(1.0, _fnorms(a))
+    defect = _fnorms(tau_constant(a, s) @ a - eye)
+    outside = defect > TOL_CONST_PRE * scale * 10
+    failures = {b: NotInIwasawaCell(
+        f"middle term does not satisfy tau(a) = a^{{-1}} (defect {defect[b]:.3e}); "
+        "the loop is not in the Iwasawa cell", residual=float(defect[b]))
+        for b in np.flatnonzero(outside).tolist()}
+    rows = np.flatnonzero(~outside & ~(_fnorms(a - eye) <= TOL_CONST_POST))
+    if not rows.size:
+        return k, failures
+    signs, kind = _form_kinds(a[rows], s, group, form)
+    if s.reality in ("Rhat1", "Rhat2"):
+        # W = diag(1 at q=+1, i at q=-1): W^{-1} a Q W is real under Rhat
+        w = np.where(np.diag(s.tau_matrix) > 0, 1.0, 1j)
+        S_work = np.conj(w)[:, None] * (a[rows] @ s.tau_matrix) * w[None, :]
+        unreal = (kind >= 0) & (_fnorms(S_work.imag) > 1e-8 * np.maximum(1.0, _fnorms(S_work)))
+        for b in rows[unreal].tolist():
+            failures[b] = NotInIwasawaCell("middle term violates its declared reality")
+        rows, kind = rows[~unreal], kind[~unreal]
+    for row in (-1, 0, 1):
+        at = rows[kind == row]
+        if not at.size:
+            continue
+        b_signs = None if row < 0 else signs[row]
+        k[at], first = _attempt(a[at], eye, scale[at], s, b_signs)
+        for j in np.flatnonzero(~(first <= TOL_CONST_PRE * 10)).tolist():
+            b = int(at[j])
+            try:
+                k[b] = _retry(a[b], s, b_signs, None if loops is None else loops.rows([b]),
+                              scale[b], k[b], first[j])
+            except NotInIwasawaCell as exc:
+                failures[b], k[b] = exc, eye
     return k, failures
+
+
+def _retry(a, s: SymmetrySpec, b, loop, scale, k, defect):
+    """The rest of the constant solve of one matrix a, the middle term of
+    loop, whose first attempt gave (k, defect): the shifts c != I one by
+    one (see _shifts).  Returns the first k within the precondition's
+    tolerance, else the best within the postcondition's, the first
+    attempt's included; raises NotInIwasawaCell when there is none."""
+    best, least = None, TOL_CONST_POST * 10
+    if defect <= least:
+        best, least = k, defect
+    for c in _shifts(a, s, b, loop):
+        (k,), (defect,) = _attempt(a[None], c, scale, s, b)
+        if defect <= TOL_CONST_PRE * 10:
+            return k
+        if defect <= least:
+            best, least = k, defect
+    if best is None:
+        raise NotInIwasawaCell("no constant of the group of a solves a = k^{-1} tau(k)")
+    return best
 
 
 # -- tau-Iwasawa ---------------------------------------------------------------
@@ -763,21 +772,6 @@ def _right_factors(w, N, tol):
                 residual[b], condition[b] = o.residual, o.condition
     return (_trimmed(*_gather(plus, n)), _trimmed(*_gather(minus, n)), residual, condition,
             failures)
-
-
-def _inverses(m):
-    """np.linalg.inv of every matrix of a stack and the rows where it is
-    singular (their inverse I)."""
-    try:
-        return np.linalg.inv(m), []
-    except np.linalg.LinAlgError:
-        out, singular = np.broadcast_to(np.eye(m.shape[-1]), m.shape).astype(complex), []
-        for b in range(len(m)):
-            try:
-                out[b] = np.linalg.inv(m[b])
-            except np.linalg.LinAlgError:
-                singular.append(b)
-        return out, singular
 
 
 _RESIDUALS = ("reconstruction", "tau_fixed", "middle_reality", "minus_pair", "birkhoff")

@@ -185,12 +185,10 @@ def stack_windows(lo, coeffs):
 def _windows(lo, peaks):
     scale = peaks.max(axis=-1, keepdims=True)
     keep = peaks > TOL_TRIM * scale
-    los = lo + keep.argmax(axis=-1)
-    his = lo + peaks.shape[-1] - 1 - keep[..., ::-1].argmax(axis=-1)
+    first = keep.argmax(axis=-1)
+    last = peaks.shape[-1] - 1 - keep[..., ::-1].argmax(axis=-1)
     zero = scale[..., 0] == 0.0
-    if zero.any():
-        los, his = np.where(zero, 0, los), np.where(zero, 0, his)
-    return los, his
+    return np.where(zero, 0, lo + first), np.where(zero, 0, lo + last)
 
 
 def trim_stack(lo, coeffs):
@@ -198,12 +196,7 @@ def trim_stack(lo, coeffs):
     a loop's own window are zeroed and the shared window is cut to the
     union of the loops' windows.  Returns (lo, coeffs, los, his); coeffs
     is a view of the input where that is zero outside every window
-    already.  A lone loop (B, W, n, n) with B = 1 takes LaurentLoop's own
-    trim."""
-    if coeffs.ndim == 4 and len(coeffs) == 1:
-        lo, c = _trim(lo, coeffs[0])
-        hi = np.array([lo + len(c) - 1])
-        return lo, c[None], hi - len(c) + 1, hi
+    already."""
     peaks = np.abs(coeffs).max(axis=(-2, -1))
     los, his = _windows(lo, peaks)
     if los.size == 0:

@@ -20,7 +20,9 @@ from loopsplit import (
     Grid2D,
     GroupSpec,
     LaurentLoop,
+    IwasawaResult,
     SymmetrySpec,
+    apply_tau,
     birkhoff_left,
     birkhoff_right,
     constant,
@@ -39,15 +41,19 @@ from loopsplit import (
     phi_map,
     solve_constant_tau,
     split,
-    tau_iwasawa_minus,
+    tau_iwasawa,
     tau_merge,
     truncated_inverse,
 )
-from loopsplit.errors import BigCellViolation, NotInIwasawaCell, SingularLoop
+from loopsplit.errors import ILL_CONDITIONED, BigCellViolation, NotInIwasawaCell, SingularLoop
 from loopsplit.factorization import (
     CONDITION_LIMIT,
+    MAX_SYSTEM_ORDER,
+    ROUNDOFF_FLOOR,
+    START_PAD,
     TOL_CONST_PRE,
     TOL_IWASAWA,
+    _adaptive_window,
     _distance,
     _gather,
     _mul,
@@ -61,9 +67,10 @@ from loopsplit.generators import (
     random_matrix,
     random_minus_unipotent,
     random_skew,
+    random_tau_instance,
     rng_for,
 )
-from loopsplit.loops import TOL_TRIM
+from loopsplit.loops import TOL_TRIM, fnorm
 from loopsplit.spaceforms import phi_field
 from loopsplit.symmetry import tau_constant
 
@@ -386,6 +393,95 @@ def test_tau_merge_nodes_are_independent(seed, nu, nv, keep, case):
         assert_same_loop(part.value(*node), whole.value(*node))
 
 
+# -- tau-Iwasawa against the per-loop code the stack kernel replaced ----------
+
+
+def reference_decay_window(x):
+    """Smallest N such that degrees outside [-N, N] carry no more than the
+    round-off floor of x's Wiener norm."""
+    norms = np.linalg.norm(x.coeffs.reshape(x.coeffs.shape[0], -1), axis=1)
+    reach = np.abs(np.arange(x.lo, x.hi + 1))
+    by_reach = np.zeros(x.radius + 2)
+    np.add.at(by_reach, reach, norms)
+    outside = np.cumsum(by_reach[::-1])[::-1][1:]   # outside[N] = mass beyond N
+    return int(np.argmax(outside <= ROUNDOFF_FLOOR * norms.sum()))
+
+
+def reference_tau_iwasawa_at(x, s, N, tol, constant_group, form):
+    """One window of the per-loop tau-Iwasawa, in LaurentLoop arithmetic:
+    the result, or the failure a wider window may repair.  A singular
+    inverse of x and a structural failure of the constant solve raise, and
+    so does a BigCellViolation."""
+    xi = truncated_inverse(x, N)
+    w = mul(xi, apply_tau(x, s))
+    right = birkhoff_right(w, N=max(N, w.radius), tol=tol)
+    v_plus = right.plus
+    a = right.minus.coeff(0)
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise BigCellViolation("constant middle term is singular",
+                               cause=ILL_CONDITIONED) from exc
+    v_minus = mul(constant(a_inv), right.minus)
+    mid_residual = fnorm(tau_constant(a, s) @ a - np.eye(x.n))
+    pair_residual = distance(mul(v_minus, apply_tau(v_plus, s)), identity(x.n))
+    try:
+        k = solve_constant_tau(a, s, group=constant_group, form=form)
+    except NotInIwasawaCell as exc:
+        if exc.residual is None:
+            raise
+        return exc
+    k_inv = np.linalg.inv(k)
+    y_plus = mul(constant(k), truncated_inverse(v_plus, N))
+    z = mul(x, mul(v_plus, constant(k_inv)))
+    residuals = {
+        "reconstruction": distance(mul(z, y_plus), x),
+        "tau_fixed": distance(z, apply_tau(z, s)),
+        "middle_reality": mid_residual,
+        "minus_pair": pair_residual,
+        "birkhoff": right.residual,
+    }
+    result = IwasawaResult(z=z, y_plus=y_plus, k_const=k, residuals=residuals)
+    if residuals["reconstruction"] > tol or residuals["tau_fixed"] > tol:
+        return BigCellViolation(
+            "tau-Iwasawa postconditions failed: "
+            f"reconstruction {residuals['reconstruction']:.3e}, "
+            f"tau-fixedness {residuals['tau_fixed']:.3e}",
+            residual=result.residual, condition=right.condition)
+    return result
+
+
+def reference_tau_iwasawa(x, s, N=None, tol=TOL_IWASAWA, constant_group="auto", form=None):
+    """tau_iwasawa of one loop as the per-loop code computed it before the
+    stack kernel: LaurentLoop products, distances and inverses, one window
+    at a time, a failure no window repairs raised at once."""
+    start = reference_decay_window(x) + START_PAD if N is None else N
+    limit = start if N is not None else max(start, MAX_SYSTEM_ORDER // (2 * x.n))
+
+    def attempt(w, rows):
+        try:
+            return [reference_tau_iwasawa_at(x, s, w, tol, constant_group, form)]
+        except BigCellViolation as exc:
+            return [exc]
+
+    outcome, = _adaptive_window(attempt, [start], [limit], [x.wiener_norm()])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def reference_tau_iwasawa_minus(x, s, **kw):
+    res = reference_tau_iwasawa(x.mirror(), s, **kw)
+    return IwasawaResult(z=res.z.mirror(), y_plus=res.y_plus.mirror(),
+                         k_const=res.k_const, residuals=res.residuals)
+
+
+def assert_near_loop(got, ref):
+    """Equal windows, coefficients within 1e-14 of the reference's scale."""
+    assert got.window == ref.window
+    assert np.abs(got.coeffs - ref.coeffs).max() <= 1e-14 * max(1.0, np.abs(ref.coeffs).max())
+
+
 def reference_gauge_factor(m, b_signs, tol):
     """The per-node polar factor tau_merge's gauge stack replaced."""
     if np.linalg.cond(m) > CONDITION_LIMIT:
@@ -402,8 +498,8 @@ def reference_gauge_factor(m, b_signs, tol):
 
 
 def reference_tau_merge(F_plus, s, constant_group):
-    """tau_merge node by node, as before the stack kernel: one
-    tau_iwasawa_minus call and one polar factor per node."""
+    """tau_merge node by node, as before the stack kernel: one per-loop
+    tau-Iwasawa factorization and one polar factor per node."""
     form = F_plus.target.kind if F_plus.target is not None else None
     b_signs = None
     if constant_group != "general":
@@ -415,8 +511,8 @@ def reference_tau_merge(F_plus, s, constant_group):
     for node in zip(*np.nonzero(F_plus.mask)):
         node = (int(node[0]), int(node[1]))
         try:
-            res = tau_iwasawa_minus(F_plus.value(*node), s, constant_group=constant_group,
-                                    form=form)
+            res = reference_tau_iwasawa_minus(F_plus.value(*node), s,
+                                              constant_group=constant_group, form=form)
             gauges[node] = np.linalg.inv(reference_gauge_factor(res.z.coeff(0), b_signs,
                                                                 TOL_IWASAWA))
         except (BigCellViolation, SingularLoop, NotInIwasawaCell) as exc:
@@ -490,9 +586,51 @@ def test_tau_merge_matches_per_node_reference(seed, nu, nv, keep, odd_nodes, k, 
         assert got.info["diagnostics"][node]["residual"] == pytest.approx(d["residual"],
                                                                          rel=1e-14)
         assert got.info["diagnostics"][node]["condition"] >= 1.0
-        a, b = got.value(*node), ref.value(*node)
-        assert a.window == b.window
-        assert np.abs(a.coeffs - b.coeffs).max() <= 1e-14 * max(1.0, np.abs(b.coeffs).max())
+        assert_near_loop(got.value(*node), ref.value(*node))
+
+
+@settings(SETTINGS, max_examples=120)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2),
+       N=st.one_of(st.none(), st.integers(2, 14)),
+       case=st.sampled_from(["instance", ("general", None), ("orthogonal", "R1"),
+                             ("lorentz", "R2"), "off_cell", "gaugeless"]))
+def test_tau_iwasawa_matches_per_loop_reference(seed, k, N, case):
+    # a lone loop runs through the stack kernel as a stack of one: it gets
+    # the factors, residuals and failures of the per-loop code, at drawn
+    # windows and at the residual-driven one
+    rng = rng_for(seed)
+    s = SymmetrySpec(2, k)
+    group, form = "general", None
+    if case == "instance":
+        x = random_tau_instance(rng, s, scale=float(rng.uniform(0.05, 0.4)))[0]
+    elif case == "off_cell":
+        x = off_cell_loop(s.dim)
+    elif case == "gaugeless":
+        x = gaugeless_loop(s, "general")
+    else:
+        grid = Grid2D.centered(0.4, 3, 0.4, 3)
+        kind, reality = case
+        s = SymmetrySpec(2, k, reality)
+        if reality is None:
+            F = random_basic_pair(rng, grid, n=3 + k)[1]
+        else:
+            F = random_flat_field(rng, grid, reality, GroupSpec(kind, 2, k))
+            group, form = "auto", kind
+        x = F.value(*(int(i) for i in rng.integers(0, 3, size=2)))
+    try:
+        ref = reference_tau_iwasawa(x, s, N=N, constant_group=group, form=form)
+    except (BigCellViolation, SingularLoop, NotInIwasawaCell) as exc:
+        with pytest.raises(type(exc)) as info:
+            tau_iwasawa(x, s, N=N, constant_group=group, form=form)
+        assert str(info.value) == str(exc)
+        return
+    got = tau_iwasawa(x, s, N=N, constant_group=group, form=form)
+    assert_near_loop(got.z, ref.z)
+    assert_near_loop(got.y_plus, ref.y_plus)
+    assert np.abs(got.k_const - ref.k_const).max() <= 1e-14 * max(1.0, np.abs(ref.k_const).max())
+    assert got.residuals.keys() == ref.residuals.keys()
+    for key, r in ref.residuals.items():
+        assert got.residuals[key] == pytest.approx(r, rel=1e-14, abs=0.0)
 
 
 # -- array steps against the per-node code they replaced ------------------------
