@@ -196,7 +196,14 @@ def trim_stack(lo, coeffs):
     a loop's own window are zeroed and the shared window is cut to the
     union of the loops' windows.  Returns (lo, coeffs, los, his); coeffs
     is a view of the input where that is zero outside every window
-    already."""
+    already.  A lone loop (B, W, n, n) with B = 1 takes LaurentLoop's own
+    trim, the same windows and values in fewer array calls: with it
+    pointwise_factor, whose loops are factored alone, runs 7 % faster
+    (BENCH_14.json, trim_branch_ab)."""
+    if coeffs.ndim == 4 and len(coeffs) == 1:
+        lo, c = _trim(lo, coeffs[0])
+        hi = np.array([lo + len(c) - 1])
+        return lo, c[None], hi - len(c) + 1, hi
     peaks = np.abs(coeffs).max(axis=(-2, -1))
     los, his = _windows(lo, peaks)
     if los.size == 0:
