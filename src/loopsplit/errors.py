@@ -50,7 +50,9 @@ class NotInIwasawaCell(LoopsplitError):
 
     `residual` is set when the failure is a measured defect that a wider
     truncation window can reduce (the tau(a) a = I precondition); it is None
-    for structural failures such as a spectrum or signature mismatch.
+    for the structural failures, which no window repairs: a middle term
+    that violates its declared reality, and one that no constant of its
+    group solves.
     """
 
     def __init__(self, msg, residual=None):

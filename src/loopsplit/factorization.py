@@ -56,21 +56,28 @@ from .loops import (
     aligned,
     cauchy,
     chunks,
+    coefficient_norms,
+    constant_stack,
     degree_slice,
     fnorm,
     forward_substitution,
+    gather,
+    inverses,
+    mirror_stack,
     mul,
     named_failures,
     node_stack,
     on_nodes,
-    own_cauchy,
     padded,
+    stack_distance,
+    stack_mul,
+    stack_wiener,
     stack_windows,
     trim_stack,
     truncated_inverse,
     wiener_norms,
 )
-from .symmetry import SymmetrySpec, tau_constant
+from .symmetry import SymmetrySpec, apply_sigma, apply_tau, tau_constant
 
 CONDITION_LIMIT = 1e12
 TOL_BIRKHOFF = 1e-9
@@ -271,7 +278,7 @@ def _solve_modes(big, rhs):
     finite = np.isfinite(anorm)
     if big.shape[-1] <= INVERSE_MAX_ORDER:
         inverse = np.zeros_like(big)
-        inverse[finite], singular = _inverses(big[finite])
+        inverse[finite], singular = inverses(big[finite])
         ok = finite.copy()
         ok[np.flatnonzero(finite)[singular]] = False
         condition[ok] = anorm[ok] * np.abs(inverse[ok]).sum(axis=-2).max(axis=-1)
@@ -287,21 +294,6 @@ def _solve_modes(big, rhs):
             condition[b] = 1.0 / rcond
             sol[b] = sla.lu_solve((lu, piv), rhs[b])
     return condition, sol
-
-
-def _inverses(m):
-    """np.linalg.inv of every matrix of a stack and the rows where it is
-    singular (their inverse I)."""
-    try:
-        return np.linalg.inv(m), []
-    except np.linalg.LinAlgError:
-        out, singular = np.broadcast_to(np.eye(m.shape[-1]), m.shape).astype(complex), []
-        for b in range(len(m)):
-            try:
-                out[b] = np.linalg.inv(m[b])
-            except np.linalg.LinAlgError:
-                singular.append(b)
-        return out, singular
 
 
 def _birkhoff_left_at(lo, coeffs, N: int, tol):
@@ -374,11 +366,6 @@ def _birkhoff_stack(lo, coeffs, N, tol):
     return out
 
 
-def _mirror(lo, coeffs):
-    """The stack of the loops lambda -> value at 1/lambda."""
-    return -(lo + coeffs.shape[-3] - 1), coeffs[..., ::-1, :, :]
-
-
 def _birkhoff(g, N, tol, side):
     """Left or right factorization of a loop or of every node of a field.
 
@@ -391,7 +378,7 @@ def _birkhoff(g, N, tol, side):
     lo, coeffs = (g.lo, g.coeffs[None]) if loop else node_stack(g, g.mask)
     lead, nodes = ((1,), [(0,)]) if loop else (g.mask.shape, [tuple(x) for x in np.argwhere(g.mask)])
     if side == "right":
-        lo, coeffs = _mirror(lo, coeffs)
+        lo, coeffs = mirror_stack(lo, coeffs)
     count, width, n = coeffs.shape[:2] + coeffs.shape[-1:]
     plus = np.zeros(lead + (max(lo + width, 1), n, n), dtype=complex)
     minus_parts, measures, failures = {}, {}, {}
@@ -414,7 +401,7 @@ def _birkhoff(g, N, tol, side):
     minus = (m_lo, minus)
     plus = (0, plus[..., :1, :, :]) if not measures else (p_lo, plus[..., p_lo : p_hi + 1, :, :])
     if side == "right":
-        minus, plus = _mirror(*plus), _mirror(*minus)
+        minus, plus = mirror_stack(*plus), mirror_stack(*minus)
     residual = max((d["residual"] for d in measures.values()), default=math.nan)
     condition = max((d["condition"] for d in measures.values()), default=math.nan)
     if loop:
@@ -551,7 +538,8 @@ def _attempt(a, c, scale, s: SymmetrySpec, b):
     """One shift c of the constant solve of a stack (B, m, m) of matrices
     that keep the form diag(b) (None for GL): (k, defect), defect relative
     to scale and the larger of k's defect and its distance from the group,
-    inf where a solve is singular."""
+    inf where a solve is singular and NaN where k is singular to working
+    precision (its inverse overflows), so neither is ever accepted."""
     m = a.shape[-1]
     c_inv = tau_constant(c, s)
     shifted = c_inv @ a @ c_inv
@@ -565,7 +553,8 @@ def _attempt(a, c, scale, s: SymmetrySpec, b):
     Q = s.tau_matrix
     try:
         k = np.linalg.solve(R, np.eye(m) + tau_constant(shifted, s)) @ c_inv
-        defect = _fnorms(np.linalg.inv(k) @ Q @ k @ Q - a) / scale
+        with np.errstate(invalid="ignore"):
+            defect = _fnorms(np.linalg.inv(k) @ Q @ k @ Q - a) / scale
     except np.linalg.LinAlgError:
         if len(a) == 1:
             return np.zeros_like(a), np.full(1, np.inf)
@@ -580,7 +569,7 @@ def _attempt(a, c, scale, s: SymmetrySpec, b):
 
 def _solve_constants(a, s: SymmetrySpec, group, form, loops):
     """solve_constant_tau of a stack (B, m, m) of middle terms, those of
-    the loops of the _Stack `loops` (None for no loop's; see _shifts).
+    the loops of the Stack `loops` (None for no loop's; see _shifts).
 
     The checks (the tau(a) a = I defect, a within TOL_CONST_POST of I, the
     form and, under Rhat, the reality of a) and the first attempt (c = I)
@@ -649,85 +638,19 @@ def _retry(a, s: SymmetrySpec, b, loop, scale, k, defect):
 
 # -- tau-Iwasawa ---------------------------------------------------------------
 #
-# The kernel runs on stacks whose loops keep their own windows, as LaurentLoop
-# arithmetic trims them: products are oriented and Wiener norms summed over
-# each loop's own window, and the inner Birkhoff factorization takes the loops
-# of one window together, so a loop's results do not depend on what else
-# shares its stack.  A lone loop is a stack of one.
-
-
-class _Stack(NamedTuple):
-    """A trimmed stack (see trim_stack) with the window [los, his] of each
-    of its loops."""
-
-    lo: int
-    c: np.ndarray
-    los: np.ndarray
-    his: np.ndarray
-
-    def rows(self, index):
-        return _Stack(self.lo, self.c[index], self.los[index], self.his[index])
-
-
-def _trimmed(lo, c):
-    lo, c, los, his = trim_stack(lo, c)
-    return _Stack(int(lo), c, los, his)
-
-
-def _constants(m):
-    """The stack of the constant loops m (B, n, n), each over [0, 0] (a zero
-    loop too)."""
-    zero = np.zeros(len(m), dtype=int)
-    return _Stack(0, m[:, None], zero, zero)
-
-
-def _mul(x, y):
-    return _trimmed(x.lo + y.lo, own_cauchy(x.c, y.c, x.his - x.los < y.his - y.los))
-
-
-def _tau(x, s: SymmetrySpec):
-    """apply_tau of every loop: coefficients reversed and conjugated by Q."""
-    q = np.diag(s.tau_matrix)
-    return _Stack(-(x.lo + x.c.shape[1] - 1), x.c[:, ::-1] * (q[:, None] * q[None, :]),
-                  -x.his, -x.los)
-
-
-def _sigma(x, s: SymmetrySpec):
-    """apply_sigma of every loop."""
-    p = np.diag(s.sigma_matrix)
-    signs = (-1.0) ** (x.lo + np.arange(x.c.shape[1]))
-    return _Stack(x.lo, x.c * (p[:, None] * p[None, :]) * signs[:, None, None], x.los, x.his)
-
-
-def _coefficient_norms(x):
-    return np.linalg.norm(x.c.reshape(x.c.shape[:2] + (-1,)), axis=-1)
-
-
-def _wiener(x):
-    """The Wiener norm of every loop, summed over its own window as
-    LaurentLoop.wiener_norm sums it: the loops of one width together."""
-    norms = _coefficient_norms(x)
-    widths = x.his - x.los + 1
-    if (widths == norms.shape[1]).all():
-        return norms.sum(axis=-1)
-    out = np.empty(len(widths))
-    for width in np.unique(widths).tolist():
-        rows = np.flatnonzero(widths == width)
-        cols = np.clip((x.los[rows] - x.lo)[:, None] + np.arange(width), 0, norms.shape[1] - 1)
-        out[rows] = norms[rows[:, None], cols].sum(axis=-1)
-    return out
-
-
-def _distance(x, y):
-    lo, a, b = aligned(x.lo, x.c, y.lo, y.c)
-    return _wiener(_trimmed(lo, a - b))
+# The kernel runs on Stacks (see loops), whose loops keep their own windows:
+# products and Wiener norms follow each loop's own window (stack_mul,
+# stack_wiener, stack_distance), tau and sigma are symmetry's, and the inner
+# Birkhoff factorization takes the loops of one window together, so a loop's
+# results do not depend on what else shares its stack.  A lone loop is a
+# stack of one.
 
 
 def _decay_windows(x, scale):
     """Smallest N per loop such that degrees outside [-N, N] carry no more
     than the round-off floor of its Wiener norm, scale."""
     degs = x.lo + np.arange(x.c.shape[1])
-    norms = _coefficient_norms(x)
+    norms = coefficient_norms(x.c)
     by_reach = np.zeros((len(x.c), np.abs(degs).max() + 2))
     by_reach[:, -degs[degs < 0]] += norms[:, degs < 0]  # degree -r before r, as summed alone
     by_reach[:, degs[degs >= 0]] += norms[:, degs >= 0]
@@ -737,17 +660,7 @@ def _decay_windows(x, scale):
 
 def _twisted(x, s: SymmetrySpec):
     """Whether each loop is sigma-fixed, to 1e-10 of its Wiener norm."""
-    return _distance(x, _sigma(x, s)) <= 1e-10 * np.maximum(1.0, _wiener(x))
-
-
-def _gather(parts, n):
-    """One stack (lo, coeffs) of the loops given as (lo, coeffs) pairs, each
-    re-embedded into the union of their windows."""
-    lo = min(p for p, _ in parts)
-    out = np.zeros((len(parts), max(p + len(c) for p, c in parts) - lo, n, n), dtype=complex)
-    for b, (p, c) in enumerate(parts):
-        out[b, p - lo : p - lo + len(c)] = c
-    return lo, out
+    return stack_distance(x, apply_sigma(x, s)) <= 1e-10 * np.maximum(1.0, stack_wiener(x))
 
 
 def _right_factors(w, N, tol):
@@ -757,21 +670,22 @@ def _right_factors(w, N, tol):
     Returns (plus, minus, residual, condition, failures); failures maps rows
     to their BigCellViolation, and their factors are I."""
     B, n = w.c.shape[0], w.c.shape[-1]
-    eye = (0, np.eye(n, dtype=complex)[None])
-    plus, minus = [eye] * B, [eye] * B
+    eye = np.eye(n, dtype=complex)[None]
+    plus, minus = [(b, 0, eye) for b in range(B)], [(b, 0, eye) for b in range(B)]
     residual, condition = np.zeros(B), np.zeros(B)
     failures = {}
     for l, h in sorted(set(zip(w.los.tolist(), w.his.tolist()))):
         rows = np.flatnonzero((w.los == l) & (w.his == h))
-        lo, c = _mirror(l, w.c[rows, l - w.lo : h - w.lo + 1])
+        lo, c = mirror_stack(l, w.c[rows, l - w.lo : h - w.lo + 1])
         for b, o in zip(rows.tolist(), _birkhoff_stack(lo, c, max(N, abs(l), abs(h)), tol)):
             if isinstance(o, Exception):
                 failures[b] = o
             else:
-                plus[b], minus[b] = _mirror(o.minus_lo, o.minus), _mirror(o.plus_lo, o.plus)
+                plus[b] = (b, *mirror_stack(o.minus_lo, o.minus))
+                minus[b] = (b, *mirror_stack(o.plus_lo, o.plus))
                 residual[b], condition[b] = o.residual, o.condition
-    return (_trimmed(*_gather(plus, n)), _trimmed(*_gather(minus, n)), residual, condition,
-            failures)
+    return (trim_stack(*gather(plus, (B,), n)), trim_stack(*gather(minus, (B,), n)), residual,
+            condition, failures)
 
 
 _RESIDUALS = ("reconstruction", "tau_fixed", "middle_reality", "minus_pair", "birkhoff")
@@ -789,21 +703,21 @@ class _Solved(NamedTuple):
 def _truncated_inverses(g, rows, N):
     """truncated_inverse at window N of the loops of g (a loop, or a field's
     unmasked nodes in row-major order) at the given rows, through the public
-    name, on a field masked to those rows: (the inverses as a _Stack, their
+    name, on a field masked to those rows: (the inverses as a Stack, their
     SingularLoop failures by position in rows)."""
     if isinstance(g, LaurentLoop):
         try:
             xi = truncated_inverse(g, N)
         except SingularLoop as exc:
-            return _constants(np.zeros((1, g.n, g.n), dtype=complex)), {0: exc}
-        return _trimmed(xi.lo, xi.coeffs[None]), {}
+            return constant_stack(np.zeros((1, g.n, g.n), dtype=complex)), {0: exc}
+        return trim_stack(xi.lo, xi.coeffs[None]), {}
     nodes = [tuple(node) for node in np.argwhere(g.mask)[rows].tolist()]
     mask = np.zeros_like(g.mask)
     mask[tuple(np.array(nodes).T)] = True
     xi = truncated_inverse(replace(g, mask=mask, info={}), N)
     failures = {j: SingularLoop(xi.info["failures"][node]) for j, node in enumerate(nodes)
                 if node in xi.info["failures"]}
-    return _trimmed(xi.lo, xi.coeffs[mask]), failures
+    return trim_stack(xi.lo, xi.coeffs[mask]), failures
 
 
 def _tau_iwasawa_at(x, s, N, tol, constant_group, form, inverse):
@@ -822,17 +736,17 @@ def _tau_iwasawa_at(x, s, N, tol, constant_group, form, inverse):
     B, n = x.c.shape[0], x.c.shape[-1]
     eye = np.eye(n, dtype=complex)
     xi, failed = inverse
-    plus, minus, birkhoff, condition, bad = _right_factors(_mul(xi, _tau(x, s)), N, tol)
+    plus, minus, birkhoff, condition, bad = _right_factors(stack_mul(xi, apply_tau(x, s)), N, tol)
     for b, exc in bad.items():
         failed.setdefault(b, exc)
     a = padded(minus.lo, minus.c, 0, 0)[:, 0]
-    a_inv, singular = _inverses(a)
+    a_inv, singular = inverses(a)
     for b in singular:
         failed.setdefault(b, BigCellViolation("constant middle term is singular",
                                               cause=ILL_CONDITIONED))
     middle = _fnorms(tau_constant(a, s) @ a - eye)
-    pair = _distance(_mul(_mul(_constants(a_inv), minus), _tau(plus, s)),
-                     _constants(np.broadcast_to(eye, (B, n, n))))
+    pair = stack_distance(stack_mul(stack_mul(constant_stack(a_inv), minus), apply_tau(plus, s)),
+                          constant_stack(np.broadcast_to(eye, (B, n, n))))
     live = np.ones(B, dtype=bool)
     live[list(failed)] = False
     live = np.flatnonzero(live)
@@ -841,10 +755,10 @@ def _tau_iwasawa_at(x, s, N, tol, constant_group, form, inverse):
     for j, exc in unsolved.items():
         failed.setdefault(int(live[j]), exc)
     k_inv = np.linalg.inv(k)
-    y_plus = _mul(_constants(k), _trimmed(0, forward_substitution(plus.c, N)))
-    z = _mul(x, _mul(plus, _constants(k_inv)))
-    residuals = dict(zip(_RESIDUALS, (_distance(_mul(z, y_plus), x), _distance(z, _tau(z, s)),
-                                      middle, pair, birkhoff)))
+    y_plus = stack_mul(constant_stack(k), trim_stack(0, forward_substitution(plus.c, N)))
+    z = stack_mul(x, stack_mul(plus, constant_stack(k_inv)))
+    residuals = dict(zip(_RESIDUALS, (stack_distance(stack_mul(z, y_plus), x),
+                                      stack_distance(z, apply_tau(z, s)), middle, pair, birkhoff)))
     worst = functools.reduce(lambda m, r: np.where(r > m, r, m), residuals.values())
     part = {"z": z, "y_plus": y_plus, "k": k, "residuals": residuals, "condition": condition}
     out = []
@@ -878,8 +792,8 @@ def _tau_iwasawa_stack(g, s, N, tol, constant_group, form):
         raise DimensionMismatch(f"loop dim {n} vs symmetry dim {s.dim}")
     if not B:
         return []
-    x = _trimmed(lo, coeffs)
-    scale = _wiener(x)
+    x = trim_stack(lo, coeffs)
+    scale = stack_wiener(x)
     if N is None:
         starts = _decay_windows(x, scale) + START_PAD
         limits = np.maximum(starts, MAX_SYSTEM_ORDER // (2 * n))
@@ -907,12 +821,8 @@ def _iwasawa_field(F, outcomes):
             parts[id(o.part)][2].append(o.index)
 
     def stacked(key):
-        lo = min((p[key].lo for p, _, _ in parts.values()), default=0)
-        hi = max((p[key].lo + p[key].c.shape[1] - 1 for p, _, _ in parts.values()), default=0)
-        out = np.zeros((B, hi - lo + 1, n, n), dtype=complex)
-        for p, rows, index in parts.values():
-            out[rows, p[key].lo - lo : p[key].lo - lo + p[key].c.shape[1]] = p[key].c[index]
-        return lo, out
+        return gather([(rows, p[key].lo, p[key].c[index]) for p, rows, index in parts.values()],
+                      (B,), n)
 
     k = np.zeros((B, n, n), dtype=complex)
     residuals = {key: np.full(B, np.nan) for key in _RESIDUALS}
@@ -939,7 +849,7 @@ def _mirrored(x):
     """x under lambda -> 1/lambda: a loop, or every node of a field."""
     if isinstance(x, LaurentLoop):
         return x.mirror()
-    lo, coeffs = _mirror(x.lo, x.coeffs)
+    lo, coeffs = mirror_stack(x.lo, x.coeffs)
     return replace(x, lo=lo, coeffs=coeffs)
 
 
@@ -958,9 +868,10 @@ def tau_iwasawa(x, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
     loop gets the factors it gets alone.  With N given only that window is
     solved.  Otherwise the window starts just past the degree where x's
     coefficients decay to round-off and grows with the residual (see
-    _adaptive_window); a singular inverse and spectrum and signature
-    mismatches of the middle term stop at once.  A loop that does not
-    factor raises the failure; a field masks the node.
+    _adaptive_window); a singular inverse, a middle term that violates its
+    declared reality and one that no constant of its group solves stop at
+    once.  A loop that does not factor raises the failure; a field masks
+    the node.
     """
     if not isinstance(x, LaurentLoop):
         return _iwasawa_field(x, _tau_iwasawa_stack(x, s, N, tol, constant_group, form))

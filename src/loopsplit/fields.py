@@ -43,7 +43,9 @@ from .loops import (
     LaurentLoop,
     aligned,
     cauchy,
+    coefficient_norms,
     distance,
+    gather,
     identity,
     node_stack,
     on_nodes,
@@ -117,21 +119,6 @@ def _nodes(mask):
     return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
-def _pack(shape, loops, n):
-    """(lo, coeffs): loops keyed by index into `shape`, re-embedded into one
-    array over the union of their degree windows, zero elsewhere."""
-    lo = min((g.lo for g in loops.values()), default=0)
-    hi = max((g.hi for g in loops.values()), default=0)
-    coeffs = np.zeros(tuple(shape) + (hi - lo + 1, n, n), dtype=complex)
-    for key, g in loops.items():
-        if g.n != n:
-            raise DimensionMismatch(f"loop at {key} has dimension {g.n}, expected {n}")
-        if len(key) != len(shape) or not all(0 <= k < s for k, s in zip(key, shape)):
-            raise DimensionMismatch(f"index {key} outside {tuple(shape)}")
-        coeffs[key][g.lo - lo : g.hi - lo + 1] = g.coeffs
-    return lo, coeffs
-
-
 @dataclass
 class _SampledLoops:
     """One loop per grid node (and per direction, for forms), stored as one
@@ -175,7 +162,13 @@ class _SampledLoops:
             if not loops:
                 raise ValueError("an empty set of loops needs its dimension n")
             n = next(iter(loops.values())).n
-        lo, coeffs = _pack(grid.shape + cls._directions, loops, n)
+        shape = grid.shape + cls._directions
+        for key, g in loops.items():
+            if g.n != n:
+                raise DimensionMismatch(f"loop at {key} has dimension {g.n}, expected {n}")
+            if len(key) != len(shape) or not all(0 <= k < s for k, s in zip(key, shape)):
+                raise DimensionMismatch(f"index {key} outside {shape}")
+        lo, coeffs = gather([(key, g.lo, g.coeffs) for key, g in loops.items()], shape, n)
         mask = np.zeros(grid.shape, dtype=bool)
         for key in loops:
             mask[key[:2]] = True
@@ -197,18 +190,6 @@ class _SampledLoops:
         """{index: loop} over the unmasked nodes, the inverse of from_loops."""
         return {node + d: self.value(*node, *d) for node in _nodes(self.mask)
                 for d in np.ndindex(self._directions)}
-
-
-def _coeff_norms(c):
-    """Frobenius norms of a stack of coefficient matrices."""
-    return np.linalg.norm(c.reshape(c.shape[:-2] + (-1,)), axis=-1)
-
-
-def _widen(x: _SampledLoops, lo, width):
-    """x's coefficient array re-embedded into the window [lo, lo + width)."""
-    out = np.zeros(x.coeffs.shape[:-3] + (width,) + x.coeffs.shape[-2:], dtype=complex)
-    out[..., x.lo - lo : x.hi - lo + 1, :, :] = x.coeffs
-    return out
 
 
 @dataclass
@@ -276,10 +257,9 @@ def field_distance(a: _SampledLoops, b: _SampledLoops) -> float:
         raise DimensionMismatch(
             f"cannot compare shapes {a.coeffs.shape[:-3]} x {a.dim} and "
             f"{b.coeffs.shape[:-3]} x {b.dim}")
-    lo = min(a.lo, b.lo)
-    width = max(a.hi, b.hi) - lo + 1
-    diff = _widen(a, lo, width) - _widen(b, lo, width)
-    return float(_coeff_norms(diff[a.mask & b.mask]).sum(axis=-1).max(initial=0.0))
+    _, x, y = aligned(a.lo, a.coeffs, b.lo, b.coeffs)
+    both = a.mask & b.mask
+    return float(coefficient_norms(x[both] - y[both]).sum(axis=-1).max(initial=0.0))
 
 
 @dataclass
@@ -380,7 +360,7 @@ def connection_order(A: ConnectionForm, tol_order=TOL_ORDER):
     """Tightest degree window (a, b) whose exterior stays below tol_order
     relative to the largest coefficient; returns (0, 0, True) for a zero form.
     """
-    norms = _coeff_norms(A.coeffs[A.mask])
+    norms = coefficient_norms(A.coeffs[A.mask])
     peak = norms.reshape(-1, norms.shape[-1]).max(axis=0, initial=0.0)
     top = float(peak.max())
     if top <= 0.0:
@@ -393,7 +373,7 @@ def connection_order(A: ConnectionForm, tol_order=TOL_ORDER):
 
 def form_scale(A: ConnectionForm) -> float:
     """Largest coefficient norm over the form, for relative thresholds."""
-    return float(_coeff_norms(A.coeffs[A.mask]).max(initial=0.0))
+    return float(coefficient_norms(A.coeffs[A.mask]).max(initial=0.0))
 
 
 def fd_mc_tolerance(A: ConnectionForm) -> float:
@@ -427,7 +407,7 @@ def mc_residual(A: ConnectionForm, per_degree=False):
     lo, d, wedge = aligned(lo_d, d_u - d_v,
                            2 * lo_a, cauchy(a[:, 0], a[:, 1]) - cauchy(a[:, 1], a[:, 0]))
     lo, r, los, his = trim_stack(lo, d + wedge)
-    norms = _coeff_norms(r)
+    norms = coefficient_norms(r)
     degs = lo + np.arange(r.shape[1])
     covered = ((degs >= los[:, None]) & (degs <= his[:, None])).any(axis=0)
     grades = {int(d): float(g) for d, g, c in zip(degs, norms.max(axis=0), covered) if c}

@@ -10,6 +10,7 @@ everything here is safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,7 +149,7 @@ class LaurentLoop:
 
     def mirror(self):
         """The loop lambda -> value at 1/lambda (coefficient reversal)."""
-        return LaurentLoop(-self.hi, self.coeffs[::-1])
+        return LaurentLoop(*mirror_stack(self.lo, self.coeffs))
 
     def transpose(self):
         return LaurentLoop(self.lo, np.transpose(self.coeffs, (0, 2, 1)))
@@ -172,7 +173,11 @@ def _trim(lo, coeffs):
 #
 # A stack is one coefficient array (..., W, n, n) whose axis -3 runs over the
 # degrees lo, lo + 1, ... shared by every loop in it.  The kernels below work
-# over any leading axes; a LaurentLoop is the stack of one loop.
+# over any leading axes; a LaurentLoop is the stack of one loop.  A trimmed
+# stack (Stack) also carries the window of each of its loops, and its own-
+# window arithmetic (stack_mul, stack_wiener, stack_distance) gives every
+# loop, bit for bit, what LaurentLoop arithmetic gives it alone, whatever
+# else shares the stack.
 
 
 def stack_windows(lo, coeffs):
@@ -191,35 +196,72 @@ def _windows(lo, peaks):
     return np.where(zero, 0, lo + first), np.where(zero, 0, lo + last)
 
 
-def trim_stack(lo, coeffs):
+class Stack(NamedTuple):
+    """A trimmed stack (see trim_stack): (lo, c, los, his), the window
+    [los, his] of each of its loops beside the shared coefficient array."""
+
+    lo: int
+    c: np.ndarray
+    los: np.ndarray
+    his: np.ndarray
+
+    def rows(self, index):
+        return Stack(self.lo, self.c[index], self.los[index], self.his[index])
+
+
+def trim_stack(lo, coeffs) -> Stack:
     """Trim every loop of a stack as LaurentLoop does: coefficients outside
     a loop's own window are zeroed and the shared window is cut to the
-    union of the loops' windows.  Returns (lo, coeffs, los, his); coeffs
-    is a view of the input where that is zero outside every window
-    already.  A lone loop (B, W, n, n) with B = 1 takes LaurentLoop's own
-    trim, the same windows and values in fewer array calls: with it
-    pointwise_factor, whose loops are factored alone, runs 7 % faster
-    (BENCH_14.json, trim_branch_ab)."""
+    union of the loops' windows.  coeffs is a view of the input where that
+    is zero outside every window already.  A lone loop (B, W, n, n) with
+    B = 1 takes LaurentLoop's own trim, the same windows and values in
+    fewer array calls: with it pointwise_factor, whose loops are factored
+    alone, runs 7 % faster (BENCH_14.json, trim_branch_ab)."""
     if coeffs.ndim == 4 and len(coeffs) == 1:
         lo, c = _trim(lo, coeffs[0])
         hi = np.array([lo + len(c) - 1])
-        return lo, c[None], hi - len(c) + 1, hi
+        return Stack(int(lo), c[None], hi - len(c) + 1, hi)
     peaks = np.abs(coeffs).max(axis=(-2, -1))
     los, his = _windows(lo, peaks)
     if los.size == 0:
-        return lo, coeffs, los, his
+        return Stack(int(lo), coeffs, los, his)
     new_lo, new_hi = int(los.min()), int(his.max())
     inside = lo <= new_lo and new_hi < lo + coeffs.shape[-3]
     cut = slice(new_lo - lo, new_hi - lo + 1)
     if inside and (los == new_lo).all() and (his == new_hi).all():
-        return new_lo, coeffs[..., cut, :, :], los, his
+        return Stack(new_lo, coeffs[..., cut, :, :], los, his)
     degs = np.arange(new_lo, new_hi + 1)
     outside = (degs < los[..., None]) | (degs > his[..., None])
     if inside and not peaks[..., cut][outside].any():
-        return new_lo, coeffs[..., cut, :, :], los, his
+        return Stack(new_lo, coeffs[..., cut, :, :], los, his)
     out = padded(lo, coeffs, new_lo, new_hi)
     out[outside] = 0.0
-    return new_lo, out, los, his
+    return Stack(new_lo, out, los, his)
+
+
+def constant_stack(m) -> Stack:
+    """The stack of the constant loops m (B, n, n), each over [0, 0] (a zero
+    loop too)."""
+    zero = np.zeros(len(m), dtype=int)
+    return Stack(0, m[:, None], zero, zero)
+
+
+def mirror_stack(lo, coeffs):
+    """(lo, coeffs) of the loops lambda -> value at 1/lambda of a stack."""
+    return -(lo + coeffs.shape[-3] - 1), coeffs[..., ::-1, :, :]
+
+
+def gather(parts, shape, n):
+    """(lo, coeffs): the loops of parts, (index, lo, coeffs) triples,
+    re-embedded into one array of shape shape + (W, n, n) over the union of
+    their windows, zero elsewhere.  An index picks one loop of the array,
+    or rows of it for a stack of loops."""
+    lo = min((p for _, p, _ in parts), default=0)
+    hi = max((p + c.shape[-3] - 1 for _, p, c in parts), default=0)
+    out = np.zeros(tuple(shape) + (hi - lo + 1, n, n), dtype=complex)
+    for index, p, c in parts:
+        out[np.index_exp[index] + (slice(p - lo, p - lo + c.shape[-3]),)] = c
+    return lo, out
 
 
 def node_stack(F, mask):
@@ -258,10 +300,37 @@ def aligned(lo_x, x, lo_y, y):
     return lo, x, y
 
 
+def coefficient_norms(coeffs):
+    """Frobenius norm of every coefficient of a stack."""
+    return np.linalg.norm(coeffs.reshape(coeffs.shape[:-2] + (-1,)), axis=-1)
+
+
 def wiener_norms(coeffs):
-    """Wiener norm of every loop of a stack."""
+    """Wiener norm of every loop of a stack, summed over the shared window."""
     n = coeffs.shape[-1]
     return np.linalg.norm(coeffs.reshape(coeffs.shape[:-2] + (n * n,)), axis=-1).sum(axis=-1)
+
+
+def stack_wiener(x: Stack):
+    """The Wiener norm of every loop of a Stack, summed over its own window
+    as LaurentLoop.wiener_norm sums it: the loops of one width together."""
+    norms = coefficient_norms(x.c)
+    widths = x.his - x.los + 1
+    if (widths == norms.shape[1]).all():
+        return norms.sum(axis=-1)
+    out = np.empty(len(widths))
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        cols = np.clip((x.los[rows] - x.lo)[:, None] + np.arange(width), 0, norms.shape[1] - 1)
+        out[rows] = norms[rows[:, None], cols].sum(axis=-1)
+    return out
+
+
+def stack_distance(x: Stack, y: Stack):
+    """The Wiener distance of every pair of loops of two Stacks, as
+    distance gives it."""
+    lo, a, b = aligned(x.lo, x.c, y.lo, y.c)
+    return stack_wiener(trim_stack(lo, a - b))
 
 
 def horner(lo, coeffs, lam):
@@ -339,20 +408,21 @@ def cauchy(x, y):
     return _rows_cauchy(x, y)
 
 
-def own_cauchy(x, y, swap):
-    """cauchy of two stacks (B, wx, n, n) and (B, wy, n, n), each pair of
-    loops oriented as cauchy orients them on their own windows: through
-    the transposes exactly where swap (one bool per loop) is True, which
-    is where the loop of x is the shorter.  Zero padding then leaves every
-    product as it is for the pair alone, bit for bit."""
+def stack_mul(x: Stack, y: Stack) -> Stack:
+    """The products of the loops of two Stacks, pair by pair, trimmed: each
+    pair oriented as cauchy orients it on its own windows, through the
+    transposes where the loop of x is the shorter.  Zero padding then
+    leaves every product as it is for the pair alone, bit for bit."""
+    swap = x.his - x.los < y.his - y.los
     if not swap.any():
-        return _rows_cauchy(x, y)
-    if swap.all():
-        return _transposed_cauchy(x, y)
-    out = np.empty(x.shape[:-3] + (x.shape[-3] + y.shape[-3] - 1,) + x.shape[-2:], dtype=complex)
-    out[~swap] = _rows_cauchy(x[~swap], y[~swap])
-    out[swap] = _transposed_cauchy(x[swap], y[swap])
-    return out
+        c = _rows_cauchy(x.c, y.c)
+    elif swap.all():
+        c = _transposed_cauchy(x.c, y.c)
+    else:
+        c = np.empty((len(swap), x.c.shape[1] + y.c.shape[1] - 1) + x.c.shape[2:], dtype=complex)
+        c[~swap] = _rows_cauchy(x.c[~swap], y.c[~swap])
+        c[swap] = _transposed_cauchy(x.c[swap], y.c[swap])
+    return trim_stack(x.lo + y.lo, c)
 
 
 def _transposed_cauchy(x, y):
@@ -396,6 +466,21 @@ def loop_exp(x: LaurentLoop) -> LaurentLoop:
 def distance(x: LaurentLoop, y: LaurentLoop) -> float:
     """Wiener-norm distance between two loops."""
     return (x - y).wiener_norm()
+
+
+def inverses(m):
+    """np.linalg.inv of every matrix of a stack (B, n, n) and the rows where
+    it is singular (their inverse I)."""
+    try:
+        return np.linalg.inv(m), []
+    except np.linalg.LinAlgError:
+        out, singular = np.broadcast_to(np.eye(m.shape[-1]), m.shape).astype(complex), []
+        for b in range(len(m)):
+            try:
+                out[b] = np.linalg.inv(m[b])
+            except np.linalg.LinAlgError:
+                singular.append(b)
+        return out, singular
 
 
 def forward_substitution(c, N: int):
@@ -503,15 +588,15 @@ def inverse_stack(lo, coeffs, N, los, his):
     b to the window [-N_b, N_b] (N an integer or one per loop); los and his
     list the loops' own windows.
 
-    Constant loops are inverted directly.  Normalized one-sided loops
-    I + (strictly negative / strictly positive) have a one-sided inverse
-    whose coefficients follow from block forward substitution, exactly and
-    without a solve (_neumann_inverse, all of them at once); the rest go
-    through a square block-Toeplitz solve of P_[-N,N](g x - I) = 0, those
-    at one window together.  Returns (lo, X, failures), X untrimmed:
-    failures maps the rows whose inverse is singular or leaves an in-window
-    residual above TOL_INVERSE to the message of that failure; their rows
-    of X are zero.
+    Constant loops are inverted directly, all at once (inverses).
+    Normalized one-sided loops I + (strictly negative / strictly positive)
+    have a one-sided inverse whose coefficients follow from block forward
+    substitution, exactly and without a solve (_neumann_inverse, all of
+    them at once); the rest go through a square block-Toeplitz solve of
+    P_[-N,N](g x - I) = 0, those at one window together.  Returns (lo, X,
+    failures), X untrimmed: failures maps the rows whose inverse is
+    singular or leaves an in-window residual above TOL_INVERSE to the
+    message of that failure; their rows of X are zero.
     """
     B, n = coeffs.shape[0], coeffs.shape[-1]
     Ns = [int(N)] * B if np.ndim(N) == 0 else np.asarray(N).tolist()
@@ -533,12 +618,10 @@ def inverse_stack(lo, coeffs, N, los, his):
     for key, rows in groups.items():
         part = coeffs if len(rows) == B else coeffs[rows]
         if key == "constant":
-            x_lo, x = 0, np.zeros((len(rows), 1, n, n), dtype=complex)
-            for k, b in enumerate(rows):
-                try:
-                    x[k, 0] = np.linalg.inv(coeffs[b, -lo])
-                except np.linalg.LinAlgError:
-                    failures[b] = "constant loop is singular"
+            inverse, singular = inverses(part[:, -lo])
+            x_lo, x = 0, inverse[:, None]
+            for k in singular:
+                failures[rows[k]] = "constant loop is singular"
         elif key == "one-sided":
             x_lo, x = _neumann_inverse(lo, part, [Ns[b] for b in rows],
                                        [los[b] for b in rows], [his[b] for b in rows])

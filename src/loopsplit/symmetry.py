@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .loops import GroupSpec, LaurentLoop
+from .loops import GroupSpec, LaurentLoop, Stack, mirror_stack
 
 REALITY_TAGS = ("R1", "R2", "Rm1", "Rm2", "Rhat1", "Rhat2")
 
@@ -82,22 +82,35 @@ def _check_dim(g: LaurentLoop, s: SymmetrySpec):
 
 
 def _alternate(coeffs, lo):
-    signs = (-1.0) ** (lo + np.arange(coeffs.shape[0]))
+    signs = (-1.0) ** (lo + np.arange(coeffs.shape[-3]))
     return coeffs * signs[:, None, None]
 
 
-def apply_sigma(g: LaurentLoop, s: SymmetrySpec) -> LaurentLoop:
-    _check_dim(g, s)
-    P = np.sign(np.diag(s.sigma_matrix))
-    out = g.coeffs * (P[None, :, None] * P[None, None, :])
-    return LaurentLoop(g.lo, _alternate(out, g.lo))
+def _conjugated(coeffs, d):
+    """coeffs conjugated by diag(d), d a +-1 vector: exact."""
+    return coeffs * (d[:, None] * d[None, :])
 
 
-def apply_tau(g: LaurentLoop, s: SymmetrySpec) -> LaurentLoop:
-    _check_dim(g, s)
-    Q = np.sign(np.diag(s.tau_matrix))
-    out = g.coeffs[::-1] * (Q[None, :, None] * Q[None, None, :])
-    return LaurentLoop(-g.hi, out)
+def _coefficients(g, s: SymmetrySpec):
+    """The coefficient array of a loop or of a Stack, of dimension s.dim."""
+    c = g.c if isinstance(g, Stack) else g.coeffs
+    if c.shape[-1] != s.dim:
+        raise DimensionMismatch(f"loop dim {c.shape[-1]} vs symmetry dim {s.dim}")
+    return c
+
+
+def apply_sigma(g, s: SymmetrySpec):
+    """sigma of a loop, or of every loop of a Stack."""
+    c = _alternate(_conjugated(_coefficients(g, s), np.diag(s.sigma_matrix)), g.lo)
+    return g._replace(c=c) if isinstance(g, Stack) else LaurentLoop(g.lo, c)
+
+
+def apply_tau(g, s: SymmetrySpec):
+    """tau of a loop, or of every loop of a Stack: coefficients reversed
+    and conjugated by Q."""
+    lo, c = mirror_stack(g.lo, _coefficients(g, s))
+    c = _conjugated(c, np.diag(s.tau_matrix))
+    return Stack(lo, c, -g.his, -g.los) if isinstance(g, Stack) else LaurentLoop(lo, c)
 
 
 def tau_constant(a, s: SymmetrySpec):
@@ -115,15 +128,13 @@ def apply_reality(g: LaurentLoop, which, s: SymmetrySpec | None = None) -> Laure
         return LaurentLoop(g.lo, _alternate(c, g.lo))
     if which == "R2":
         return LaurentLoop(g.lo, c)
-    if which == "Rm1":
-        return LaurentLoop(-g.hi, c[::-1])
-    if which == "Rm2":
-        return LaurentLoop(-g.hi, _alternate(c[::-1], -g.hi))
+    if which in ("Rm1", "Rm2"):
+        lo, c = mirror_stack(g.lo, c)
+        return LaurentLoop(lo, c if which == "Rm1" else _alternate(c, lo))
     if s is None:
         raise ValueError(f"{which} needs a SymmetrySpec for its Q conjugation")
     _check_dim(g, s)
-    Q = np.sign(np.diag(s.tau_matrix))
-    c = c * (Q[None, :, None] * Q[None, None, :])
+    c = _conjugated(c, np.diag(s.tau_matrix))
     if which == "Rhat2":
         c = _alternate(c, g.lo)
     return LaurentLoop(g.lo, c)

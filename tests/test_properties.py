@@ -54,11 +54,6 @@ from loopsplit.factorization import (
     TOL_CONST_PRE,
     TOL_IWASAWA,
     _adaptive_window,
-    _distance,
-    _gather,
-    _mul,
-    _trimmed,
-    _wiener,
 )
 from loopsplit.fields import _MID_CENTER, _MID_LEFT, _MID_RIGHT, _times_constant, grid_derivative
 from loopsplit.generators import (
@@ -70,9 +65,18 @@ from loopsplit.generators import (
     random_tau_instance,
     rng_for,
 )
-from loopsplit.loops import TOL_TRIM, fnorm
+from loopsplit.loops import (
+    TOL_TRIM,
+    fnorm,
+    gather,
+    mirror_stack,
+    stack_distance,
+    stack_mul,
+    stack_wiener,
+    trim_stack,
+)
 from loopsplit.spaceforms import phi_field
-from loopsplit.symmetry import tau_constant
+from loopsplit.symmetry import apply_sigma, tau_constant
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -138,31 +142,27 @@ def plane_turn(s, b, plane, angle):
 
 
 def middle_term(s, factors):
-    """a = k0^{-1} tau(k0) for k0 the product of the given (f, f^{-1}).
-
-    When a commutes with P, assert_constant_solve asks for a k in the sigma
-    blocks, which need not exist if k0 is not in them (a = diag(-1, 1, -1)
-    from k0 = R_02(pi/2) at n = k = 1 has none, and the solve leaves the
-    blocks); such draws are set aside.
-    """
+    """(a, blocks): a = k0^{-1} tau(k0) for k0 the product of the given
+    (f, f^{-1}), and whether k0 keeps the sigma blocks, so that a solution
+    inside them is known to exist.  a may commute with P while none does:
+    a = diag(-1, 1, -1) from k0 = R_02(pi/2) at n = k = 1 is solved only
+    across the blocks."""
     k0 = k0_inv = np.eye(s.dim)
     for f, f_inv in factors:
         k0, k0_inv = k0 @ f, f_inv @ k0_inv
-    a = k0_inv @ tau_constant(k0, s)
-    P = s.sigma_matrix
-    assume(not commutes(a, P) or commutes(k0, P))
-    return a
+    return k0_inv @ tau_constant(k0, s), commutes(k0, s.sigma_matrix)
 
 
 def commutes(x, P):
     return np.linalg.norm(x @ P - P @ x) <= 1e-10 * max(1.0, np.linalg.norm(x))
 
 
-def assert_constant_solve(a, s, b=None, **kw):
+def assert_constant_solve(a, blocks, s, b=None, **kw):
     """The defect of k = solve_constant_tau(a, s, **kw), and that k keeps the
-    form diag(b), the reality and the sigma blocks of a.  A middle term whose
-    rounding alone already breaks tau(a) a = I beyond the precondition must
-    be rejected with that residual instead."""
+    form diag(b) and the reality of a, and its sigma blocks where blocks
+    says a solution inside them exists (see middle_term).  A middle term
+    whose rounding alone already breaks tau(a) a = I beyond the
+    precondition must be rejected with that residual instead."""
     Q, P = s.tau_matrix, s.sigma_matrix
     norm = np.linalg.norm
     pre = norm(tau_constant(a, s) @ a - np.eye(s.dim))
@@ -180,7 +180,7 @@ def assert_constant_solve(a, s, b=None, **kw):
         assert norm(Q @ k.conj() @ Q - k) <= 1e-9 * scale
     elif not np.any(np.imag(a)):
         assert norm(k.imag) <= 1e-9 * scale
-    if commutes(a, P):
+    if blocks:
         assert norm(k @ P - P @ k) <= 1e-9 * scale
 
 
@@ -194,9 +194,9 @@ def test_constant_solve_sigma_block_rotations(n, k, reality, turns):
     b = np.ones(s.dim)
     p = np.diag(s.sigma_matrix)
     planes = [(i, j) for i in range(s.dim) for j in range(i + 1, s.dim) if p[i] == p[j]]
-    a = middle_term(s, [plane_turn(s, b, planes[t % len(planes)], angle)
-                        for t, angle in turns])
-    assert_constant_solve(a, s, b)
+    a, blocks = middle_term(s, [plane_turn(s, b, planes[t % len(planes)], angle)
+                                for t, angle in turns])
+    assert_constant_solve(a, blocks, s, b)
 
 
 @CONSTANT_SETTINGS
@@ -211,9 +211,9 @@ def test_constant_solve_lorentz_rotation_boost(n, k, reality, rotation, boost, a
     planes = [(i, j) for i in range(s.dim) for j in range(i + 1, s.dim)]
     rotations = [pl for pl in planes if n not in pl]
     boosts = [pl for pl in planes if n in pl]
-    a = middle_term(s, [plane_turn(s, b, rotations[rotation % len(rotations)], angle),
-                        plane_turn(s, b, boosts[boost % len(boosts)], rapidity)])
-    assert_constant_solve(a, s, b, form="lorentz")
+    a, blocks = middle_term(s, [plane_turn(s, b, rotations[rotation % len(rotations)], angle),
+                                plane_turn(s, b, boosts[boost % len(boosts)], rapidity)])
+    assert_constant_solve(a, blocks, s, b, form="lorentz")
 
 
 @CONSTANT_SETTINGS
@@ -234,8 +234,8 @@ def test_constant_solve_general_group(seed, n, k, reality, scale, turns):
     planes = [(i, j) for i in range(s.dim) for j in range(i + 1, s.dim)]
     factors = [plane_turn(s, np.ones(s.dim), planes[t % len(planes)], angle)
                for t, angle in turns]
-    a = middle_term(s, factors + [(expm(scale * Z), expm(-scale * Z))])
-    assert_constant_solve(a, s, group="general")
+    a, blocks = middle_term(s, factors + [(expm(scale * Z), expm(-scale * Z))])
+    assert_constant_solve(a, blocks, s, group="general")
 
 
 # -- sampled fields -------------------------------------------------------------
@@ -333,21 +333,33 @@ def test_packing_returns_each_node_loop(seed, nu, nv, n, keep):
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), count=st.integers(1, 6))
 def test_own_window_stack_arithmetic_matches_lone_loops(seed, n, count):
-    # the tau kernel's stacks keep each loop's own window: products, Wiener
-    # norms and distances give every loop, bit for bit, what LaurentLoop
-    # arithmetic gives it alone, however wide the window the stack shares
+    # Stacks keep each loop's own window: products, Wiener norms, distances,
+    # tau, sigma and the mirror give every loop, bit for bit, what
+    # LaurentLoop and symmetry arithmetic give it alone, however wide the
+    # window the stack shares
     loops = list(random_node_loops(seed, 2, count, n, 1.0).values())
     xs, ys = loops[:count], loops[count:]
 
     def stack(gs):
-        return _trimmed(*_gather([(g.lo, g.coeffs) for g in gs], n))
+        return trim_stack(*gather([(b, g.lo, g.coeffs) for b, g in enumerate(gs)], (len(gs),), n))
+
+    def assert_rows(x, refs):
+        for k, ref in enumerate(refs):
+            assert_same_loop(LaurentLoop(x.lo, x.c[k]), ref)
+            assert (x.los[k], x.his[k]) == ref.window
 
     x, y = stack(xs), stack(ys)
-    prod = _mul(x, y)
-    for k, (a, b) in enumerate(zip(xs, ys)):
-        assert_same_loop(LaurentLoop(prod.lo, prod.c[k]), mul(a, b))
-    assert _wiener(prod).tolist() == [mul(a, b).wiener_norm() for a, b in zip(xs, ys)]
-    assert _distance(prod, x).tolist() == [distance(mul(a, b), a) for a, b in zip(xs, ys)]
+    prod = stack_mul(x, y)
+    assert_rows(prod, [mul(a, b) for a, b in zip(xs, ys)])
+    assert stack_wiener(prod).tolist() == [mul(a, b).wiener_norm() for a, b in zip(xs, ys)]
+    assert stack_distance(prod, x).tolist() == [distance(mul(a, b), a) for a, b in zip(xs, ys)]
+    m_lo, m = mirror_stack(x.lo, x.c)
+    for k, g in enumerate(xs):
+        assert_same_loop(LaurentLoop(m_lo, m[k]), g.mirror())
+    if n >= 2:
+        s = SymmetrySpec(n // 2, n - 1 - n // 2)
+        assert_rows(apply_tau(x, s), [apply_tau(g, s) for g in xs])
+        assert_rows(apply_sigma(x, s), [apply_sigma(g, s) for g in xs])
 
 
 # -- splitting ------------------------------------------------------------------
@@ -854,6 +866,15 @@ def test_field_birkhoff_matches_per_node_reference(seed, nu, nv, n, keep, side, 
         assert_close_loop(out.plus.value(*node), plus)
         condition = out.minus.info["diagnostics"][node]["condition"]
         assert ref[2] * (1 - 1e-9) <= condition <= 10 * ref[2]
+        # the node alone gets the same factors and condition; its residual
+        # is summed over the window the field's stack shares, so it may move
+        # by round-off
+        lone = (birkhoff_left if side == "left" else birkhoff_right)(g)
+        assert_same_loop(out.minus.value(*node), lone.minus)
+        assert_same_loop(out.plus.value(*node), lone.plus)
+        assert condition == lone.condition
+        residual = out.minus.info["diagnostics"][node]["residual"]
+        assert abs(residual - lone.residual) <= 1e-15 * max(1.0, g.wiener_norm())
     assert not out.minus.mask[~F.mask].any()
     assert set(out.minus.info["failures"]) == {node for node in loops if not out.minus.mask[node]}
     if singular:
