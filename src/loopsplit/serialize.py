@@ -2,21 +2,26 @@
 
 Loops serialize as {n, lo, coeffs} with [re, im] pairs; json round-trips
 doubles exactly (repr-based float formatting), so load(save(g)) is
-bit-identical.  Meshes go to Wavefront OBJ in a projected chart (stereographic
-for the sphere, Klein for hyperbolic targets); diagnostics go to CSV with 17
-significant digits and a comment header recording seed and tolerances, so
-repeat runs with the same inputs are byte-identical.
+bit-identical.  Fields and forms serialize as grid, mask and tags beside
+{"format": 2, lo, width, n, coeffs}, where coeffs is one base64 block of
+little-endian float64 (re, im) pairs (layout below); the per-node text
+files of earlier versions still load.  Meshes go to Wavefront OBJ in a
+projected chart (stereographic for the sphere, Klein for hyperbolic targets);
+diagnostics go to CSV with 17 significant digits and a comment header
+recording seed and tolerances, so repeat runs with the same inputs are
+byte-identical.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
 from .fields import ConnectionForm, FrameField, Grid2D
-from .loops import GroupSpec, LaurentLoop
+from .loops import GroupSpec, LaurentLoop, trim_stack
 from .spaceforms import ImmersionGrid
 from .symmetry import SymmetrySpec
 
@@ -89,12 +94,53 @@ def grid_from_obj(d) -> Grid2D:
 
 
 # -- fields ----------------------------------------------------------------
+#
+# A field or form file (format 2) keeps grid, mask and tags as JSON and holds
+# its coefficients in one base64 block: the unmasked nodes row-major (and by
+# direction, for a form), each loop trimmed to its own window and zero outside
+# it, over the union window [lo, lo + width - 1], as little-endian float64
+# (re, im) pairs.  Loading it gives, bit for bit, the field that loading the
+# text files of earlier versions gives; those files (a JSON loop table per
+# direction, no "format" key) still load.
+
+FORMAT = 2
 
 
-def _loop_table(x, *direction) -> list:
-    """Per-node JSON loops, row-major, null at masked nodes."""
-    return [[loop_to_obj(x.value(i, j, *direction)) if x.mask[i, j] else None
-             for j in range(x.grid.shape[1])] for i in range(x.grid.shape[0])]
+def _write_block(x) -> dict:
+    """The format-2 payload keys of a field's or form's coefficients."""
+    n = x.dim
+    if not x.mask.any():
+        return {"format": FORMAT, "lo": 0, "width": 1, "n": n, "coeffs": ""}
+    lo, c, los, his = trim_stack(x.lo, x.coeffs[x.mask])
+    # +0.0 outside each loop's window and all over a zero loop: trim_stack
+    # may leave -0.0 there, where a text file had none
+    degs = np.arange(lo, lo + c.shape[-3])
+    c[(degs < los[..., None]) | (degs > his[..., None])
+      | ~c.any(axis=(-3, -2, -1))[..., None]] = 0.0
+    data = np.ascontiguousarray(c, dtype="<c16").tobytes()
+    return {"format": FORMAT, "lo": int(lo), "width": c.shape[-3], "n": n,
+            "coeffs": base64.b64encode(data).decode("ascii")}
+
+
+def _from_block(cls, d, grid, mask, **kw):
+    """The field or form of a format-2 payload."""
+    if d["format"] != FORMAT:
+        raise ParseError(f"unknown field format {d['format']!r}")
+    try:
+        lo, width, n = int(d["lo"]), int(d["width"]), int(d["n"])
+        raw = base64.b64decode(d["coeffs"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ParseError(f"malformed field payload: {exc}") from exc
+    if width < 1 or n < 1:
+        raise ParseError(f"field window width {width} and dimension {n} must be positive")
+    shape = (int(mask.sum()),) + cls._directions + (width, n, n)
+    if len(raw) != 16 * int(np.prod(shape)):
+        raise ParseError(f"coefficient block has {len(raw)} bytes, expected "
+                         f"{16 * int(np.prod(shape))} for {shape}")
+    pairs = np.frombuffer(raw, dtype="<f8").reshape(shape + (2,))
+    coeffs = np.zeros(mask.shape + shape[1:], dtype=complex)
+    coeffs[mask] = pairs[..., 0] + 1j * pairs[..., 1]  # as loop_from_obj builds
+    return cls(grid, lo, coeffs, mask, **kw)
 
 
 def _grid_and_mask(d):
@@ -109,7 +155,8 @@ def _grid_and_mask(d):
 
 
 def _table_loops(table, mask, name, *direction) -> dict:
-    """{(i, j, *direction): loop} of the unmasked nodes of a JSON loop table."""
+    """{(i, j, *direction): loop} of the unmasked nodes of a text file's
+    JSON loop table."""
     nu, nv = mask.shape
     if (not isinstance(table, list) or len(table) != nu
             or not all(isinstance(row, list) and len(row) == nv for row in table)):
@@ -136,19 +183,21 @@ def frame_field_to_obj(F: FrameField) -> dict:
         "mask": F.mask.astype(int).tolist(),
         "symmetry": symmetry_to_obj(F.symmetry) if F.symmetry else None,
         "target": group_to_obj(F.target) if F.target else None,
-        "values": _loop_table(F),
+        **_write_block(F),
     }
 
 
 def frame_field_from_obj(d) -> FrameField:
     grid, mask = _grid_and_mask(d)
-    loops = _table_loops(d.get("values"), mask, "values")
     try:
         sym = symmetry_from_obj(d["symmetry"]) if d.get("symmetry") else None
         target = group_from_obj(d["target"]) if d.get("target") else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed field tags: {exc}") from exc
-    # a fully masked field takes its dimension from its declared tags
+    if "format" in d:
+        return _from_block(FrameField, d, grid, mask, symmetry=sym, target=target)
+    loops = _table_loops(d.get("values"), mask, "values")
+    # a fully masked text field takes its dimension from its declared tags
     declared = target.dim if target else sym.dim if sym else None
     return _packed(FrameField, grid, loops, None if loops else declared,
                    symmetry=sym, target=target)
@@ -158,13 +207,14 @@ def connection_form_to_obj(A: ConnectionForm) -> dict:
     return {
         "grid": grid_to_obj(A.grid),
         "mask": A.mask.astype(int).tolist(),
-        "a_u": _loop_table(A, 0),
-        "a_v": _loop_table(A, 1),
+        **_write_block(A),
     }
 
 
 def connection_form_from_obj(d) -> ConnectionForm:
     grid, mask = _grid_and_mask(d)
+    if "format" in d:
+        return _from_block(ConnectionForm, d, grid, mask)
     loops = {**_table_loops(d.get("a_u"), mask, "a_u", 0),
              **_table_loops(d.get("a_v"), mask, "a_v", 1)}
     return _packed(ConnectionForm, grid, loops, None)

@@ -1,5 +1,6 @@
 """Config parsing, serialization surfaces, and the command line end to end."""
 
+import base64
 import json
 import subprocess
 import sys
@@ -368,11 +369,21 @@ def _bad_loop_payloads():
 
 
 def _bad_field_payload(case):
+    from conftest import text_payload
     grid = Grid2D.centered(0.3, 3, 0.3, 3)
-    obj = frame_field_to_obj(ls.FrameField.constant_field(
-        grid, ls.identity(4), symmetry=ls.SymmetrySpec(2, 1, "R1")))
-    if case == "field_null_at_unmasked_node":
+    F = ls.FrameField.constant_field(grid, ls.identity(4), symmetry=ls.SymmetrySpec(2, 1, "R1"))
+    obj = frame_field_to_obj(F)
+    if case == "field_null_at_unmasked_node":  # a text file, read by the text reader
+        obj = text_payload(F)
         obj["values"][1][2] = None
+    elif case == "block_byte_count":
+        obj["coeffs"] = base64.b64encode(base64.b64decode(obj["coeffs"])[:-16]).decode()
+    elif case == "block_not_base64":
+        obj["coeffs"] = "*" + obj["coeffs"][1:]
+    elif case == "block_width_zero":  # an empty block then has the right length
+        obj["width"], obj["coeffs"] = 0, ""
+    elif case == "block_unknown_format":
+        obj["format"] = 3
     elif case == "field_mask_shape":
         obj["mask"] = obj["mask"][:2]
     else:  # "field_unknown_reality"
@@ -382,7 +393,9 @@ def _bad_field_payload(case):
 
 @pytest.mark.parametrize("case", ["loop_n_mismatch", "loop_wrong_rank", "loop_not_json",
                                   "field_null_at_unmasked_node", "field_mask_shape",
-                                  "field_unknown_reality", "field_not_json"])
+                                  "field_unknown_reality", "field_not_json",
+                                  "block_byte_count", "block_not_base64", "block_width_zero",
+                                  "block_unknown_format"])
 def test_cli_rejects_malformed_payloads(tmp_path, case):
     from loopsplit.cli import main
     if case.startswith("loop"):
