@@ -11,6 +11,7 @@ or usage failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -234,7 +235,10 @@ def cmd_config(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared by every
+    main call (parsing does not change it)."""
     p = argparse.ArgumentParser(
         prog="loopsplit",
         description="Truncated loop-group factorizations, frame-field "

@@ -41,6 +41,7 @@ from .factorization import (
 from .loops import (
     GroupSpec,
     LaurentLoop,
+    Stack,
     aligned,
     cauchy,
     coefficient_norms,
@@ -112,6 +113,11 @@ class Grid2D:
         for i in range(self.us.size):
             for j in range(self.vs.size):
                 yield i, j
+
+    def parameters(self):
+        """(u, v) of every node, row-major, as two flat arrays."""
+        u, v = np.meshgrid(self.us, self.vs, indexing="ij")
+        return u.ravel(), v.ravel()
 
 
 def _nodes(mask):
@@ -204,9 +210,15 @@ class FrameField(_SampledLoops):
     info: dict = field(default_factory=dict)
 
     @classmethod
-    def from_function(cls, grid, fn, **kw):
-        return cls.from_loops(grid, {(i, j): fn(u, v) for i, u in enumerate(grid.us)
-                                     for j, v in enumerate(grid.vs)}, **kw)
+    def from_stack(cls, grid, x: Stack, **kw):
+        """The field of a Stack of one loop per node, row-major, packed as
+        from_loops packs those loops: over the union of their windows and
+        zero outside each loop's own."""
+        lo, hi = int(x.los.min()), int(x.his.max())
+        c = padded(x.lo, x.c, lo, hi)
+        degs = np.arange(lo, hi + 1)
+        c[(degs < x.los[:, None]) | (degs > x.his[:, None])] = 0.0
+        return cls(grid, lo, c.reshape(grid.shape + c.shape[1:]), **kw)
 
     @classmethod
     def constant_field(cls, grid, g: LaurentLoop, **kw):

@@ -6,7 +6,10 @@ generators (orthogonal rows for the sphere, form-orthogonal rows for the
 Lorentz target), which keeps the sampled frames exactly of connection order
 (1,1); the basic-pair constructors use two-step nilpotent directions with a
 common left kernel, so the sampled factors have exactly the degree windows
-the splitting theory prescribes, with no discretization leakage.
+the splitting theory prescribes, with no discretization leakage.  Fields
+are built on node stacks, each formula evaluated once over the grid's
+parameter arrays and the exponentials summed by stack_exp; every node holds,
+bit for bit, the loop its per-node construction gives.
 """
 
 from __future__ import annotations
@@ -14,8 +17,19 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FrameField, Grid2D
-from .loops import GroupSpec, LaurentLoop, from_terms, loop_exp, mul
-from .spaceforms import example_sphere_frame, flat_to_nonflat, phi_field
+from .loops import (
+    GroupSpec,
+    LaurentLoop,
+    Stack,
+    constant,
+    from_terms,
+    loop_exp,
+    mul,
+    stack_exp,
+    stack_mul,
+    trim_stack,
+)
+from .spaceforms import example_sphere_frame, flat_to_nonflat, phi_field, sphere_frame_stack
 from .symmetry import SymmetrySpec, apply_involution
 
 
@@ -142,18 +156,18 @@ def random_basic_pair(rng, grid: Grid2D, n=4, scale=0.4):
     xp, yp = nilpotent_family(rng, n, 2, scale)
     fm = random_scalar_fields(rng, 2)
     fp = random_scalar_fields(rng, 2)
+    u, v = grid.parameters()
 
-    def based(f):
-        return lambda u, v: f(u, v) - f(u0, v0)
+    def field(degree, f, g, x, y):
+        # I + (f x + g y) lambda^degree at every node, f and g based
+        lo = min(degree, 0)
+        c = np.zeros((u.size, 2, n, n), dtype=complex)
+        c[:, -lo] += np.eye(n, dtype=complex)
+        c[:, degree - lo] += ((f(u, v) - f(u0, v0))[:, None, None] * x
+                              + (g(u, v) - g(u0, v0))[:, None, None] * y)
+        return FrameField.from_stack(grid, trim_stack(lo, c))
 
-    f1, f2 = based(fm[0]), based(fm[1])
-    g1, g2 = based(fp[0]), based(fp[1])
-    eye = np.eye(n, dtype=complex)
-    gm = FrameField.from_function(
-        grid, lambda u, v: from_terms({0: eye, -1: f1(u, v) * xm + f2(u, v) * ym}))
-    fpf = FrameField.from_function(
-        grid, lambda u, v: from_terms({0: eye, 1: g1(u, v) * xp + g2(u, v) * yp}))
-    return gm, fpf
+    return field(-1, fm[0], fm[1], xm, ym), field(1, fp[0], fp[1], xp, yp)
 
 
 # -- flat frames and table instances ---------------------------------------
@@ -201,14 +215,14 @@ def random_flat_field(rng, grid: Grid2D, reality: str, target: GroupSpec,
     u0, v0 = grid.us[bi], grid.vs[bj]
     a1, a2 = rng.uniform(0.6, 1.1, size=2)
     eps = rng.uniform(-0.15, 0.15)
-    s = SymmetrySpec(target.n_tan, target.k_nor, reality)
-
-    def value(u, v):
-        p1 = a1 * (u - u0) + eps * (np.sin(v) - np.sin(v0))
-        p2 = a2 * (v - v0)
-        return loop_exp(from_terms({1: unit * (p1 * M + p2 * Mp)}))
-
-    return FrameField.from_function(grid, value, symmetry=s, target=target)
+    u, v = grid.parameters()
+    p1 = a1 * (u - u0) + eps * (np.sin(v) - np.sin(v0))
+    p2 = a2 * (v - v0)
+    x = np.zeros((u.size, 1) + M.shape, dtype=complex)
+    x[:, 0] += unit * (p1[:, None, None] * M + p2[:, None, None] * Mp)
+    return FrameField.from_stack(grid, stack_exp(trim_stack(1, x)),
+                                 symmetry=SymmetrySpec(target.n_tan, target.k_nor, reality),
+                                 target=target)
 
 
 def sphere_family_instance(rng, grid: Grid2D) -> FrameField:
@@ -220,19 +234,21 @@ def sphere_family_instance(rng, grid: Grid2D) -> FrameField:
     rot = np.eye(4)
     rot[0, 0] = rot[1, 1] = np.cos(ang)
     rot[0, 1], rot[1, 0] = np.sin(ang), -np.sin(ang)
-    s = SymmetrySpec(2, 1, "Rm1")
-    from .loops import constant
-
+    u, v = grid.parameters()
+    count = u.size
     # the family is orthogonal-valued, so the inverse loop is the transpose
-    base_inv = example_sphere_frame(du, dv).transpose()
-    cr, cl = constant(rot), constant(rot.T)
+    base_inv = _copies(example_sphere_frame(du, dv).transpose(), count)
+    cr, cl = _copies(constant(rot), count), _copies(constant(rot.T), count)
+    g = stack_mul(base_inv, sphere_frame_stack(du + su * u, dv + sv * v))
+    return FrameField.from_stack(grid, stack_mul(cl, stack_mul(g, cr)),
+                                 symmetry=SymmetrySpec(2, 1, "Rm1"),
+                                 target=GroupSpec("orthogonal", 2, 1))
 
-    def value(u, v):
-        g = mul(base_inv, example_sphere_frame(du + su * u, dv + sv * v))
-        return mul(cl, mul(g, cr))
 
-    return FrameField.from_function(grid, value, symmetry=s,
-                                    target=GroupSpec("orthogonal", 2, 1))
+def _copies(g: LaurentLoop, count) -> Stack:
+    """The Stack of count copies of a loop."""
+    return Stack(g.lo, np.repeat(g.coeffs[None], count, axis=0),
+                 np.full(count, g.lo), np.full(count, g.hi))
 
 
 def table_instance(rng, target_kind, reality, grid: Grid2D) -> FrameField:

@@ -1,8 +1,12 @@
 """JSON, OBJ and CSV surfaces.
 
 Loops serialize as {n, lo, coeffs} with [re, im] pairs; json round-trips
-doubles exactly (repr-based float formatting), so load(save(g)) is
-bit-identical.  Fields and forms serialize as grid, mask and tags beside
+doubles exactly (repr-based float formatting), and a loop loads as
+re + 1j * im.  So load(save(g)) equals g under == and keeps every bit but
+these: a -0.0 imaginary part loads as +0.0, a -0.0 real part loads as +0.0
+unless the imaginary part is negative or -0.0, and an infinite or NaN
+imaginary part makes the real part NaN.  Field and form files keep the same
+rule.  Fields and forms serialize as grid, mask and tags beside
 {"format": 2, lo, width, n, coeffs}, where coeffs is one base64 block of
 little-endian float64 (re, im) pairs (layout below); the per-node text
 files of earlier versions still load.  Meshes go to Wavefront OBJ in a

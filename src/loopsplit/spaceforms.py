@@ -44,7 +44,7 @@ from .fields import (
     split,
     tau_merge,
 )
-from .loops import GroupSpec, LaurentLoop, from_terms, horner
+from .loops import GroupSpec, LaurentLoop, Stack, horner, trim_stack
 from .symmetry import SymmetrySpec, phi_scale
 
 CONNECTION_KINDS = ("A1", "A2", "B1", "B2", "Bm1")
@@ -463,30 +463,45 @@ def example_sphere_family(u, v, lam):
 
 def example_sphere_frame(u, v) -> LaurentLoop:
     """The same frame as an exact degree window [-2, 2] loop."""
+    return LaurentLoop(-2, _sphere_coeffs(u, v))
+
+
+def sphere_frame_stack(u, v) -> Stack:
+    """The frames at the parameters of two flat arrays, as a Stack of their
+    loops, each trimmed as example_sphere_frame trims it."""
+    return trim_stack(-2, _sphere_coeffs(u, v))
+
+
+def _sphere_coeffs(u, v):
+    """Coefficients over the degrees [-2, 2] of the frame at u, v (scalars
+    or arrays of one shape), summed into zeros as from_terms sums them."""
     cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-    c0 = np.zeros((4, 4), dtype=complex)
-    c0[0, 0] = cu
-    c0[0, 1] = -su * sv
-    c0[1, 1] = cv
-    c0[2, 2] = c0[3, 3] = 0.5 * (cu * cv + 1.0)
-    c1 = np.zeros((4, 4), dtype=complex)
-    c1[0, 2], c1[0, 3] = 0.5 * su * cv, 0.5j * su * cv
-    c1[1, 2], c1[1, 3] = 0.5 * sv, 0.5j * sv
-    c1[2, 0], c1[2, 1] = -0.5 * su, -0.5 * cu * sv
-    c1[3, 0], c1[3, 1] = -0.5j * su, -0.5j * cu * sv
+    shape = np.shape(cu)
+    c0 = np.zeros(shape + (4, 4), dtype=complex)
+    c0[..., 0, 0] = cu
+    c0[..., 0, 1] = -su * sv
+    c0[..., 1, 1] = cv
+    c0[..., 2, 2] = c0[..., 3, 3] = 0.5 * (cu * cv + 1.0)
+    c1 = np.zeros(shape + (4, 4), dtype=complex)
+    c1[..., 0, 2], c1[..., 0, 3] = 0.5 * su * cv, 0.5j * su * cv
+    c1[..., 1, 2], c1[..., 1, 3] = 0.5 * sv, 0.5j * sv
+    c1[..., 2, 0], c1[..., 2, 1] = -0.5 * su, -0.5 * cu * sv
+    c1[..., 3, 0], c1[..., 3, 1] = -0.5j * su, -0.5j * cu * sv
     w = 0.25 * (cu * cv - 1.0)
-    c2 = np.zeros((4, 4), dtype=complex)
-    c2[2, 2], c2[3, 3] = w, -w
-    c2[2, 3] = c2[3, 2] = 1j * w
-    return from_terms({-2: np.conj(c2), -1: np.conj(c1), 0: c0, 1: c1, 2: c2}, n=4)
+    c2 = np.zeros(shape + (4, 4), dtype=complex)
+    c2[..., 2, 2], c2[..., 3, 3] = w, -w
+    c2[..., 2, 3] = c2[..., 3, 2] = 1j * w
+    out = np.zeros(shape + (5, 4, 4), dtype=complex)
+    for t, c in enumerate((np.conj(c2), np.conj(c1), c0, c1, c2)):
+        out[..., t, :, :] += c
+    return out
 
 
 def example_sphere_field(grid: Grid2D) -> FrameField:
     """The family sampled on a grid (base expected at the origin node)."""
-    s = SymmetrySpec(2, 1, "Rm1")
-    F = FrameField.from_function(grid, example_sphere_frame, symmetry=s,
+    return FrameField.from_stack(grid, sphere_frame_stack(*grid.parameters()),
+                                 symmetry=SymmetrySpec(2, 1, "Rm1"),
                                  target=GroupSpec("orthogonal", 2, 1))
-    return F
 
 
 def example_sphere_connection(grid: Grid2D) -> ExtendedConnectionSpec:

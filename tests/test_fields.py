@@ -75,8 +75,9 @@ def test_maurer_cartan_exponential_oracle():
 
     def err_at(h):
         grid = Grid2D.from_spacing(-3 * h, h, 7, -3 * h, h, 7, base=(3, 3))
-        F = FrameField.from_function(
-            grid, lambda u, v: loop_exp(from_terms({1: (u + v) * x})))
+        F = FrameField.from_loops(grid, {(i, j): loop_exp(from_terms({1: (u + v) * x}))
+                                         for i, u in enumerate(grid.us)
+                                         for j, v in enumerate(grid.vs)})
         A = maurer_cartan(F)
         return max(max(distance(A.value(i, j, 0), target),
                        distance(A.value(i, j, 1), target))
@@ -323,8 +324,9 @@ def test_gauge_parallel_trivial_and_oracle():
     rng = rng_for(50)
     b = np.zeros((4, 4))
     b[0, 2], b[2, 0] = 1.0, -1.0
-    parallel = FrameField.from_function(
-        GRID, lambda u, v: loop_exp(from_terms({1: (0.7 * u + 0.4 * v) * b})))
+    parallel = FrameField.from_loops(
+        GRID, {(i, j): loop_exp(from_terms({1: (0.7 * u + 0.4 * v) * b}))
+               for i, u in enumerate(GRID.us) for j, v in enumerate(GRID.vs)})
     gauged, G = gauge_parallel(parallel)
     assert field_distance(gauged, parallel) < 1e-10
     worst = max(distance(G.value(i, j), identity(4)) for i, j in GRID.nodes())
@@ -339,9 +341,10 @@ def test_gauge_parallel_trivial_and_oracle():
 
     bi, bj = GRID.base
     phi0 = phi(GRID.us[bi], GRID.vs[bj])
-    F = FrameField.from_function(
-        GRID, lambda u, v: mul(loop_exp(from_terms({1: (0.7 * u + 0.4 * v) * b})),
-                               constant(expm(phi(u, v) * x))))
+    F = FrameField.from_loops(
+        GRID, {(i, j): mul(loop_exp(from_terms({1: (0.7 * u + 0.4 * v) * b})),
+                           constant(expm(phi(u, v) * x)))
+               for i, u in enumerate(GRID.us) for j, v in enumerate(GRID.vs)})
     gauged, G = gauge_parallel(F)
     h2 = max(GRID.h_u, GRID.h_v) ** 2
     worst = max(distance(G.value(i, j),

@@ -22,6 +22,7 @@ from loopsplit.serialize import (
     frame_field_to_obj,
     immersion_diagnostics_rows,
     load_loop,
+    save_json,
     save_loop,
 )
 from loopsplit.spaceforms import example_sphere_field, extract_immersion
@@ -506,3 +507,55 @@ def test_cli_config_print(tmp_path):
     out = run_cli("config", "--out", str(tmp_path / "c.json"))
     assert out.returncode == 0
     assert validate_config(json.loads((tmp_path / "c.json").read_text()))
+
+
+def test_cli_commands_in_one_process_match_separate_runs(tmp_path):
+    """The parser is built once per process.  Several commands run through
+    one process, a usage error and a global --seed among them, give each
+    command the exit code and the files that a fresh process gives it."""
+    from loopsplit.cli import build_parser, main
+    assert build_parser() is build_parser()
+    grid = Grid2D.centered(0.3, 4, 0.3, 4)
+    gm, fp = random_basic_pair(rng_for(76), grid)
+    save_json(frame_field_to_obj(gm), tmp_path / "gm.json")
+    save_json(frame_field_to_obj(fp), tmp_path / "fp.json")
+    argvs = [
+        ["merge", "--config", "{d}/merge.config"],
+        ["--seed", "5", "split", "--config", "{d}/split.config"],
+        ["split"],  # no --config: argparse exits with 2
+        ["split", "--config", "{d}/split2.config"],
+        ["immerse", "--lambda", "1.0", "--diag", "{d}/immerse.csv"],
+    ]
+    results = {}
+    for run in ("one", "separate"):
+        d = tmp_path / run
+        d.mkdir()
+        for name, paths in {
+            "merge": {"in_minus": str(tmp_path / "gm.json"),
+                      "in_plus": str(tmp_path / "fp.json"), "out": f"{d}/F.json"},
+            "split": {"in": f"{d}/F.json", "out_minus": f"{d}/gm2.json",
+                      "out_plus": f"{d}/fp2.json", "diagnostics": f"{d}/split.csv"},
+            "split2": {"in": f"{d}/F.json", "out_minus": f"{d}/gm3.json",
+                       "out_plus": f"{d}/fp3.json", "diagnostics": f"{d}/split2.csv"},
+        }.items():
+            (d / f"{name}.config").write_text(json.dumps({"paths": paths}))
+        codes = []
+        for argv in argvs:
+            argv = [a.format(d=d) for a in argv]
+            if run == "separate":
+                codes.append(run_cli(*argv).returncode)
+                continue
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+        files = {f.name: f.read_bytes() for f in d.iterdir() if f.suffix != ".config"}
+        results[run] = codes, files
+    assert results["one"][0] == results["separate"][0] == [0, 0, 2, 0, 0]
+    one, separate = results["one"][1], results["separate"][1]
+    assert sorted(one) == sorted(separate) == ["F.json", "fp2.json", "fp3.json", "gm2.json",
+                                               "gm3.json", "immerse.csv", "split.csv",
+                                               "split2.csv"]
+    for name in one:
+        assert one[name] == separate[name], name
+    assert b"# seed = 5" in one["split.csv"] and b"# seed = 5" not in one["split2.csv"]

@@ -14,7 +14,7 @@ from conftest import text_payload
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsplit import ConnectionForm, FrameField, Grid2D, GroupSpec, SymmetrySpec
+from loopsplit import ConnectionForm, FrameField, Grid2D, GroupSpec, LaurentLoop, SymmetrySpec
 from loopsplit.cli import main
 from loopsplit.generators import rng_for
 from loopsplit.serialize import (
@@ -23,6 +23,8 @@ from loopsplit.serialize import (
     frame_field_from_obj,
     frame_field_to_obj,
     load_json,
+    loop_from_obj,
+    loop_to_obj,
     save_json,
 )
 
@@ -143,3 +145,43 @@ def test_fully_masked_form_and_untagged_field_round_trip(tmp_path):
     assert main(["split", "--config", str(cpath)]) == 2
     gm = frame_field_from_obj(load_json(tmp_path / "gm.json"))
     assert gm.dim == 2 and not gm.mask.any()
+
+
+def loaded_as(re, im):
+    """The (re, im) that a saved coefficient loads as: re + 1j * im."""
+    if not np.isfinite(im):
+        return np.nan, im
+    if re == 0.0 and np.signbit(re) and not np.signbit(im):
+        re = 0.0
+    return re, 0.0 if im == 0.0 else im
+
+
+def test_signed_zero_load_rule():
+    """load(save(g)) keeps every bit but these: a -0.0 imaginary part loads
+    as +0.0, a -0.0 real part as +0.0 unless the imaginary part is negative
+    or -0.0, and a non-finite imaginary part makes the real part NaN.  Loop
+    files and field files keep the same rule."""
+    values = [0.0, -0.0, 1.5, -1.5]
+    pairs = np.array([[(re, im) for im in values] for re in values])  # (4, 4, 2)
+    c = np.empty((1, 4, 4), dtype=complex)
+    c.real, c.imag = pairs[..., 0], pairs[..., 1]
+    expected = np.array([[loaded_as(re, im) for im in values] for re in values])
+    g = LaurentLoop(0, c)
+    loop = loop_from_obj(through_json(loop_to_obj(g)))
+    field = round_trip(FrameField.from_loops(Grid2D.centered(0.1, 1, 0.1, 1), {(0, 0): g}))
+    for got in (loop.coeffs[0], field.coeffs[0, 0, 0]):
+        assert np.stack([got.real, got.imag], -1).tobytes() == expected.tobytes()
+    # the rule is not idempotent: (-0.0, -0.0) loads as (-0.0, +0.0), then (+0.0, +0.0)
+    again = loop_from_obj(through_json(loop_to_obj(loop))).coeffs[0, 1, 1]
+    assert not np.signbit(again.real) and not np.signbit(again.imag)
+
+    with np.errstate(invalid="ignore"):
+        for re, im in [(1.0, np.inf), (-0.0, -np.inf), (2.0, np.nan),
+                       (np.inf, 1.0), (np.nan, -0.0)]:
+            c = np.full((1, 1, 1), re, dtype=complex)
+            c.imag = im
+            g = LaurentLoop(0, c, trim=False)
+            got = loop_from_obj(through_json(loop_to_obj(g))).coeffs[0, 0, 0]
+            want = loaded_as(re, im)
+            assert np.array_equal([got.real, got.imag], want, equal_nan=True)
+            assert np.signbit(got.imag) == np.signbit(want[1])
