@@ -41,7 +41,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ILL_CONDITIONED,
@@ -270,12 +269,13 @@ def _toeplitz_solve(lo, coeffs, N: int):
 def _solve_modes(big, rhs):
     """(condition, solution) of a stack of mode systems: inverted together
     up to INVERSE_MAX_ORDER rows, else one LU factorization (and LAPACK's
-    condition estimate) each.  A singular or non-finite system gets an
-    infinite condition and a zero solution."""
+    condition estimate) each.  A singular system, or one whose matrix or
+    right-hand side is not finite, gets an infinite condition and a zero
+    solution."""
     anorm = np.abs(big).sum(axis=-2).max(axis=-1)
     condition = np.full(len(big), np.inf)
     sol = np.zeros(rhs.shape, dtype=complex)
-    finite = np.isfinite(anorm)
+    finite = np.isfinite(anorm) & np.isfinite(rhs).all(axis=(-2, -1))
     if big.shape[-1] <= INVERSE_MAX_ORDER:
         inverse = np.zeros_like(big)
         inverse[finite], singular = inverses(big[finite])
@@ -285,14 +285,15 @@ def _solve_modes(big, rhs):
         ok &= np.isfinite(condition)
         sol[ok] = inverse[ok] @ rhs[ok]
         return condition, sol
+    import scipy.linalg as sla  # local: systems of up to 32 rows never load scipy.linalg
     for b in np.flatnonzero(finite):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(big[b])
+            lu, piv = sla.lu_factor(big[b], check_finite=False)
         rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, anorm[b])
         if rcond != 0:
             condition[b] = 1.0 / rcond
-            sol[b] = sla.lu_solve((lu, piv), rhs[b])
+            sol[b] = sla.lu_solve((lu, piv), rhs[b], check_finite=False)
     return condition, sol
 
 
@@ -493,6 +494,7 @@ def _shifts(a, s: SymmetrySpec, b, loop):
         twisted = loop is not None and _twisted(loop, s)[0]
         pairs = [pairs[0] & np.equal.outer(p, p)] + ([] if twisted else pairs)
     w = 1j if s.reality in ("Rhat1", "Rhat2") else 1.0
+    import scipy.linalg as sla  # local: only a retried constant solve loads scipy.linalg
     for chosen in pairs:
         X = w * (2.0 + np.cos(np.arange(m * m))).reshape(m, m) * chosen
         X = X - (1.0 if b is None else np.outer(b, b)) * X.T
@@ -545,6 +547,7 @@ def _attempt(a, c, scale, s: SymmetrySpec, b):
     shifted = c_inv @ a @ c_inv
     R = 2.0 * np.eye(m)
     if b is not None:
+        import scipy.linalg as sla  # local: only a solve under a form loads scipy.linalg
         with warnings.catch_warnings():
             # an eigenvalue on the cut or a singular root: checked below
             warnings.simplefilter("ignore", sla.LinAlgWarning)

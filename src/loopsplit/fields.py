@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionMismatch, IntegrabilityViolation
 from .factorization import (
@@ -516,6 +515,7 @@ def _gauge_factors(m, b_signs, tol):
                                       "B z_0^T B z_0 has an eigenvalue on the cut (-inf, 0]; "
                                       "the gauge has no polar factor"))
         if not cut.all():
+            import scipy.linalg as sla  # local: only a gauge under a form loads scipy.linalg
             rows, square = rows[~cut], square[~cut]
             h[rows] = np.linalg.solve(sla.sqrtm(square).swapaxes(1, 2),
                                       m[rows].swapaxes(1, 2)).swapaxes(1, 2)

@@ -96,6 +96,34 @@ def test_birkhoff_off_big_cell():
     assert "ill_conditioned" in str(info.value)
 
 
+@pytest.mark.parametrize("N", [3, 9])  # 12 rows inverted, 36 rows factored by LU
+def test_birkhoff_non_finite_right_hand_side(N):
+    # the degree -N coefficient enters only the right-hand side -g_{-N} of
+    # the window-N mode system: a NaN there makes the system ill-conditioned
+    # on both branches, and masks only its own node of a field; g_- has a
+    # nilpotent degree -1 term, so its one-sided inverse has depth 3
+    gm = from_terms({0: np.eye(4), -1: 0.3 * np.triu(np.ones((4, 4)), 1)})
+    good = mul(gm, from_terms({0: np.eye(4), 1: 0.2 * np.ones((4, 4))}))
+    nan = np.zeros((4, 4))
+    nan[1, 2] = np.nan
+    bad = from_terms({**{d: good.coeff(d) for d in range(good.lo, good.hi + 1)}, -N: nan})
+    assert bad.lo == -N
+    with pytest.raises(ls.BigCellViolation) as info:
+        birkhoff_left(bad, N=N)
+    assert info.value.cause == "ill_conditioned"
+    assert info.value.condition == np.inf
+    grid = ls.Grid2D.from_spacing(0.0, 0.1, 2, 0.0, 0.1, 2)
+    F = ls.FrameField.from_loops(grid, {(0, 0): good, (0, 1): good, (1, 0): bad, (1, 1): good})
+    out = birkhoff_left(F, N=N)
+    assert out.minus.mask.tolist() == [[True, True], [False, True]]
+    assert list(out.minus.info["failures"]) == [(1, 0)]
+    assert "ill_conditioned" in out.minus.info["failures"][1, 0]
+    lone = birkhoff_left(good, N=N)
+    for node in [(0, 0), (0, 1), (1, 1)]:
+        assert distance(out.minus.value(*node), lone.minus) <= 1e-15
+        assert distance(out.plus.value(*node), lone.plus) <= 1e-15
+
+
 def test_birkhoff_window_follows_residual():
     # the fixed window 2*radius + 4 = 6 failed on both sides of this loop
     # (residuals 2.9e-8 and 8.3e-3); the right factor's residual falls about
