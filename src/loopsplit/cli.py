@@ -27,7 +27,7 @@ from .errors import (
     SingularLoop,
     ValidationError,
 )
-from .factorization import birkhoff_left, birkhoff_right, tau_iwasawa
+from .factorization import MAX_SYSTEM_ORDER, birkhoff_left, birkhoff_right, tau_iwasawa
 from .fields import (
     dress_pair,
     dress_plus,
@@ -82,6 +82,10 @@ def cmd_factorize(args) -> int:
     cfg = _load_config(args)
     g = load_loop(args.infile)
     N = args.window
+    # the largest window the adaptive searches reach (MAX_SYSTEM_ORDER rows)
+    cap = MAX_SYSTEM_ORDER // (2 * g.n if args.side == "iwasawa" else g.n)
+    if N is not None and N > cap:
+        raise ValidationError(f"--window {N} exceeds {cap}, the largest window for n = {g.n}")
     tol = args.tol
     if args.side == "left" or args.side == "right":
         fn = birkhoff_left if args.side == "left" else birkhoff_right

@@ -52,6 +52,7 @@ from .errors import (
 from .loops import (
     STACK_CHUNK,
     LaurentLoop,
+    Stack,
     aligned,
     cauchy,
     chunks,
@@ -64,7 +65,6 @@ from .loops import (
     inverses,
     mirror_stack,
     mul,
-    named_failures,
     node_stack,
     on_nodes,
     padded,
@@ -226,15 +226,62 @@ class IwasawaResult:
         return max(self.residuals.values(), default=0.0)
 
 
-class _Factors(NamedTuple):
-    """One loop's left factors at one window, as coefficient stacks."""
+class _Solved(NamedTuple):
+    """Row `index` of the results of one window (part), as the adaptive
+    window search keeps it: part maps keys to that window's Stacks and to
+    arrays of one value per row."""
 
-    minus_lo: int
-    minus: np.ndarray
-    plus_lo: int
-    plus: np.ndarray
+    part: dict
+    index: int
     residual: float
-    condition: float
+
+
+def _collect(outcomes, n, stacks, scalars):
+    """(stacks, values, failures) from one outcome per row, a _Solved or
+    the failure to report: one (lo, coeffs) over all rows per key of
+    stacks (see gather), one array over all rows for "residual" and per key
+    of scalars, both zero at failed rows, and {row: exception}."""
+    B = len(outcomes)
+    failures, parts = {}, {}
+    values = {key: np.zeros(B) for key in ("residual",) + scalars}
+    for b, o in enumerate(outcomes):
+        if isinstance(o, Exception):
+            failures[b] = o
+            continue
+        values["residual"][b] = o.residual
+        _, rows, index = parts.setdefault(id(o.part), (o.part, [], []))
+        rows.append(b)
+        index.append(o.index)
+    for part, rows, index in parts.values():
+        for key in scalars:
+            values[key][rows] = part[key][index]
+    gathered = {key: gather([(rows, part[key].lo, part[key].c, index)
+                             for part, rows, index in parts.values()], (B,), n)
+                for key in stacks}
+    return gathered, values, failures
+
+
+def _kept(g, stacks, values, failures):
+    """The loops of stacks (see _collect) as g holds them: a loop's own,
+    raising its failure, or the fields of a field's unmasked nodes in
+    row-major order, the failures masked and every other node's residual
+    and condition in info["diagnostics"]."""
+    if isinstance(g, LaurentLoop):
+        if failures:
+            raise failures[0]
+        return [LaurentLoop(lo, coeffs[0]) for lo, coeffs in stacks]
+    nodes = np.argwhere(g.mask).tolist()
+    diagnostics = {(i, j): {"residual": float(values["residual"][b]),
+                            "condition": float(values["condition"][b])}
+                   for b, (i, j) in enumerate(nodes) if b not in failures}
+    return [on_nodes(g, g.mask, lo, coeffs, failures, diagnostics=dict(diagnostics))
+            for lo, coeffs in stacks]
+
+
+def _largest(values, failures):
+    """Each array's largest value over the rows kept (NaN for none)."""
+    solved = [b for b in range(len(values["residual"])) if b not in failures]
+    return {key: max(v[solved].tolist(), default=math.nan) for key, v in values.items()}
 
 
 def _toeplitz_solve(lo, coeffs, N: int):
@@ -299,7 +346,8 @@ def _solve_modes(big, rhs):
 
 def _birkhoff_left_at(lo, coeffs, N: int, tol):
     """Left factorizations of the loops of a trimmed stack at window N, in
-    the form _adaptive_window takes."""
+    the form _adaptive_window takes: each accepted loop's _Solved points
+    into the window's minus and plus Stacks and conditions."""
     y, condition = _toeplitz_solve(lo, coeffs, N)
     out = [None] * len(coeffs)
     ok = np.flatnonzero(condition <= CONDITION_LIMIT)
@@ -311,16 +359,17 @@ def _birkhoff_left_at(lo, coeffs, N: int, tol):
     g = coeffs[ok]
     y_lo, y, _, _ = trim_stack(-N, y[ok])
     yg_lo, yg, _, _ = trim_stack(y_lo + lo, cauchy(y, g))
-    plus_lo, plus, _, _ = trim_stack(*degree_slice(yg_lo, yg, 0, yg_lo + yg.shape[1]))
+    plus = trim_stack(*degree_slice(yg_lo, yg, 0, yg_lo + yg.shape[1]))
     tail = wiener_norms(degree_slice(yg_lo, yg, yg_lo, -1)[1]) if yg_lo < 0 else np.zeros(len(ok))
-    minus_lo, minus, _, _ = trim_stack(-N, forward_substitution(
+    minus = trim_stack(-N, forward_substitution(
         degree_slice(y_lo, y, y_lo, 0)[1][:, ::-1], N)[:, ::-1])
-    _, back, g = aligned(minus_lo + plus_lo, cauchy(minus, plus), lo, g)
+    _, back, g = aligned(minus.lo + plus.lo, cauchy(minus.c, plus.c), lo, g)
     residual = tail + wiener_norms(back - g)
+    part = {"minus": minus, "plus": plus, "condition": condition[ok]}
     for k, b in enumerate(ok):
         r, c = float(residual[k]), float(condition[b])
         if np.isfinite(r) and r <= tol:
-            out[b] = _Factors(minus_lo, minus[k], plus_lo, plus[k], r, c)
+            out[b] = _Solved(part, k, r)
         else:
             out[b] = BigCellViolation(
                 f"left factorization failed: residual {r:.3e}, condition {c:.3e}",
@@ -330,9 +379,10 @@ def _birkhoff_left_at(lo, coeffs, N: int, tol):
 
 def _birkhoff_stack(lo, coeffs, N, tol):
     """Left factorizations of every loop of a trimmed stack (B, W, n, n):
-    one outcome per loop, its _Factors or the BigCellViolation to report.
+    one outcome per loop, its _Solved or the BigCellViolation to report.
 
-    Loops without negative degrees factor trivially.  With N given (and at
+    Loops without negative degrees factor trivially, as one part of their
+    own (minus I, plus the loop, condition 1).  With N given (and at
     least the depth of a loop's negative part) only that window is solved;
     otherwise each loop's window starts just past that depth and grows with
     the residual (see _adaptive_window), the loops at one window together.
@@ -340,9 +390,13 @@ def _birkhoff_stack(lo, coeffs, N, tol):
     n = coeffs.shape[-1]
     los, his = stack_windows(lo, coeffs)
     out = [None] * len(coeffs)
-    eye = np.eye(n, dtype=complex)[None]
-    for b in np.flatnonzero(los >= 0):
-        out[b] = _Factors(0, eye, los[b], coeffs[b, los[b] - lo : his[b] - lo + 1], 0.0, 1.0)
+    trivial = np.flatnonzero(los >= 0)
+    if trivial.size:
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (len(trivial), n, n))
+        part = {"minus": constant_stack(eye), "condition": np.ones(len(trivial)),
+                "plus": Stack(lo, coeffs[trivial], los[trivial], his[trivial])}
+        for j, b in enumerate(trivial.tolist()):
+            out[b] = _Solved(part, j, 0.0)
     rows = np.flatnonzero(los < 0)
     if not rows.size:
         return out
@@ -370,51 +424,24 @@ def _birkhoff_stack(lo, coeffs, N, tol):
 def _birkhoff(g, N, tol, side):
     """Left or right factorization of a loop or of every node of a field.
 
-    The nodes go through the stack kernel in parts of bounded size, and
-    each part's factors are copied out before the next part starts.  The
-    plus factor of a left factorization of a loop over [lo, hi] lies in
-    [0, hi], so its array is allocated once, before the first part.
+    The nodes go through the stack kernel in parts of bounded size; what
+    their window searches kept is collected over all nodes at the end (see
+    _collect), and a right factorization is mirrored back there.
     """
-    loop = isinstance(g, LaurentLoop)
-    lo, coeffs = (g.lo, g.coeffs[None]) if loop else node_stack(g, g.mask)
-    lead, nodes = ((1,), [(0,)]) if loop else (g.mask.shape, [tuple(x) for x in np.argwhere(g.mask)])
+    lo, coeffs = (g.lo, g.coeffs[None]) if isinstance(g, LaurentLoop) else node_stack(g, g.mask)
     if side == "right":
         lo, coeffs = mirror_stack(lo, coeffs)
     count, width, n = coeffs.shape[:2] + coeffs.shape[-1:]
-    plus = np.zeros(lead + (max(lo + width, 1), n, n), dtype=complex)
-    minus_parts, measures, failures = {}, {}, {}
-    p_lo, p_hi = math.inf, -math.inf
-    for part in chunks(count, STACK_CHUNK // (width * n * n)):
-        for b, o in enumerate(_birkhoff_stack(lo, coeffs[part], N, tol), start=part.start):
-            if isinstance(o, Exception):
-                if loop:
-                    raise o
-                failures[b] = str(o)
-                continue
-            measures[nodes[b]] = {"residual": o.residual, "condition": o.condition}
-            minus_parts[b] = (o.minus_lo, np.array(o.minus))
-            plus[nodes[b]][o.plus_lo : o.plus_lo + len(o.plus)] = o.plus
-            p_lo, p_hi = min(p_lo, o.plus_lo), max(p_hi, o.plus_lo + len(o.plus) - 1)
-    m_lo = min((m for m, _ in minus_parts.values()), default=0)
-    minus = np.zeros(lead + (1 - m_lo, n, n), dtype=complex)
-    for b, (m, c) in minus_parts.items():
-        minus[nodes[b]][m - m_lo : m - m_lo + len(c)] = c
-    minus = (m_lo, minus)
-    plus = (0, plus[..., :1, :, :]) if not measures else (p_lo, plus[..., p_lo : p_hi + 1, :, :])
+    outcomes = [o for part in chunks(count, STACK_CHUNK // (width * n * n))
+                for o in _birkhoff_stack(lo, coeffs[part], N, tol)]
+    stacks, values, failures = _collect(outcomes, n, ("minus", "plus"), ("condition",))
+    del outcomes  # frees the windows' results before the fields are built
+    minus, plus = stacks["minus"], stacks["plus"]
     if side == "right":
         minus, plus = mirror_stack(*plus), mirror_stack(*minus)
-    residual = max((d["residual"] for d in measures.values()), default=math.nan)
-    condition = max((d["condition"] for d in measures.values()), default=math.nan)
-    if loop:
-        return BirkhoffResult(LaurentLoop(minus[0], minus[1][0]), LaurentLoop(plus[0], plus[1][0]),
-                              residual, condition, side=side)
-    mask = g.mask.copy()
-    for b in failures:
-        mask[nodes[b]] = False
-    info = {"failures": named_failures(g, nodes, failures), "diagnostics": measures}
-    return BirkhoffResult(replace(g, lo=minus[0], coeffs=minus[1], mask=mask, info=info),
-                          replace(g, lo=plus[0], coeffs=plus[1], mask=mask.copy(), info=dict(info)),
-                          residual, condition, side=side)
+    largest = _largest(values, failures)
+    return BirkhoffResult(*_kept(g, (minus, plus), values, failures),
+                          largest["residual"], largest["condition"], side=side)
 
 
 def birkhoff_left(g, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
@@ -671,36 +698,20 @@ def _right_factors(w, N, tol):
     factorization at window max(N, the loop's radius): the left one of the
     mirror (_birkhoff_stack), for the loops of one own window together.
     Returns (plus, minus, residual, condition, failures); failures maps rows
-    to their BigCellViolation, and their factors are I."""
-    B, n = w.c.shape[0], w.c.shape[-1]
-    eye = np.eye(n, dtype=complex)[None]
-    plus, minus = [(b, 0, eye) for b in range(B)], [(b, 0, eye) for b in range(B)]
-    residual, condition = np.zeros(B), np.zeros(B)
-    failures = {}
+    to their BigCellViolation, and their factors, residual and condition
+    are zero."""
+    outcomes = [None] * len(w.c)
     for l, h in sorted(set(zip(w.los.tolist(), w.his.tolist()))):
         rows = np.flatnonzero((w.los == l) & (w.his == h))
         lo, c = mirror_stack(l, w.c[rows, l - w.lo : h - w.lo + 1])
         for b, o in zip(rows.tolist(), _birkhoff_stack(lo, c, max(N, abs(l), abs(h)), tol)):
-            if isinstance(o, Exception):
-                failures[b] = o
-            else:
-                plus[b] = (b, *mirror_stack(o.minus_lo, o.minus))
-                minus[b] = (b, *mirror_stack(o.plus_lo, o.plus))
-                residual[b], condition[b] = o.residual, o.condition
-    return (trim_stack(*gather(plus, (B,), n)), trim_stack(*gather(minus, (B,), n)), residual,
-            condition, failures)
+            outcomes[b] = o
+    stacks, values, failures = _collect(outcomes, w.c.shape[-1], ("minus", "plus"), ("condition",))
+    return (trim_stack(*mirror_stack(*stacks["minus"])), trim_stack(*mirror_stack(*stacks["plus"])),
+            values["residual"], values["condition"], failures)
 
 
 _RESIDUALS = ("reconstruction", "tau_fixed", "middle_reality", "minus_pair", "birkhoff")
-
-
-class _Solved(NamedTuple):
-    """Row `index` of the results of one window (part), as the adaptive
-    window search keeps it."""
-
-    part: dict
-    index: int
-    residual: float
 
 
 def _truncated_inverses(g, rows, N):
@@ -758,12 +769,13 @@ def _tau_iwasawa_at(x, s, N, tol, constant_group, form, inverse):
     for j, exc in unsolved.items():
         failed.setdefault(int(live[j]), exc)
     k_inv = np.linalg.inv(k)
-    y_plus = stack_mul(constant_stack(k), trim_stack(0, forward_substitution(plus.c, N)))
+    k = constant_stack(k)
+    y_plus = stack_mul(k, trim_stack(0, forward_substitution(plus.c, N)))
     z = stack_mul(x, stack_mul(plus, constant_stack(k_inv)))
     residuals = dict(zip(_RESIDUALS, (stack_distance(stack_mul(z, y_plus), x),
                                       stack_distance(z, apply_tau(z, s)), middle, pair, birkhoff)))
     worst = functools.reduce(lambda m, r: np.where(r > m, r, m), residuals.values())
-    part = {"z": z, "y_plus": y_plus, "k": k, "residuals": residuals, "condition": condition}
+    part = {"z": z, "y_plus": y_plus, "k": k, "condition": condition, **residuals}
     out = []
     for b in range(B):
         recon, fixed = residuals["reconstruction"][b], residuals["tau_fixed"][b]
@@ -810,42 +822,23 @@ def _tau_iwasawa_stack(g, s, N, tol, constant_group, form):
     return _adaptive_window(attempt, starts, limits, scale)
 
 
-def _iwasawa_field(F, outcomes):
-    """The IwasawaResult of a field from the outcomes of its unmasked nodes
-    in row-major order (see IwasawaResult)."""
-    B, n = len(outcomes), F.dim
-    nodes = [(int(i), int(j)) for i, j in np.argwhere(F.mask)]
-    failures, parts = {}, {}
-    for b, o in enumerate(outcomes):
-        if isinstance(o, Exception):
-            failures[b] = str(o)
-        else:
-            parts.setdefault(id(o.part), (o.part, [], []))[1].append(b)
-            parts[id(o.part)][2].append(o.index)
-
-    def stacked(key):
-        return gather([(rows, p[key].lo, p[key].c[index]) for p, rows, index in parts.values()],
-                      (B,), n)
-
-    k = np.zeros((B, n, n), dtype=complex)
-    residuals = {key: np.full(B, np.nan) for key in _RESIDUALS}
-    condition = np.full(B, np.nan)
-    for p, rows, index in parts.values():
-        k[rows] = p["k"][index]
-        condition[rows] = p["condition"][index]
-        for key in _RESIDUALS:
-            residuals[key][rows] = p["residuals"][key][index]
-    solved = [b for b in range(B) if b not in failures]
-    diagnostics = {nodes[b]: {"residual": outcomes[b].residual, "condition": float(condition[b])}
-                   for b in solved}
-    k_const = np.zeros(F.mask.shape + (n, n), dtype=complex)
-    k_const[F.mask] = k
-    return IwasawaResult(
-        z=on_nodes(F, F.mask, *stacked("z"), failures, diagnostics=diagnostics),
-        y_plus=on_nodes(F, F.mask, *stacked("y_plus"), failures, diagnostics=dict(diagnostics)),
-        k_const=k_const,
-        residuals={key: max(r[solved].tolist(), default=math.nan)
-                   for key, r in residuals.items()})
+def _iwasawa(x, outcomes):
+    """The IwasawaResult of a loop, or of a field from the outcomes of its
+    unmasked nodes in row-major order (see IwasawaResult); a loop raises
+    its failure."""
+    loop = isinstance(x, LaurentLoop)
+    n = x.n if loop else x.dim
+    stacks, values, failures = _collect(outcomes, n, ("z", "y_plus", "k"),
+                                        ("condition",) + _RESIDUALS)
+    z, y_plus = _kept(x, (stacks["z"], stacks["y_plus"]), values, failures)
+    k = stacks["k"][1][:, 0]
+    if loop:
+        k_const = k[0]
+    else:
+        k_const = np.zeros(x.mask.shape + (n, n), dtype=complex)
+        k_const[x.mask] = k
+    largest = _largest(values, failures)
+    return IwasawaResult(z, y_plus, k_const, {key: largest[key] for key in _RESIDUALS})
 
 
 def _mirrored(x):
@@ -876,16 +869,7 @@ def tau_iwasawa(x, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
     once.  A loop that does not factor raises the failure; a field masks
     the node.
     """
-    if not isinstance(x, LaurentLoop):
-        return _iwasawa_field(x, _tau_iwasawa_stack(x, s, N, tol, constant_group, form))
-    outcome, = _tau_iwasawa_stack(x, s, N, tol, constant_group, form)
-    if isinstance(outcome, Exception):
-        raise outcome
-    p, j = outcome.part, outcome.index
-    return IwasawaResult(z=LaurentLoop(p["z"].lo, p["z"].c[j]),
-                         y_plus=LaurentLoop(p["y_plus"].lo, p["y_plus"].c[j]),
-                         k_const=np.array(p["k"][j]),
-                         residuals={key: float(r[j]) for key, r in p["residuals"].items()})
+    return _iwasawa(x, _tau_iwasawa_stack(x, s, N, tol, constant_group, form))
 
 
 def tau_iwasawa_minus(x, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,

@@ -247,12 +247,12 @@ def _restrict(F: FrameField, mask, info) -> FrameField:
     return out
 
 
-def _product(X: FrameField, Y: FrameField) -> FrameField:
+def _product(X: FrameField, Y: FrameField, **info) -> FrameField:
     """X Y at every unmasked node of X (where Y must be unmasked), tagged
-    like X and naming X's failures."""
+    like X, naming X's failures and holding the other info given."""
     lo_x, x = node_stack(X, X.mask)
     lo_y, y = node_stack(Y, X.mask)
-    return on_nodes(X, X.mask, lo_x + lo_y, cauchy(x, y))
+    return on_nodes(X, X.mask, lo_x + lo_y, cauchy(x, y), **info)
 
 
 def _times_constant(F: FrameField, c) -> FrameField:
@@ -473,7 +473,9 @@ def merge(G_minus: FrameField, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameFie
     F_minus normalized, then F = F_plus F_minus.  F_plus^{-1} is truncated
     to the default window of the node's two values.  Every step runs over
     all nodes at once; a node where one fails is masked, with its cause
-    recorded after the failures the inputs name.
+    recorded after the failures the inputs name.  The residual and
+    condition of the left factorization at every node kept land in
+    info["diagnostics"].
     """
     if G_minus.grid.shape != F_plus.grid.shape:
         raise DimensionMismatch("basic pair fields live on different grids")
@@ -481,7 +483,8 @@ def merge(G_minus: FrameField, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameFie
                    info={"failures": _inherited(G_minus, F_plus)})
     inverse = truncated_inverse(both, default_window(F_plus, G_minus))
     minus = birkhoff_left(_product(inverse, G_minus), tol=tol).minus
-    return _product(replace(F_plus, mask=minus.mask, info=minus.info), minus)
+    return _product(replace(F_plus, mask=minus.mask, info=minus.info), minus,
+                    diagnostics=minus.info["diagnostics"])
 
 
 # -- tau-merge ---------------------------------------------------------------

@@ -184,6 +184,19 @@ def test_split_merge_round_trips():
     assert connection_order(maurer_cartan(F), tol_order=1e-3)[:2] == (-1, 1)
 
 
+def test_merge_records_its_left_factorization_diagnostics():
+    # one entry per node merge keeps, none for the nodes an input masks
+    gm, fp = random_basic_pair(rng_for(48), GRID)
+    mask = fp.mask.copy()
+    mask[1, 2] = mask[3, 0] = False
+    F = merge(gm, FrameField(fp.grid, fp.lo, fp.coeffs, mask))
+    diagnostics = F.info["diagnostics"]
+    assert set(diagnostics) == {tuple(node) for node in np.argwhere(F.mask).tolist()}
+    assert not F.mask[1, 2] and not F.mask[3, 0]
+    for entry in diagnostics.values():
+        assert entry["residual"] <= 1e-9 and entry["condition"] >= 1.0
+
+
 # diag(lambda, 1/lambda, 1, 1): partial indices (1, -1, 0, 0), so neither
 # Birkhoff factorization nor the tau-Iwasawa one exists there
 OFF_CELL = from_terms({1: np.diag([1.0, 0, 0, 0]), -1: np.diag([0.0, 1, 0, 0]),

@@ -291,6 +291,22 @@ def test_cli_factorize_rejects_nonpositive_window(tmp_path, capsys, window):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("side", ["left", "right", "iwasawa"])
+def test_cli_factorize_rejects_a_window_above_the_cap(tmp_path, capsys, side):
+    # one above the largest window the adaptive search reaches for the
+    # loop's n: the system it would solve exceeds MAX_SYSTEM_ORDER rows
+    from loopsplit.cli import main
+    from loopsplit.factorization import MAX_SYSTEM_ORDER
+    path = _iwasawa_loop_file(tmp_path)
+    n = load_loop(path).n
+    cap = MAX_SYSTEM_ORDER // (2 * n if side == "iwasawa" else n)
+    argv = ["factorize", "--side", side, "--in", str(path),
+            "--out", str(tmp_path / "out.json"), "--window", str(cap + 1)]
+    assert main(argv) == 3
+    assert "--window" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("tol_scale", ["-1", "0", "nan"])
 def test_cli_rejects_bad_tol_scale_flag(tmp_path, capsys, tol_scale):
     # the flag goes through the same validation as the config key

@@ -859,7 +859,11 @@ def test_field_birkhoff_matches_per_node_reference(seed, nu, nv, n, keep, side, 
         ref = reference_birkhoff_left(g if side == "left" else g.mirror())
         assert out.minus.mask[node] == out.plus.mask[node] == (ref is not None)
         if ref is None:
+            # the lone loop's failure, word for word: cause, windows tried
+            with pytest.raises(BigCellViolation) as lone_failure:
+                (birkhoff_left if side == "left" else birkhoff_right)(g)
             assert "ill_conditioned" in out.minus.info["failures"][node]
+            assert out.minus.info["failures"][node] == str(lone_failure.value)
             continue
         minus, plus = (ref[0], ref[1]) if side == "left" else (ref[1].mirror(), ref[0].mirror())
         assert_close_loop(out.minus.value(*node), minus)
