@@ -19,6 +19,7 @@ class SingularLoop(LoopsplitError):
 
 ILL_CONDITIONED = "ill_conditioned"
 NOT_CONVERGED = "not_converged"
+ABOVE_CAP = "above_cap"
 
 
 class BigCellViolation(LoopsplitError):
@@ -29,8 +30,11 @@ class BigCellViolation(LoopsplitError):
     cell (or too close to its boundary to factor reliably).  "not_converged":
     the system was well conditioned but the a posteriori residual stayed
     above the tolerance in every window tried, so the factors' tails are
-    longer than the window budget.  `windows` lists the window radii tried,
-    in order; `residual` and `condition` belong to the last of them.
+    longer than the window budget.  "above_cap": the first window the
+    search would try is already wider than the largest one it may reach,
+    so nothing was solved; the message names that window and the cap.
+    `windows` lists the window radii tried, in order; `residual` and
+    `condition` belong to the last of them.
     """
 
     def __init__(self, msg, residual=None, condition=None, windows=(),

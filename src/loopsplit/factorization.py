@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ABOVE_CAP,
     ILL_CONDITIONED,
     BigCellViolation,
     DimensionMismatch,
@@ -61,12 +62,10 @@ from .loops import (
     degree_slice,
     fnorm,
     forward_substitution,
-    gather,
     inverses,
     mirror_stack,
     mul,
     node_stack,
-    on_nodes,
     padded,
     stack_distance,
     stack_mul,
@@ -144,7 +143,8 @@ def _adaptive_window(attempt, starts, limits, scales):
     round-off floor (relative to its scale), at the first one that does not
     fall, or at an ill-conditioned window, and keeps the result of least
     residual; at a structural failure it stops and keeps that failure.
-    Otherwise its last failure is kept, with every window tried.
+    Otherwise its last failure is kept, with every window tried.  A start
+    above its limit, the cap, fails at once (ABOVE_CAP), with nothing tried.
     Returns the outcome of every problem.
     """
     count = len(starts)
@@ -153,8 +153,10 @@ def _adaptive_window(attempt, starts, limits, scales):
     tried = [[] for _ in range(count)]
     best = [None] * count
     last = [math.inf] * count
-    out = [None] * count
-    active = set(range(count))
+    out = [BigCellViolation(f"first window {N} is above the cap {cap}; nothing was solved",
+                            cause=ABOVE_CAP) if N > cap else None
+           for N, cap in zip(current, limits)]
+    active = {b for b in range(count) if out[b] is None}
     while active:
         N = min(current[b] for b in active)
         rows = [b for b in sorted(active) if current[b] == N]
@@ -185,10 +187,10 @@ class BirkhoffResult:
     """The factors of a loop, or of every node of a field.
 
     For a field, minus and plus are fields: a node whose factorization
-    fails is masked in both, with its cause in info["failures"], and the
-    residual and condition of every factored node are in
-    info["diagnostics"]; residual and condition are the largest over the
-    factored nodes (NaN when none is).
+    fails is masked in both, with its cause in info["failures"], and
+    info["diagnostics"] holds the "residual" and "condition" arrays over
+    the grid, NaN but at the factored nodes; residual and condition are
+    their nanmax (NaN when no node is factored).
     """
 
     minus: LaurentLoop
@@ -209,11 +211,12 @@ class IwasawaResult:
     """The tau-Iwasawa factors of a loop, or of every node of a field.
 
     For a field, z and y_plus are fields: a node whose factorization fails
-    is masked in both, with its cause in info["failures"], and the residual
-    (the largest of its residuals) and the inner Birkhoff condition of
-    every factored node are in info["diagnostics"]; k_const holds one
-    constant per node (zero where masked), and each residual is the largest
-    over the factored nodes (NaN when none is).
+    is masked in both, with its cause in info["failures"], and
+    info["diagnostics"] holds the arrays over the grid of each factored
+    node's "residual" (the largest of its residuals) and inner Birkhoff
+    "condition", NaN elsewhere; k_const holds one constant per node (zero
+    where masked), and each residual is the nanmax over the factored nodes
+    (NaN when none is).
     """
 
     z: LaurentLoop
@@ -236,52 +239,68 @@ class _Solved(NamedTuple):
     residual: float
 
 
-def _collect(outcomes, n, stacks, scalars):
-    """(stacks, values, failures) from one outcome per row, a _Solved or
-    the failure to report: one (lo, coeffs) over all rows per key of
-    stacks (see gather), one array over all rows for "residual" and per key
-    of scalars, both zero at failed rows, and {row: exception}."""
-    B = len(outcomes)
+def _collect(outcomes, mask, n, stacks, scalars, mirror=False):
+    """(written, values, failures) from one outcome per node of mask in
+    row-major order, a _Solved or the failure to report: per key of stacks
+    (lo, coeffs), the kept n x n loops written straight onto the nodes over
+    the union of their own windows, zero elsewhere, and mirrored (lambda ->
+    1/lambda) when mirror is set; "residual" and each key of scalars as an
+    array of mask.shape, NaN but at the kept nodes; and {row: exception}."""
+    flat = mask.ravel().nonzero()[0]
+    values = {key: np.full(mask.size, np.nan) for key in ("residual",) + scalars}
     failures, parts = {}, {}
-    values = {key: np.zeros(B) for key in ("residual",) + scalars}
     for b, o in enumerate(outcomes):
         if isinstance(o, Exception):
             failures[b] = o
             continue
-        values["residual"][b] = o.residual
+        values["residual"][flat[b]] = o.residual
         _, rows, index = parts.setdefault(id(o.part), (o.part, [], []))
         rows.append(b)
         index.append(o.index)
-    for part, rows, index in parts.values():
+    parts = [(part, flat[rows], np.array(index)) for part, rows, index in parts.values()]
+    for part, nodes, index in parts:
         for key in scalars:
-            values[key][rows] = part[key][index]
-    gathered = {key: gather([(rows, part[key].lo, part[key].c, index)
-                             for part, rows, index in parts.values()], (B,), n)
-                for key in stacks}
-    return gathered, values, failures
+            values[key][nodes] = part[key][index]
+    written = []
+    for key in stacks:
+        w_lo = min((min(part[key].los[index].tolist()) for part, _, index in parts), default=0)
+        w_hi = max((max(part[key].his[index].tolist()) for part, _, index in parts), default=0)
+        out = np.zeros((mask.size, w_hi - w_lo + 1, n, n), dtype=complex)
+        into = out[:, ::-1] if mirror else out
+        for part, nodes, index in parts:
+            lo, c = part[key].lo, part[key].c
+            a, b = max(w_lo, lo), min(w_hi, lo + c.shape[1] - 1)
+            into[nodes, a - w_lo : b - w_lo + 1] = c[index, a - lo : b - lo + 1]
+        written.append((-w_hi if mirror else w_lo, out.reshape(mask.shape + out.shape[1:])))
+    return written, {key: v.reshape(mask.shape) for key, v in values.items()}, failures
 
 
-def _kept(g, stacks, values, failures):
-    """The loops of stacks (see _collect) as g holds them: a loop's own,
-    raising its failure, or the fields of a field's unmasked nodes in
-    row-major order, the failures masked and every other node's residual
-    and condition in info["diagnostics"]."""
+def _held(g, written, values, failures):
+    """The loops written by _collect as g holds them: a loop's own, raising
+    its failure, or fields on g's grid, the failed nodes masked and named
+    after g's failures, the residual and condition arrays as diagnostics."""
     if isinstance(g, LaurentLoop):
         if failures:
             raise failures[0]
-        return [LaurentLoop(lo, coeffs[0]) for lo, coeffs in stacks]
-    nodes = np.argwhere(g.mask).tolist()
-    diagnostics = {(i, j): {"residual": float(values["residual"][b]),
-                            "condition": float(values["condition"][b])}
-                   for b, (i, j) in enumerate(nodes) if b not in failures}
-    return [on_nodes(g, g.mask, lo, coeffs, failures, diagnostics=dict(diagnostics))
-            for lo, coeffs in stacks]
+        return [LaurentLoop(lo, c) for lo, c in written]
+    at = np.argwhere(g.mask)
+    keep = g.mask.copy()
+    keep[tuple(at[list(failures)].T)] = False
+    named = {(int(at[b][0]), int(at[b][1])): str(exc) for b, exc in sorted(failures.items())}
+    return [replace(g, lo=lo, coeffs=c, mask=keep.copy(),
+                    info={"failures": {**g.info.get("failures", {}), **named},
+                          "diagnostics": {key: values[key] for key in ("residual", "condition")}})
+            for lo, c in written]
 
 
-def _largest(values, failures):
-    """Each array's largest value over the rows kept (NaN for none)."""
-    solved = [b for b in range(len(values["residual"])) if b not in failures]
-    return {key: max(v[solved].tolist(), default=math.nan) for key, v in values.items()}
+def _mask(g):
+    """The nodes of a field, or a loop as the one node of a grid of no axes."""
+    return np.ones((), dtype=bool) if isinstance(g, LaurentLoop) else g.mask
+
+
+def _nanmax(values):
+    """The largest value of an array but its NaNs (NaN when all are)."""
+    return float(np.fmax.reduce(values, axis=None, initial=np.nan))
 
 
 def _toeplitz_solve(lo, coeffs, N: int):
@@ -386,6 +405,9 @@ def _birkhoff_stack(lo, coeffs, N, tol):
     least the depth of a loop's negative part) only that window is solved;
     otherwise each loop's window starts just past that depth and grows with
     the residual (see _adaptive_window), the loops at one window together.
+    A window given below the depth is replaced by 2 * radius +
+    DEFAULT_WINDOW_PAD; a start above the cap MAX_SYSTEM_ORDER // n, that
+    substitute included, fails at once.
     """
     n = coeffs.shape[-1]
     los, his = stack_windows(lo, coeffs)
@@ -404,10 +426,10 @@ def _birkhoff_stack(lo, coeffs, N, tol):
     radius = np.maximum(depth, np.abs(his[rows]))
     if N is None:
         starts = depth + START_PAD
-        limits = np.maximum(starts, MAX_SYSTEM_ORDER // n)
-    else:
+        limits = np.full(len(rows), MAX_SYSTEM_ORDER // n)
+    else:  # a substitute's limit is the cap, so one above it fails
         starts = np.where(N < depth, 2 * radius + DEFAULT_WINDOW_PAD, N)
-        limits = starts
+        limits = np.where(N < depth, np.minimum(starts, MAX_SYSTEM_ORDER // n), starts)
 
     def attempt(w, at):
         at = rows[at]
@@ -425,8 +447,8 @@ def _birkhoff(g, N, tol, side):
     """Left or right factorization of a loop or of every node of a field.
 
     The nodes go through the stack kernel in parts of bounded size; what
-    their window searches kept is collected over all nodes at the end (see
-    _collect), and a right factorization is mirrored back there.
+    their window searches kept is written onto the grid at the end (see
+    _collect), a right factorization mirrored back there.
     """
     lo, coeffs = (g.lo, g.coeffs[None]) if isinstance(g, LaurentLoop) else node_stack(g, g.mask)
     if side == "right":
@@ -434,14 +456,11 @@ def _birkhoff(g, N, tol, side):
     count, width, n = coeffs.shape[:2] + coeffs.shape[-1:]
     outcomes = [o for part in chunks(count, STACK_CHUNK // (width * n * n))
                 for o in _birkhoff_stack(lo, coeffs[part], N, tol)]
-    stacks, values, failures = _collect(outcomes, n, ("minus", "plus"), ("condition",))
-    del outcomes  # frees the windows' results before the fields are built
-    minus, plus = stacks["minus"], stacks["plus"]
-    if side == "right":
-        minus, plus = mirror_stack(*plus), mirror_stack(*minus)
-    largest = _largest(values, failures)
-    return BirkhoffResult(*_kept(g, (minus, plus), values, failures),
-                          largest["residual"], largest["condition"], side=side)
+    keys = ("minus", "plus") if side == "left" else ("plus", "minus")  # mirrored back, swapped
+    written, values, failures = _collect(outcomes, _mask(g), n, keys, ("condition",),
+                                         side == "right")
+    return BirkhoffResult(*_held(g, written, values, failures), _nanmax(values["residual"]),
+                          _nanmax(values["condition"]), side=side)
 
 
 def birkhoff_left(g, N=None, tol=TOL_BIRKHOFF) -> BirkhoffResult:
@@ -698,17 +717,17 @@ def _right_factors(w, N, tol):
     factorization at window max(N, the loop's radius): the left one of the
     mirror (_birkhoff_stack), for the loops of one own window together.
     Returns (plus, minus, residual, condition, failures); failures maps rows
-    to their BigCellViolation, and their factors, residual and condition
-    are zero."""
+    to their BigCellViolation, their factors are zero and their residual
+    and condition NaN."""
     outcomes = [None] * len(w.c)
     for l, h in sorted(set(zip(w.los.tolist(), w.his.tolist()))):
         rows = np.flatnonzero((w.los == l) & (w.his == h))
         lo, c = mirror_stack(l, w.c[rows, l - w.lo : h - w.lo + 1])
         for b, o in zip(rows.tolist(), _birkhoff_stack(lo, c, max(N, abs(l), abs(h)), tol)):
             outcomes[b] = o
-    stacks, values, failures = _collect(outcomes, w.c.shape[-1], ("minus", "plus"), ("condition",))
-    return (trim_stack(*mirror_stack(*stacks["minus"])), trim_stack(*mirror_stack(*stacks["plus"])),
-            values["residual"], values["condition"], failures)
+    written, values, failures = _collect(outcomes, np.ones(len(w.c), dtype=bool), w.c.shape[-1],
+                                         ("minus", "plus"), ("condition",), mirror=True)
+    return (*(trim_stack(*x) for x in written), values["residual"], values["condition"], failures)
 
 
 _RESIDUALS = ("reconstruction", "tau_fixed", "middle_reality", "minus_pair", "birkhoff")
@@ -800,6 +819,7 @@ def _tau_iwasawa_stack(g, s, N, tol, constant_group, form):
     decay to round-off (or at N, the only one tried when given) and grows
     with the residual (see _adaptive_window), the loops at one window
     together; a failure without a residual stops the loop's search at once.
+    A start above the cap MAX_SYSTEM_ORDER // (2n) fails at once.
     """
     lo, coeffs = (g.lo, g.coeffs[None]) if isinstance(g, LaurentLoop) else node_stack(g, g.mask)
     B, n = coeffs.shape[0], coeffs.shape[-1]
@@ -811,7 +831,7 @@ def _tau_iwasawa_stack(g, s, N, tol, constant_group, form):
     scale = stack_wiener(x)
     if N is None:
         starts = _decay_windows(x, scale) + START_PAD
-        limits = np.maximum(starts, MAX_SYSTEM_ORDER // (2 * n))
+        limits = np.full(B, MAX_SYSTEM_ORDER // (2 * n))
     else:
         starts = limits = np.full(B, N)
 
@@ -826,19 +846,11 @@ def _iwasawa(x, outcomes):
     """The IwasawaResult of a loop, or of a field from the outcomes of its
     unmasked nodes in row-major order (see IwasawaResult); a loop raises
     its failure."""
-    loop = isinstance(x, LaurentLoop)
-    n = x.n if loop else x.dim
-    stacks, values, failures = _collect(outcomes, n, ("z", "y_plus", "k"),
-                                        ("condition",) + _RESIDUALS)
-    z, y_plus = _kept(x, (stacks["z"], stacks["y_plus"]), values, failures)
-    k = stacks["k"][1][:, 0]
-    if loop:
-        k_const = k[0]
-    else:
-        k_const = np.zeros(x.mask.shape + (n, n), dtype=complex)
-        k_const[x.mask] = k
-    largest = _largest(values, failures)
-    return IwasawaResult(z, y_plus, k_const, {key: largest[key] for key in _RESIDUALS})
+    n = x.n if isinstance(x, LaurentLoop) else x.dim
+    (*factors, (_, k)), values, failures = _collect(outcomes, _mask(x), n, ("z", "y_plus", "k"),
+                                                    ("condition",) + _RESIDUALS)
+    return IwasawaResult(*_held(x, factors, values, failures), k[..., 0, :, :],
+                         {key: _nanmax(values[key]) for key in _RESIDUALS})
 
 
 def _mirrored(x):

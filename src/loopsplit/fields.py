@@ -437,17 +437,17 @@ def split(F: FrameField, tol=TOL_BIRKHOFF):
     The left factorization supplies G_minus (normalized in Lambda^-_1), the
     right factorization supplies F_plus (normalized in Lambda^+_1); a node
     either fails on is masked in both outputs, with the left failure named
-    first.  Both factors are based whenever F is.  Per-node residuals and
-    condition numbers land in info["diagnostics"].
+    first.  Both factors are based whenever F is.  info["diagnostics"] is
+    the elementwise max of the two factorizations' records (see
+    BirkhoffResult) where both keep the node, NaN elsewhere.
     """
     left = birkhoff_left(F, tol=tol).minus
     right = birkhoff_right(F, tol=tol).plus
     mask = left.mask & right.mask
     failures = dict(right.info["failures"])
     failures.update(left.info["failures"])
-    diagnostics = {node: {key: max(d, right.info["diagnostics"][node][key])
-                          for key, d in entry.items()}
-                   for node, entry in left.info["diagnostics"].items() if mask[node]}
+    diagnostics = {key: np.where(mask, np.fmax(d, right.info["diagnostics"][key]), np.nan)
+                   for key, d in left.info["diagnostics"].items()}
     info = {"failures": failures, "diagnostics": diagnostics}
     return _restrict(left, mask, dict(info)), _restrict(right, mask, dict(info))
 
@@ -456,14 +456,10 @@ def field_diagnostics_rows(F: FrameField):
     """Per-node CSV payload: indices, residual, condition, mask flag."""
     cols = ["iu", "iv", "u", "v", "residual", "condition", "mask"]
     diag = F.info.get("diagnostics", {})
-    rows = []
-    for i, j in F.grid.nodes():
-        entry = diag.get((i, j), {})
-        rows.append([i, j, float(F.grid.us[i]), float(F.grid.vs[j]),
-                     float(entry.get("residual", np.nan)),
-                     float(entry.get("condition", np.nan)),
-                     bool(F.mask[i, j])])
-    return cols, rows
+    none = np.full(F.grid.shape, np.nan)
+    residual, condition = diag.get("residual", none), diag.get("condition", none)
+    return cols, [[i, j, float(F.grid.us[i]), float(F.grid.vs[j]), float(residual[i, j]),
+                   float(condition[i, j]), bool(F.mask[i, j])] for i, j in F.grid.nodes()]
 
 
 def merge(G_minus: FrameField, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameField:
@@ -473,9 +469,8 @@ def merge(G_minus: FrameField, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameFie
     F_minus normalized, then F = F_plus F_minus.  F_plus^{-1} is truncated
     to the default window of the node's two values.  Every step runs over
     all nodes at once; a node where one fails is masked, with its cause
-    recorded after the failures the inputs name.  The residual and
-    condition of the left factorization at every node kept land in
-    info["diagnostics"].
+    recorded after the failures the inputs name.  info["diagnostics"] is
+    the left factorization's record (see BirkhoffResult), passed through.
     """
     if G_minus.grid.shape != F_plus.grid.shape:
         raise DimensionMismatch("basic pair fields live on different grids")
@@ -537,8 +532,8 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
     so nodes share nothing and a based input gives a based output.  The
     invariant form is F_plus's declared target (the plain form when none
     is declared, none in GL).  A node where either step fails is masked,
-    with its cause in info["failures"]; per-node factorization residuals
-    and inner Birkhoff conditions land in info["diagnostics"].
+    with its cause in info["failures"], and info["diagnostics"] is the
+    factorization's record (see IwasawaResult), NaN where masked.
     """
     form = F_plus.target.kind if F_plus.target is not None else None
     b_signs = None
@@ -557,7 +552,8 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
     lost = sorted((node, msg) for node, msg in out.info["failures"].items()
                   if node not in failures)
     info = {"failures": {**failures, **dict(lost)},
-            "diagnostics": {node: d for node, d in z.info["diagnostics"].items() if out.mask[node]}}
+            "diagnostics": {key: np.where(out.mask, d, np.nan)
+                            for key, d in z.info["diagnostics"].items()}}
     return _times_constant(replace(out, symmetry=s, info=info), gauges)
 
 

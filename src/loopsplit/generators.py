@@ -69,14 +69,13 @@ def spectral_wiener_norm(g: LaurentLoop) -> float:
 
 
 def random_fixed_loop(rng, s: SymmetrySpec, involutions=("sigma",), radius=2,
-                      scale=0.25, skew=False) -> LaurentLoop:
+                      scale=0.25) -> LaurentLoop:
     """exp of a random algebra loop averaged onto the fixed-point set of the
     listed involutions (tags as in apply_involution)."""
     n = s.dim
     terms = {}
     for d in range(-radius, radius + 1):
-        m = random_skew(rng, n) if skew else random_matrix(rng, n)
-        terms[d] = (scale / max(1, 2 * radius)) * m
+        terms[d] = (scale / max(1, 2 * radius)) * random_matrix(rng, n)
     x = from_terms(terms, n=n)
     for tags in involutions:
         x = 0.5 * (x + apply_involution(x, tags, s))
@@ -135,10 +134,10 @@ def nilpotent_family(rng, n, count=2, scale=0.4):
     return out
 
 
-def random_scalar_fields(rng, count=2, freq=1.5, amp=1.0):
-    """Smooth random bivariate functions vanishing at the origin."""
-    coefs = rng.uniform(-amp, amp, size=(count, 4))
-    w = rng.uniform(0.5, freq, size=(count, 2))
+def random_scalar_fields(rng, count):
+    """count smooth random bivariate functions vanishing at the origin."""
+    coefs = rng.uniform(-1.0, 1.0, size=(count, 4))
+    w = rng.uniform(0.5, 1.5, size=(count, 2))
 
     def make(c, wu, wv):
         return lambda u, v: (c[0] * np.sin(wu * u) + c[1] * np.sin(wv * v)

@@ -255,13 +255,11 @@ def gather(parts, shape, n):
     """(lo, coeffs): the loops of parts, (index, lo, coeffs) triples,
     re-embedded into one array of shape shape + (W, n, n) over the union of
     their windows, zero elsewhere.  An index picks one loop of the array,
-    or rows of it for a stack of loops.  A fourth entry picks rows of
-    coeffs, so that only one part's selection is copied at a time."""
-    lo = min((p for _, p, *_ in parts), default=0)
-    hi = max((p + c.shape[-3] - 1 for _, p, c, *_ in parts), default=0)
+    or rows of it for a stack of loops."""
+    lo = min((p for _, p, _ in parts), default=0)
+    hi = max((p + c.shape[-3] - 1 for _, p, c in parts), default=0)
     out = np.zeros(tuple(shape) + (hi - lo + 1, n, n), dtype=complex)
-    for index, p, c, *rows in parts:
-        c = c[rows[0]] if rows else c
+    for index, p, c in parts:
         out[np.index_exp[index] + (slice(p - lo, p - lo + c.shape[-3]),)] = c
     return lo, out
 

@@ -398,7 +398,8 @@ def test_tau_iwasawa_field_stops_a_structural_failure_at_its_first_window(monkey
         alone = tau_iwasawa(F.value(*node), S, constant_group="general")
         assert out.z.value(*node).window == alone.z.window
         assert np.array_equal(out.z.value(*node).coeffs, alone.z.coeffs)
-        assert out.z.info["diagnostics"][node]["residual"] == alone.residual
+        assert out.z.info["diagnostics"]["residual"][node] == alone.residual
+    assert np.isnan(out.z.info["diagnostics"]["residual"][3, 1])
 
 
 @pytest.mark.parametrize("reality", [None, "R1", "R2", "Rm1"])
@@ -421,6 +422,72 @@ def test_tau_iwasawa_minus_mirror():
     assert out.y_plus.hi <= 0  # the co-factor lives in Lambda^-
     assert distance(mul(out.z, out.y_plus), xm) < 1e-8
     assert distance(out.z, apply_tau(out.z, S)) < 1e-8
+
+
+def deep_loop(d, n=4):
+    """I + 0.1 I lambda^d + 0.1 ones lambda: depth -d."""
+    return from_terms({0: np.eye(n), d: 0.1 * np.eye(n), 1: 0.1 * np.ones((n, n))})
+
+
+@pytest.fixture
+def solved_rows(monkeypatch):
+    """The row counts of every mode system and truncated inverse solved."""
+    from loopsplit import factorization, loops
+
+    rows = []
+    solve, inverse = factorization._toeplitz_solve, loops._toeplitz_inverse
+
+    def spy_solve(lo, coeffs, N):
+        rows.append(N * coeffs.shape[-1])
+        return solve(lo, coeffs, N)
+
+    def spy_inverse(lo, coeffs, N):
+        rows.append((2 * N + 1) * coeffs.shape[-1])
+        return inverse(lo, coeffs, N)
+
+    monkeypatch.setattr(factorization, "_toeplitz_solve", spy_solve)
+    monkeypatch.setattr(loops, "_toeplitz_inverse", spy_inverse)
+    return rows
+
+
+@pytest.mark.parametrize("case", ["start", "substitute", "tau"])
+def test_a_first_window_above_the_cap_fails_without_a_solve(solved_rows, case):
+    # depth 258 starts at window 260 > 1024 // 4; N = 1 below the depth is
+    # replaced by 2 * 258 + 4 = 520; tau at reach 130 starts at 132 > 1024 // 8
+    g = deep_loop(-130 if case == "tau" else -258)
+    with pytest.raises(ls.BigCellViolation) as failure:
+        if case == "tau":
+            tau_iwasawa(g, S)
+        else:
+            birkhoff_left(g, N=1 if case == "substitute" else None)
+    window, cap = {"start": (260, 256), "substitute": (520, 256), "tau": (132, 128)}[case]
+    assert failure.value.cause == ls.errors.ABOVE_CAP
+    assert failure.value.windows == []
+    assert f"first window {window} is above the cap {cap}" in str(failure.value)
+    assert solved_rows == []
+
+
+@pytest.mark.parametrize("case", ["birkhoff", "tau"])
+def test_a_field_masks_only_its_node_above_the_cap(solved_rows, case):
+    grid = ls.Grid2D.centered(0.4, 2, 0.4, 2)
+    fine = {(0, 0): identity(4), (0, 1): constant(np.diag([1.0, 2.0, 1.0, 1.0])),
+            (1, 0): from_terms({0: np.eye(4), -1: 0.1 * np.ones((4, 4))})}
+    fine[1, 1] = deep_loop(-130 if case == "tau" else -258)
+    F = ls.FrameField.from_loops(grid, fine, n=4)
+    field = (tau_iwasawa(F, S, constant_group="general").z if case == "tau"
+             else birkhoff_left(F).minus)
+    assert field.mask.tolist() == [[True, True], [True, False]]
+    assert list(field.info["failures"]) == [(1, 1)]
+    assert "above_cap" in field.info["failures"][1, 1]
+    assert np.isnan(field.info["diagnostics"]["residual"][1, 1])
+    assert max(solved_rows, default=0) <= ls.factorization.MAX_SYSTEM_ORDER
+
+
+def test_an_explicit_window_at_least_the_depth_is_used_as_given(solved_rows):
+    # N >= depth is not replaced, so the cap does not apply to it
+    out = birkhoff_left(from_terms({0: np.eye(2), -3: 0.1 * np.eye(2)}), N=600)
+    assert out.residual <= 1e-12
+    assert solved_rows == [1200]
 
 
 def test_default_window_policy():

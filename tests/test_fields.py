@@ -185,16 +185,17 @@ def test_split_merge_round_trips():
 
 
 def test_merge_records_its_left_factorization_diagnostics():
-    # one entry per node merge keeps, none for the nodes an input masks
+    # a value at every node merge keeps, NaN at the nodes an input masks
     gm, fp = random_basic_pair(rng_for(48), GRID)
     mask = fp.mask.copy()
     mask[1, 2] = mask[3, 0] = False
     F = merge(gm, FrameField(fp.grid, fp.lo, fp.coeffs, mask))
-    diagnostics = F.info["diagnostics"]
-    assert set(diagnostics) == {tuple(node) for node in np.argwhere(F.mask).tolist()}
+    residual, condition = F.info["diagnostics"]["residual"], F.info["diagnostics"]["condition"]
+    assert residual.shape == condition.shape == GRID.shape
+    assert np.array_equal(~np.isnan(residual), F.mask)
+    assert np.array_equal(~np.isnan(condition), F.mask)
     assert not F.mask[1, 2] and not F.mask[3, 0]
-    for entry in diagnostics.values():
-        assert entry["residual"] <= 1e-9 and entry["condition"] >= 1.0
+    assert (residual[F.mask] <= 1e-9).all() and (condition[F.mask] >= 1.0).all()
 
 
 # diag(lambda, 1/lambda, 1, 1): partial indices (1, -1, 0, 0), so neither
@@ -225,6 +226,51 @@ def test_split_masks_off_cell_nodes():
     assert F2.info["failures"][2, 3] == g2.info["failures"][2, 3]
     masked_dist = field_distance(F2, F)  # compares only commonly valid nodes
     assert masked_dist < 1e-7
+
+
+def test_split_records_the_larger_of_its_two_factorizations():
+    # under the common mask the elementwise max of the left and right
+    # records, NaN at the off-cell node and at a node the input masks
+    gm, fp = random_basic_pair(rng_for(48), GRID)
+    F = with_node(merge(gm, fp), OFF_CELL)
+    F.mask[0, 1] = False
+    left, right = ls.birkhoff_left(F).minus, ls.birkhoff_right(F).plus
+    g2, f2 = split(F)
+    common = left.mask & right.mask
+    assert np.array_equal(g2.mask, common) and not common[OFF_CELL_NODE] and not common[0, 1]
+    for key in ("residual", "condition"):
+        a, b = left.info["diagnostics"][key], right.info["diagnostics"][key]
+        for out in (g2, f2):
+            got = out.info["diagnostics"][key]
+            assert np.array_equal(got[common], np.maximum(a[common], b[common]))
+            assert np.isnan(got[~common]).all()
+        # both sides decide some node
+        assert (a[common] > b[common]).any() and (b[common] > a[common]).any()
+
+
+def test_split_records_nothing_where_one_side_fails(monkeypatch):
+    # a node only the right factorization loses is NaN in split's record,
+    # although the left one has a value there
+    from loopsplit import fields
+
+    right = fields.birkhoff_right
+
+    def losing(F, tol):
+        out = right(F, tol=tol)
+        out.plus.mask[4, 4] = False
+        out.plus.info["failures"][4, 4] = "lost"
+        for d in out.plus.info["diagnostics"].values():
+            d[4, 4] = np.nan
+        return out
+
+    monkeypatch.setattr(fields, "birkhoff_right", losing)
+    gm, fp = random_basic_pair(rng_for(48), GRID)
+    g2, f2 = split(merge(gm, fp))
+    assert not g2.mask[4, 4] and g2.info["failures"][4, 4] == "lost"
+    assert not np.isnan(ls.birkhoff_left(merge(gm, fp)).minus.info["diagnostics"]["residual"][4, 4])
+    for out in (g2, f2):
+        for d in out.info["diagnostics"].values():
+            assert np.isnan(d[4, 4]) and np.array_equal(np.isnan(d), ~g2.mask)
 
 
 POINTWISE_OPS = {
@@ -431,8 +477,8 @@ def test_split_runs_identical():
     g2, f2 = split(F)
     assert field_distance(g1, g2) == 0.0
     assert field_distance(f1, f2) == 0.0
-    assert (2, 2) in g1.info["diagnostics"]
-    assert g1.info["diagnostics"][(2, 2)]["condition"] >= 1.0
+    assert not np.isnan(g1.info["diagnostics"]["residual"][2, 2])
+    assert g1.info["diagnostics"]["condition"][2, 2] >= 1.0
 
 
 def transpose_field(F):

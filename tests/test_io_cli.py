@@ -307,6 +307,19 @@ def test_cli_factorize_rejects_a_window_above_the_cap(tmp_path, capsys, side):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_cli_factorize_fails_a_window_substitute_above_the_cap(tmp_path, capsys):
+    # --window 1 passes the cap, but below the depth 258 it is replaced by
+    # 2 * 258 + 4 = 520 > 1024 // 4: a numerical failure, with nothing solved
+    from loopsplit.cli import main
+    path = tmp_path / "deep.json"
+    save_loop(ls.from_terms({0: np.eye(4), -258: 0.1 * np.eye(4), 1: 0.1 * np.ones((4, 4))}), path)
+    argv = ["factorize", "--side", "left", "--in", str(path),
+            "--out", str(tmp_path / "out.json"), "--window", "1"]
+    assert main(argv) == 4
+    assert "above_cap" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("tol_scale", ["-1", "0", "nan"])
 def test_cli_rejects_bad_tol_scale_flag(tmp_path, capsys, tol_scale):
     # the flag goes through the same validation as the config key

@@ -532,8 +532,10 @@ def reference_tau_merge(F_plus, s, constant_group):
             continue
         vals[node] = res.z
         residuals[node] = res.residual
-    info = {"failures": failures,
-            "diagnostics": {node: {"residual": r} for node, r in residuals.items()}}
+    residual = np.full(F_plus.grid.shape, np.nan)
+    for node, r in residuals.items():
+        residual[node] = r
+    info = {"failures": failures, "diagnostics": {"residual": residual}}
     out = FrameField.from_loops(F_plus.grid, vals, n=F_plus.dim, symmetry=s,
                                 target=F_plus.target, info=info)
     return _times_constant(out, gauges)
@@ -591,13 +593,15 @@ def test_tau_merge_matches_per_node_reference(seed, nu, nv, keep, odd_nodes, k, 
     assert list(got.info["failures"]) == list(ref.info["failures"])
     if odd_nodes and F.mask[1, 2]:
         assert not got.mask[1, 2]
-    assert got.info["diagnostics"].keys() == ref.info["diagnostics"].keys()
-    for node, d in ref.info["diagnostics"].items():
+    residual, condition = got.info["diagnostics"]["residual"], got.info["diagnostics"]["condition"]
+    ref_residual = ref.info["diagnostics"]["residual"]
+    assert np.array_equal(np.isnan(residual), np.isnan(ref_residual))
+    assert np.array_equal(np.isnan(condition), np.isnan(ref_residual))
+    for node in zip(*np.nonzero(~np.isnan(ref_residual))):
         # a node's inner Birkhoff residual is summed over the windows its
         # stack shares, so it may differ in the last bit
-        assert got.info["diagnostics"][node]["residual"] == pytest.approx(d["residual"],
-                                                                         rel=1e-14)
-        assert got.info["diagnostics"][node]["condition"] >= 1.0
+        assert residual[node] == pytest.approx(ref_residual[node], rel=1e-14)
+        assert condition[node] >= 1.0
         assert_near_loop(got.value(*node), ref.value(*node))
 
 
@@ -868,7 +872,7 @@ def test_field_birkhoff_matches_per_node_reference(seed, nu, nv, n, keep, side, 
         minus, plus = (ref[0], ref[1]) if side == "left" else (ref[1].mirror(), ref[0].mirror())
         assert_close_loop(out.minus.value(*node), minus)
         assert_close_loop(out.plus.value(*node), plus)
-        condition = out.minus.info["diagnostics"][node]["condition"]
+        condition = out.minus.info["diagnostics"]["condition"][node]
         assert ref[2] * (1 - 1e-9) <= condition <= 10 * ref[2]
         # the node alone gets the same factors and condition; its residual
         # is summed over the window the field's stack shares, so it may move
@@ -877,9 +881,11 @@ def test_field_birkhoff_matches_per_node_reference(seed, nu, nv, n, keep, side, 
         assert_same_loop(out.minus.value(*node), lone.minus)
         assert_same_loop(out.plus.value(*node), lone.plus)
         assert condition == lone.condition
-        residual = out.minus.info["diagnostics"][node]["residual"]
+        residual = out.minus.info["diagnostics"]["residual"][node]
         assert abs(residual - lone.residual) <= 1e-15 * max(1.0, g.wiener_norm())
     assert not out.minus.mask[~F.mask].any()
+    for key in ("residual", "condition"):
+        assert np.array_equal(~np.isnan(out.minus.info["diagnostics"][key]), out.minus.mask)
     assert set(out.minus.info["failures"]) == {node for node in loops if not out.minus.mask[node]}
     if singular:
         assert not out.minus.mask[nu // 2, nv // 2]
