@@ -352,26 +352,28 @@ def _solve_modes(big, rhs):
         sol[ok] = inverse[ok] @ rhs[ok]
         return condition, sol
     import scipy.linalg as sla  # local: systems of up to 32 rows never load scipy.linalg
+    # the routines lu_factor, its condition estimate and lu_solve call, looked up once
+    getrf, gecon, getrs = sla.get_lapack_funcs(("getrf", "gecon", "getrs"), (big,))
     for b in np.flatnonzero(finite):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(big[b], check_finite=False)
-        rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, anorm[b])
+        lu, piv, _ = getrf(big[b])
+        rcond, _ = gecon(lu, anorm[b])
         if rcond != 0:
             condition[b] = 1.0 / rcond
-            sol[b] = sla.lu_solve((lu, piv), rhs[b], check_finite=False)
+            sol[b] = getrs(lu, piv, rhs[b])[0]
     return condition, sol
 
 
-def _birkhoff_left_at(lo, coeffs, N: int, tol):
+def _birkhoff_left_at(lo, coeffs, N: int, tol, side):
     """Left factorizations of the loops of a trimmed stack at window N, in
     the form _adaptive_window takes: each accepted loop's _Solved points
-    into the window's minus and plus Stacks and conditions."""
+    into the window's minus and plus Stacks and conditions.  A failure
+    names side, the factorization asked for: "right" when the stack is
+    the mirror of the loops a right factorization was asked of."""
     y, condition = _toeplitz_solve(lo, coeffs, N)
     out = [None] * len(coeffs)
     ok = np.flatnonzero(condition <= CONDITION_LIMIT)
     for b in np.flatnonzero(~(condition <= CONDITION_LIMIT)):
-        out[b] = BigCellViolation(f"left factorization failed: condition {condition[b]:.3e}",
+        out[b] = BigCellViolation(f"{side} factorization failed: condition {condition[b]:.3e}",
                                   condition=float(condition[b]), cause=ILL_CONDITIONED)
     if not ok.size:
         return out
@@ -391,12 +393,12 @@ def _birkhoff_left_at(lo, coeffs, N: int, tol):
             out[b] = _Solved(part, k, r)
         else:
             out[b] = BigCellViolation(
-                f"left factorization failed: residual {r:.3e}, condition {c:.3e}",
+                f"{side} factorization failed: residual {r:.3e}, condition {c:.3e}",
                 residual=r, condition=c)
     return out
 
 
-def _birkhoff_stack(lo, coeffs, N, tol):
+def _birkhoff_stack(lo, coeffs, N, tol, side):
     """Left factorizations of every loop of a trimmed stack (B, W, n, n):
     one outcome per loop, its _Solved or the BigCellViolation to report.
 
@@ -407,7 +409,8 @@ def _birkhoff_stack(lo, coeffs, N, tol):
     the residual (see _adaptive_window), the loops at one window together.
     A window given below the depth is replaced by 2 * radius +
     DEFAULT_WINDOW_PAD; a start above the cap MAX_SYSTEM_ORDER // n, that
-    substitute included, fails at once.
+    substitute included, fails at once.  Failures name side (see
+    _birkhoff_left_at).
     """
     n = coeffs.shape[-1]
     los, his = stack_windows(lo, coeffs)
@@ -435,7 +438,7 @@ def _birkhoff_stack(lo, coeffs, N, tol):
         at = rows[at]
         size = STACK_CHUNK // ((coeffs.shape[1] + w) * n * n)
         return [outcome for part in chunks(len(at), size)
-                for outcome in _birkhoff_left_at(lo, coeffs[at[part]], w, tol)]
+                for outcome in _birkhoff_left_at(lo, coeffs[at[part]], w, tol, side)]
 
     outcomes = _adaptive_window(attempt, starts, limits, wiener_norms(coeffs)[rows])
     for b, outcome in zip(rows, outcomes):
@@ -455,7 +458,7 @@ def _birkhoff(g, N, tol, side):
         lo, coeffs = mirror_stack(lo, coeffs)
     count, width, n = coeffs.shape[:2] + coeffs.shape[-1:]
     outcomes = [o for part in chunks(count, STACK_CHUNK // (width * n * n))
-                for o in _birkhoff_stack(lo, coeffs[part], N, tol)]
+                for o in _birkhoff_stack(lo, coeffs[part], N, tol, side)]
     keys = ("minus", "plus") if side == "left" else ("plus", "minus")  # mirrored back, swapped
     written, values, failures = _collect(outcomes, _mask(g), n, keys, ("condition",),
                                          side == "right")
@@ -723,7 +726,8 @@ def _right_factors(w, N, tol):
     for l, h in sorted(set(zip(w.los.tolist(), w.his.tolist()))):
         rows = np.flatnonzero((w.los == l) & (w.his == h))
         lo, c = mirror_stack(l, w.c[rows, l - w.lo : h - w.lo + 1])
-        for b, o in zip(rows.tolist(), _birkhoff_stack(lo, c, max(N, abs(l), abs(h)), tol)):
+        solved = _birkhoff_stack(lo, c, max(N, abs(l), abs(h)), tol, "right")
+        for b, o in zip(rows.tolist(), solved):
             outcomes[b] = o
     written, values, failures = _collect(outcomes, np.ones(len(w.c), dtype=bool), w.c.shape[-1],
                                          ("minus", "plus"), ("condition",), mirror=True)

@@ -451,59 +451,58 @@ def mul(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
 
 
 def loop_exp(x: LaurentLoop) -> LaurentLoop:
-    """exp(x) by the power series, summed until a term falls below 1e-16 of
-    the partial sum (at most 120 terms).
-
-    stack_exp sums the same series for many loops at once.  A lone loop
-    keeps this body: on the 225 set-up loops of pointwise_factor, stack_exp
-    on stacks of one took 413-605 ms against 328-384 ms here (nine rounds;
-    an earlier measurement read 631-744 against 362-487 ms), which would
-    add 0.1-0.25 s to that workload's set-up."""
-    acc = identity(x.n)
-    term = identity(x.n)
-    for k in range(1, 121):
-        term = (1.0 / k) * mul(term, x)
-        acc = acc + term
-        if term.wiener_norm() <= 1e-16 * max(acc.wiener_norm(), 1.0):
-            return acc
-    raise SingularLoop("loop exponential did not converge; norm too large")
-
-
-def _stack_add(x: Stack, y: Stack) -> Stack:
-    """The sums of the loops of two Stacks, pair by pair, built as
-    LaurentLoop.__add__ builds them: zeros, plus x, plus y, trimmed."""
-    lo = min(x.lo, y.lo)
-    hi = max(x.lo + x.c.shape[1], y.lo + y.c.shape[1]) - 1
-    out = np.zeros((len(x.c), hi - lo + 1) + x.c.shape[2:], dtype=complex)
-    out[:, x.lo - lo : x.lo - lo + x.c.shape[1]] += x.c
-    out[:, y.lo - lo : y.lo - lo + y.c.shape[1]] += y.c
-    return trim_stack(lo, out)
+    """exp(x) by its power series: stack_exp of the stack of one loop."""
+    out = stack_exp(Stack(x.lo, x.coeffs[None], np.array([x.lo]), np.array([x.hi])))
+    return LaurentLoop(out.lo, out.c[0], trim=False)
 
 
 def stack_exp(x: Stack) -> Stack:
-    """exp of every loop of a Stack, each summed as loop_exp sums it alone:
-    the same terms in the same order, trimmed after the product, the 1/k
-    scaling and the sum, and the same stop rule on own-window Wiener norms,
-    so every row equals loop_exp of its loop bit for bit.  A row leaves the
-    stack once its series stops; SingularLoop when one has not stopped
-    after 120 terms."""
-    B, n = len(x.c), x.c.shape[-1]
-    one = constant_stack(np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)))
-    live, acc, term = np.arange(B), one, one
-    parts, los, his = [], np.zeros(B, dtype=int), np.zeros(B, dtype=int)
-    for k in range(1, 121):
-        term = stack_mul(term, x)
-        term = trim_stack(term.lo, complex(1.0 / k) * term.c)
-        acc = _stack_add(acc, term)
-        stop = stack_wiener(term) <= 1e-16 * np.maximum(stack_wiener(acc), 1.0)
-        if stop.any():
-            rows = live[stop]
-            parts.append((rows, acc.lo, acc.c[stop]))
-            los[rows], his[rows] = acc.los[stop], acc.his[stop]
-            live, x, term, acc = live[~stop], x.rows(~stop), term.rows(~stop), acc.rows(~stop)
-        if not len(live):
-            lo, c = gather(parts, (B,), n)
-            return Stack(lo, c, los, his)
+    """exp of every loop of a Stack by the power series, summed on one array
+    for the loops of one own window at once, each row loop_exp of its loop
+    bit for bit: it stops at the first term whose Wiener norm is at most
+    1e-16 max(1, the partial sum's), SingularLoop when one has not after
+    120 terms.  The sums are trimmed once, at the end."""
+    groups = {}  # rows by own window
+    for row, key in enumerate(zip(x.los.tolist(), x.his.tolist())):
+        groups.setdefault(key, []).append(row)
+    parts = [part for (a, b), rows in groups.items()
+             for part in _exp_series(rows, a, b, x.c[rows, a - x.lo : b - x.lo + 1])]
+    return trim_stack(*gather(parts, (len(x.c),), x.c.shape[-1]))
+
+
+def _exp_series(rows, a, b, c):
+    """stack_exp's (rows, lo, sums) for the loops c (B, w, n, n) over [a, b].
+    A term, held as [c, (d, i)] = t_d[i, c], is x, then one product of x_j^T / k
+    side by side with w copies of the last, copy j shifted j degrees.  All rows
+    stop by term K, the first with |x|_W^K / K! < 5e-17; the rule is checked
+    only at Frobenius norms within 2e-16 of exp(|x|_W) >= sums."""
+    B, w, n = c.shape[0], c.shape[1], c.shape[-1]
+    x = c.transpose(0, 3, 1, 2).reshape(B, n, w * n)  # [c', (j, c)] = x_j[c, c']
+    K, bound, near = 1, (size := wiener_norms(c).max()), (2e-16 * np.exp(size)) ** 2
+    while bound > 5e-17 and K < 120:
+        K, bound = K + 1, bound * size / (K + 1)
+    lo = min(0, K * a)
+    acc = np.zeros((B, n, (max(0, K * b) - lo + 1) * n), dtype=complex)
+    acc[:, :, -lo * n : (1 - lo) * n] = np.eye(n)
+    term, rows, parts = x, np.asarray(rows), []
+    shifted = np.zeros((B, w * n, ((K + 1) * (w - 1) + 1) * n), dtype=complex)
+    for k in range(1, K + 1):
+        M = k * (w - 1) + 1
+        acc[:, :, (k * a - lo) * n : (k * a - lo + M) * n] += term
+        flat = term.reshape(len(term), 1, -1).view(float)
+        if (flat @ flat.transpose(0, 2, 1)).min() <= near:  # the squared Frobenius norms
+            used = acc[:, :, (min(0, k * a) - lo) * n : (max(0, k * b) - lo + 1) * n]
+            used = used.reshape(len(term), n, -1, n).transpose(0, 2, 3, 1)
+            stop = wiener_norms(term.reshape(len(term), n, M, n).transpose(0, 2, 3, 1)) <= (
+                1e-16 * np.maximum(wiener_norms(used), 1.0))
+            if stop.any():
+                parts.append((rows[stop], min(0, k * a), used[stop]))
+                if stop.all():
+                    return parts
+                rows, x, term, acc, shifted = (v[~stop] for v in (rows, x, term, acc, shifted))
+        (s0, s2, s3), copies = shifted.strides, (len(term), w, n, M * n)
+        np.ndarray(copies, complex, shifted, 0, (s0, n * (s2 + s3), s2, s3))[...] = term[:, None]
+        term = np.matmul(x * (1.0 / (k + 1)), shifted[..., : (M + w - 1) * n])
     raise SingularLoop("loop exponential did not converge; norm too large")
 
 

@@ -511,3 +511,36 @@ def test_general_block_sizes():
     a = np.linalg.inv(k0) @ Q @ k0 @ Q
     k = solve_constant_tau(a, s)
     assert np.linalg.norm(np.linalg.inv(k) @ Q @ k @ Q - a) < 1e-9
+
+
+def test_a_right_factorization_failure_names_the_right_side():
+    # diag(lambda, 1/lambda, 1, 1) has no right factorization: its mirror's
+    # mode systems are singular at every window
+    g = from_terms({-1: np.diag([0.0, 1.0, 0.0, 0.0]), 0: np.diag([0.0, 0.0, 1.0, 1.0]),
+                    1: np.diag([1.0, 0.0, 0.0, 0.0])})
+    with pytest.raises(ls.BigCellViolation) as lone:
+        birkhoff_right(g)
+    assert str(lone.value).startswith("right factorization failed: ")
+    grid = ls.Grid2D.centered(0.4, 2, 0.4, 2)
+    F = ls.FrameField.from_loops(grid, {(0, 0): identity(4), (0, 1): identity(4),
+                                        (1, 0): identity(4), (1, 1): g}, n=4)
+    field = birkhoff_right(F).plus
+    assert field.mask.tolist() == [[True, True], [True, False]]
+    assert field.info["failures"] == {(1, 1): str(lone.value)}
+
+
+def test_large_mode_systems_keep_their_singular_handling(rng):
+    """Over INVERSE_MAX_ORDER rows each system takes LU: a singular one gets
+    an infinite condition and a zero solution, without a warning, and a
+    regular one LAPACK's 1-norm condition estimate and its solution."""
+    from loopsplit.factorization import INVERSE_MAX_ORDER, _solve_modes
+    m = INVERSE_MAX_ORDER + 8
+    big = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
+    big[1, :, 5] = 0.0
+    big[2, 0, 0] = np.nan
+    rhs = rng.standard_normal((3, m, 2)) + 0j
+    condition, sol = _solve_modes(big, rhs)
+    assert np.isinf(condition[1:]).all() and not sol[1:].any()
+    exact = np.linalg.norm(big[0], 1) * np.linalg.norm(np.linalg.inv(big[0]), 1)
+    assert exact / 10 <= condition[0] <= exact * (1 + 1e-12)
+    np.testing.assert_allclose(big[0] @ sol[0], rhs[0], atol=1e-10)

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import loopsplit as ls
+import loopsplit.loops as loops_module
 from loopsplit import (
     GroupSpec,
     constant,
@@ -22,6 +24,7 @@ from loopsplit import (
 from loopsplit.serialize import loop_from_obj, loop_to_obj
 
 from conftest import random_loop
+from test_generators import SETTINGS, exp_stacks
 
 
 def brute_force_product(x, y):
@@ -197,6 +200,54 @@ def test_loop_exp_matches_expm(rng):
     g = loop_exp(from_terms({1: x, -1: 0.5 * x}))
     lam = 0.9 * np.exp(0.4j)
     np.testing.assert_allclose(g.eval(lam), expm(x * lam + 0.5 * x / lam), atol=1e-12)
+
+
+@SETTINGS
+@given(exp_stacks())
+def test_loop_exp_matches_expm_on_the_circle(loops):
+    """Within 1e-13 of exp(|g(lam)|), the size of the series' largest
+    partial sums: where exp(g(lam)) is much smaller than that, the series
+    loses digits to cancellation, in any order of summation."""
+    from scipy.linalg import expm
+    for g in loops:
+        out = loop_exp(g)
+        for lam in np.exp(1j * np.array([0.3, 2.1, -1.7])):
+            ref = expm(g.eval(lam))
+            err = np.linalg.norm(out.eval(lam) - ref, 2)
+            assert err <= 1e-13 * max(1.0, np.exp(np.linalg.norm(g.eval(lam), 2)))
+
+
+@SETTINGS
+@given(exp_stacks())
+def test_loop_exp_keeps_one_sided_loops_one_sided(loops):
+    for g in loops:
+        out = loop_exp(g)
+        for x, y in ((g, out), (g.mirror(), out.mirror())):  # Lambda^+, then Lambda^-
+            if x.lo >= 0:
+                assert y.lo >= 0
+            if x.lo >= 1:
+                assert y.coeff(0).tobytes() == np.eye(g.n, dtype=complex).tobytes()
+
+
+def test_loop_exp_builds_one_loop_and_trims_once(rng, monkeypatch):
+    """The series runs on one coefficient array: no loop object and no trim
+    per term."""
+    g = random_loop(rng, n=4, radius=2)
+    counts = {"loops": 0, "_trim": 0, "trim_stack": 0}
+    init = loops_module.LaurentLoop.__init__
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(loops_module.LaurentLoop, "__init__", counted("loops", init))
+    for name in ("_trim", "trim_stack"):
+        monkeypatch.setattr(loops_module, name, counted(name, getattr(loops_module, name)))
+    loop_exp(g)
+    assert counts["loops"] == 1
+    assert counts["_trim"] <= 1 and counts["trim_stack"] <= 1
 
 
 def test_serialization_bit_exact(rng):
