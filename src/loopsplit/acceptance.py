@@ -73,7 +73,6 @@ class CriterionResult:
     name: str
     metrics: list = field(default_factory=list)
     seconds: float = 0.0
-    note: str = ""
 
     def add(self, label, value, bound):
         self.metrics.append(Metric(label, float(value), float(bound)))
@@ -90,7 +89,7 @@ class CriterionResult:
         return f"{status}  criterion {self.number}: {self.name}{detail}"
 
 
-def criterion_1(seed=42) -> CriterionResult:
+def criterion_1(seed) -> CriterionResult:
     """Birkhoff reconstruction on 200 seeded products of normalized factors."""
     res = CriterionResult(1, "Birkhoff reconstruction of 200 random products")
     rng = gen.rng_for((seed, 1))
@@ -116,7 +115,7 @@ def criterion_1(seed=42) -> CriterionResult:
     return res
 
 
-def criterion_2(seed=42) -> CriterionResult:
+def criterion_2(seed) -> CriterionResult:
     """Both Birkhoff factors of a twist-fixed loop stay twist-fixed."""
     res = CriterionResult(2, "twisted subgroup preservation on 100 fixed loops")
     rng = gen.rng_for((seed, 2))
@@ -132,7 +131,7 @@ def criterion_2(seed=42) -> CriterionResult:
     return res
 
 
-def criterion_3(seed=42) -> CriterionResult:
+def criterion_3(seed) -> CriterionResult:
     """tau-Iwasawa reconstruction and gauge-constancy on 100 built instances."""
     res = CriterionResult(3, "tau-Iwasawa factorization of 100 constructed loops")
     rng = gen.rng_for((seed, 3))
@@ -154,7 +153,7 @@ def criterion_3(seed=42) -> CriterionResult:
     return res
 
 
-def criterion_4(seed=42) -> CriterionResult:
+def criterion_4(seed) -> CriterionResult:
     """Split/merge bijection on 50 potential-generated 17x17 frames."""
     res = CriterionResult(4, "split/merge bijection on 50 17x17 frames")
     rng = gen.rng_for((seed, 4))
@@ -181,7 +180,7 @@ def criterion_4(seed=42) -> CriterionResult:
     return res
 
 
-def criterion_5(seed=42) -> CriterionResult:
+def criterion_5(seed) -> CriterionResult:
     """Closed-form family: connection match and the printed flat partner."""
     res = CriterionResult(5, "closed-form sphere family agreement")
     s = SymmetrySpec(2, 1, "Rm1")
@@ -211,7 +210,7 @@ def criterion_5(seed=42) -> CriterionResult:
     return res
 
 
-def criterion_6(seed=42) -> CriterionResult:
+def criterion_6(seed) -> CriterionResult:
     """Measured Gauss curvature against 4/(lambda+1/lambda)^2, and flatness
     of the flat partner."""
     res = CriterionResult(6, "curvature reproduction at two lambda values")
@@ -236,7 +235,7 @@ def criterion_6(seed=42) -> CriterionResult:
     return res
 
 
-def criterion_7(seed=42) -> CriterionResult:
+def criterion_7(seed) -> CriterionResult:
     """All six rows of the flat/non-flat correspondence table."""
     res = CriterionResult(7, "correspondence-table routing, one instance per row")
     rng = gen.rng_for((seed, 7))
@@ -271,7 +270,7 @@ def criterion_7(seed=42) -> CriterionResult:
     return res
 
 
-def criterion_8(seed=42) -> CriterionResult:
+def criterion_8(seed) -> CriterionResult:
     """Dressing is a left action, and pair dressing matches piecewise dressing."""
     res = CriterionResult(8, "dressing action axioms on 20 seeded instances")
     rng = gen.rng_for((seed, 8))
@@ -304,7 +303,7 @@ def criterion_8(seed=42) -> CriterionResult:
     return res
 
 
-def criterion_9(seed=42) -> CriterionResult:
+def criterion_9(seed) -> CriterionResult:
     """The group bridge: membership mapping and exact homomorphism."""
     res = CriterionResult(9, "sphere/hyperbolic bridge on 100 orthogonal loops")
     rng = gen.rng_for((seed, 9))
@@ -327,10 +326,10 @@ def criterion_9(seed=42) -> CriterionResult:
     return res
 
 
-def criterion_10(seed=42) -> CriterionResult:
+def criterion_10(seed) -> CriterionResult:
     """Byte-identical verification CSVs across repeated seeded runs."""
     res = CriterionResult(10, "determinism of the verification surface")
-    res.note = "checked on a sub-run (criteria 1,9) to avoid self-recursion"
+    # checked on a sub-run (criteria 1,9) to avoid self-recursion
     with tempfile.TemporaryDirectory() as tmp:
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -355,7 +354,7 @@ CRITERIA = {
 }
 
 
-def run(seed=42, only=None, progress=None):
+def run(seed, only, progress):
     results = []
     numbers = sorted(only) if only else sorted(CRITERIA)
     for num in numbers:

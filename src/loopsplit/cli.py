@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -79,6 +80,8 @@ def _write_field(field, path):
 def cmd_factorize(args) -> int:
     if args.window is not None and args.window < 1:
         raise ValidationError(f"--window must be a positive integer, got {args.window}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol must be a positive finite number, got {args.tol}")
     cfg = _load_config(args)
     g = load_loop(args.infile)
     N = args.window
@@ -89,7 +92,7 @@ def cmd_factorize(args) -> int:
     tol = args.tol
     if args.side == "left" or args.side == "right":
         fn = birkhoff_left if args.side == "left" else birkhoff_right
-        out = fn(g, N=N, tol=tol if tol else cfg.tol("birkhoff"))
+        out = fn(g, N=N, tol=tol if tol is not None else cfg.tol("birkhoff"))
         payload = {
             "side": args.side,
             "minus": loop_to_obj(out.minus),
@@ -99,7 +102,7 @@ def cmd_factorize(args) -> int:
         }
     else:
         s = cfg.symmetry()
-        out = tau_iwasawa(g, s, N=N, tol=tol if tol else cfg.tol("iwasawa"))
+        out = tau_iwasawa(g, s, N=N, tol=tol if tol is not None else cfg.tol("iwasawa"))
         payload = {
             "side": "iwasawa",
             "z": loop_to_obj(out.z),
@@ -214,8 +217,14 @@ def cmd_example(args) -> int:
 
 def cmd_verify(args) -> int:
     only = None
-    if args.only:
-        only = sorted({int(tok) for tok in args.only.replace(",", " ").split()})
+    if args.only is not None:
+        try:
+            only = sorted({int(tok) for tok in args.only.replace(",", " ").split()})
+        except ValueError:
+            only = []
+        if not only or not set(only) <= set(acceptance.CRITERIA):
+            raise ValidationError(f"--only takes the criteria {min(acceptance.CRITERIA)}-"
+                                  f"{max(acceptance.CRITERIA)}, got {args.only!r}")
     progress = None if args.quiet else print
     results = acceptance.run(seed=args.seed, only=only, progress=progress)
     if args.out:

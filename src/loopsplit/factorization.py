@@ -59,6 +59,7 @@ from .loops import (
     chunks,
     coefficient_norms,
     constant_stack,
+    copies,
     degree_slice,
     fnorm,
     forward_substitution,
@@ -293,9 +294,13 @@ def _held(g, written, values, failures):
             for lo, c in written]
 
 
-def _mask(g):
-    """The nodes of a field, or a loop as the one node of a grid of no axes."""
-    return np.ones((), dtype=bool) if isinstance(g, LaurentLoop) else g.mask
+def _nodes(g):
+    """(mask, Stack): a field's unmasked nodes in row-major order, or a
+    loop as the one node of a grid of no axes, each loop trimmed to its own
+    window (a loop built with trim=False too)."""
+    if isinstance(g, LaurentLoop):
+        return np.ones((), dtype=bool), trim_stack(*copies(g, 1)[:2])
+    return g.mask, node_stack(g, g.mask)
 
 
 def _nanmax(values):
@@ -398,9 +403,9 @@ def _birkhoff_left_at(lo, coeffs, N: int, tol, side):
     return out
 
 
-def _birkhoff_stack(lo, coeffs, N, tol, side):
-    """Left factorizations of every loop of a trimmed stack (B, W, n, n):
-    one outcome per loop, its _Solved or the BigCellViolation to report.
+def _birkhoff_stack(x: Stack, N, tol, side):
+    """Left factorizations of every loop of a Stack: one outcome per loop,
+    its _Solved or the BigCellViolation to report.
 
     Loops without negative degrees factor trivially, as one part of their
     own (minus I, plus the loop, condition 1).  With N given (and at
@@ -412,14 +417,13 @@ def _birkhoff_stack(lo, coeffs, N, tol, side):
     substitute included, fails at once.  Failures name side (see
     _birkhoff_left_at).
     """
-    n = coeffs.shape[-1]
-    los, his = stack_windows(lo, coeffs)
-    out = [None] * len(coeffs)
+    n, los, his = x.c.shape[-1], x.los, x.his
+    out = [None] * len(x.c)
     trivial = np.flatnonzero(los >= 0)
     if trivial.size:
         eye = np.broadcast_to(np.eye(n, dtype=complex), (len(trivial), n, n))
         part = {"minus": constant_stack(eye), "condition": np.ones(len(trivial)),
-                "plus": Stack(lo, coeffs[trivial], los[trivial], his[trivial])}
+                "plus": x.rows(trivial)}
         for j, b in enumerate(trivial.tolist()):
             out[b] = _Solved(part, j, 0.0)
     rows = np.flatnonzero(los < 0)
@@ -436,11 +440,11 @@ def _birkhoff_stack(lo, coeffs, N, tol, side):
 
     def attempt(w, at):
         at = rows[at]
-        size = STACK_CHUNK // ((coeffs.shape[1] + w) * n * n)
+        size = STACK_CHUNK // ((x.c.shape[1] + w) * n * n)
         return [outcome for part in chunks(len(at), size)
-                for outcome in _birkhoff_left_at(lo, coeffs[at[part]], w, tol, side)]
+                for outcome in _birkhoff_left_at(x.lo, x.c[at[part]], w, tol, side)]
 
-    outcomes = _adaptive_window(attempt, starts, limits, wiener_norms(coeffs)[rows])
+    outcomes = _adaptive_window(attempt, starts, limits, wiener_norms(x.c)[rows])
     for b, outcome in zip(rows, outcomes):
         out[b] = outcome
     return out
@@ -453,15 +457,14 @@ def _birkhoff(g, N, tol, side):
     their window searches kept is written onto the grid at the end (see
     _collect), a right factorization mirrored back there.
     """
-    lo, coeffs = (g.lo, g.coeffs[None]) if isinstance(g, LaurentLoop) else node_stack(g, g.mask)
+    mask, x = _nodes(g)
     if side == "right":
-        lo, coeffs = mirror_stack(lo, coeffs)
-    count, width, n = coeffs.shape[:2] + coeffs.shape[-1:]
+        x = x.mirror()
+    count, width, n = x.c.shape[:2] + x.c.shape[-1:]
     outcomes = [o for part in chunks(count, STACK_CHUNK // (width * n * n))
-                for o in _birkhoff_stack(lo, coeffs[part], N, tol, side)]
+                for o in _birkhoff_stack(x.rows(part), N, tol, side)]
     keys = ("minus", "plus") if side == "left" else ("plus", "minus")  # mirrored back, swapped
-    written, values, failures = _collect(outcomes, _mask(g), n, keys, ("condition",),
-                                         side == "right")
+    written, values, failures = _collect(outcomes, mask, n, keys, ("condition",), side == "right")
     return BirkhoffResult(*_held(g, written, values, failures), _nanmax(values["residual"]),
                           _nanmax(values["condition"]), side=side)
 
@@ -725,8 +728,8 @@ def _right_factors(w, N, tol):
     outcomes = [None] * len(w.c)
     for l, h in sorted(set(zip(w.los.tolist(), w.his.tolist()))):
         rows = np.flatnonzero((w.los == l) & (w.his == h))
-        lo, c = mirror_stack(l, w.c[rows, l - w.lo : h - w.lo + 1])
-        solved = _birkhoff_stack(lo, c, max(N, abs(l), abs(h)), tol, "right")
+        own = Stack(l, w.c[rows, l - w.lo : h - w.lo + 1], w.los[rows], w.his[rows])
+        solved = _birkhoff_stack(own.mirror(), max(N, abs(l), abs(h)), tol, "right")
         for b, o in zip(rows.tolist(), solved):
             outcomes[b] = o
     written, values, failures = _collect(outcomes, np.ones(len(w.c), dtype=bool), w.c.shape[-1],
@@ -737,29 +740,8 @@ def _right_factors(w, N, tol):
 _RESIDUALS = ("reconstruction", "tau_fixed", "middle_reality", "minus_pair", "birkhoff")
 
 
-def _truncated_inverses(g, rows, N):
-    """truncated_inverse at window N of the loops of g (a loop, or a field's
-    unmasked nodes in row-major order) at the given rows, through the public
-    name, on a field masked to those rows: (the inverses as a Stack, their
-    SingularLoop failures by position in rows)."""
-    if isinstance(g, LaurentLoop):
-        try:
-            xi = truncated_inverse(g, N)
-        except SingularLoop as exc:
-            return constant_stack(np.zeros((1, g.n, g.n), dtype=complex)), {0: exc}
-        return trim_stack(xi.lo, xi.coeffs[None]), {}
-    nodes = [tuple(node) for node in np.argwhere(g.mask)[rows].tolist()]
-    mask = np.zeros_like(g.mask)
-    mask[tuple(np.array(nodes).T)] = True
-    xi = truncated_inverse(replace(g, mask=mask, info={}), N)
-    failures = {j: SingularLoop(xi.info["failures"][node]) for j, node in enumerate(nodes)
-                if node in xi.info["failures"]}
-    return trim_stack(xi.lo, xi.coeffs[mask]), failures
-
-
-def _tau_iwasawa_at(x, s, N, tol, constant_group, form, inverse):
-    """tau-Iwasawa of the loops of a trimmed stack at window N, given their
-    truncated inverses (see _truncated_inverses), in the form
+def _tau_iwasawa_at(x: Stack, s, N, tol, constant_group, form):
+    """tau-Iwasawa of the loops of a Stack at window N, in the form
     _adaptive_window takes: one _Solved or failure per loop.
 
     Failures a wider window can repair carry a residual: the inner Birkhoff
@@ -772,7 +754,8 @@ def _tau_iwasawa_at(x, s, N, tol, constant_group, form, inverse):
     """
     B, n = x.c.shape[0], x.c.shape[-1]
     eye = np.eye(n, dtype=complex)
-    xi, failed = inverse
+    xi, failed = truncated_inverse(x, N)
+    failed = {b: SingularLoop(msg) for b, msg in failed.items()}
     plus, minus, birkhoff, condition, bad = _right_factors(stack_mul(xi, apply_tau(x, s)), N, tol)
     for b, exc in bad.items():
         failed.setdefault(b, exc)
@@ -814,10 +797,9 @@ def _tau_iwasawa_at(x, s, N, tol, constant_group, form, inverse):
     return out
 
 
-def _tau_iwasawa_stack(g, s, N, tol, constant_group, form):
-    """tau-Iwasawa of a loop, or of the unmasked nodes of a field in
-    row-major order, on one stack: one outcome per loop, its _Solved or the
-    failure to report.
+def _tau_iwasawa_stack(x: Stack, s, N, tol, constant_group, form):
+    """tau-Iwasawa of every loop of a Stack: one outcome per loop, its
+    _Solved or the failure to report.
 
     Each loop's window starts just past the degree where its coefficients
     decay to round-off (or at N, the only one tried when given) and grows
@@ -825,13 +807,11 @@ def _tau_iwasawa_stack(g, s, N, tol, constant_group, form):
     together; a failure without a residual stops the loop's search at once.
     A start above the cap MAX_SYSTEM_ORDER // (2n) fails at once.
     """
-    lo, coeffs = (g.lo, g.coeffs[None]) if isinstance(g, LaurentLoop) else node_stack(g, g.mask)
-    B, n = coeffs.shape[0], coeffs.shape[-1]
+    B, n = x.c.shape[0], x.c.shape[-1]
     if n != s.dim:
         raise DimensionMismatch(f"loop dim {n} vs symmetry dim {s.dim}")
     if not B:
         return []
-    x = trim_stack(lo, coeffs)
     scale = stack_wiener(x)
     if N is None:
         starts = _decay_windows(x, scale) + START_PAD
@@ -840,21 +820,9 @@ def _tau_iwasawa_stack(g, s, N, tol, constant_group, form):
         starts = limits = np.full(B, N)
 
     def attempt(w, rows):
-        return _tau_iwasawa_at(x.rows(rows), s, w, tol, constant_group, form,
-                               _truncated_inverses(g, rows, w))
+        return _tau_iwasawa_at(x.rows(rows), s, w, tol, constant_group, form)
 
     return _adaptive_window(attempt, starts, limits, scale)
-
-
-def _iwasawa(x, outcomes):
-    """The IwasawaResult of a loop, or of a field from the outcomes of its
-    unmasked nodes in row-major order (see IwasawaResult); a loop raises
-    its failure."""
-    n = x.n if isinstance(x, LaurentLoop) else x.dim
-    (*factors, (_, k)), values, failures = _collect(outcomes, _mask(x), n, ("z", "y_plus", "k"),
-                                                    ("condition",) + _RESIDUALS)
-    return IwasawaResult(*_held(x, factors, values, failures), k[..., 0, :, :],
-                         {key: _nanmax(values[key]) for key in _RESIDUALS})
 
 
 def _mirrored(x):
@@ -885,7 +853,12 @@ def tau_iwasawa(x, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,
     once.  A loop that does not factor raises the failure; a field masks
     the node.
     """
-    return _iwasawa(x, _tau_iwasawa_stack(x, s, N, tol, constant_group, form))
+    mask, stack = _nodes(x)
+    outcomes = _tau_iwasawa_stack(stack, s, N, tol, constant_group, form)
+    (*factors, (_, k)), values, failures = _collect(
+        outcomes, mask, stack.c.shape[-1], ("z", "y_plus", "k"), ("condition",) + _RESIDUALS)
+    return IwasawaResult(*_held(x, factors, values, failures), k[..., 0, :, :],
+                         {key: _nanmax(values[key]) for key in _RESIDUALS})
 
 
 def tau_iwasawa_minus(x, s: SymmetrySpec, N=None, tol=TOL_IWASAWA,

@@ -250,9 +250,8 @@ def _restrict(F: FrameField, mask, info) -> FrameField:
 def _product(X: FrameField, Y: FrameField, **info) -> FrameField:
     """X Y at every unmasked node of X (where Y must be unmasked), tagged
     like X, naming X's failures and holding the other info given."""
-    lo_x, x = node_stack(X, X.mask)
-    lo_y, y = node_stack(Y, X.mask)
-    return on_nodes(X, X.mask, lo_x + lo_y, cauchy(x, y), **info)
+    x, y = node_stack(X, X.mask), node_stack(Y, X.mask)
+    return on_nodes(X, X.mask, x.lo + y.lo, cauchy(x.c, y.c), **info)
 
 
 def _times_constant(F: FrameField, c) -> FrameField:
@@ -359,9 +358,8 @@ def maurer_cartan(F: FrameField) -> ConnectionForm:
     dF = ConnectionForm(grid, F.lo, np.where(ok[:, :, None, None, None, None],
                                              np.stack([du, dv], axis=2), 0.0), ok)
     inv = truncated_inverse(replace(F, mask=ok), default_window(F, dF))
-    lo_x, x = node_stack(inv, inv.mask)
-    lo_d, d = node_stack(dF, inv.mask)
-    lo, a, _, _ = trim_stack(lo_x + lo_d, cauchy(x[:, None], d))
+    x, d = node_stack(inv, inv.mask), node_stack(dF, inv.mask)
+    lo, a, _, _ = trim_stack(x.lo + d.lo, cauchy(x.c[:, None], d.c))
     coeffs = np.zeros(grid.shape + a.shape[1:], dtype=complex)
     coeffs[inv.mask] = a
     return ConnectionForm(grid, lo, coeffs, inv.mask)
@@ -413,7 +411,7 @@ def mc_residual(A: ConnectionForm, per_degree=False):
     ok = ok_u & ok_v
     if not ok.any():
         return (0.0, {}) if per_degree else 0.0
-    lo_a, a = node_stack(A, ok)
+    lo_a, a, _, _ = node_stack(A, ok)
     lo_d, d_u, d_v = aligned(*trim_stack(A.lo, dudv[ok])[:2], *trim_stack(A.lo, dvdu[ok])[:2])
     lo, d, wedge = aligned(lo_d, d_u - d_v,
                            2 * lo_a, cauchy(a[:, 0], a[:, 1]) - cauchy(a[:, 1], a[:, 0]))
@@ -542,7 +540,7 @@ def tau_merge(F_plus: FrameField, s: SymmetrySpec, tol=TOL_IWASAWA,
         if form == "lorentz":
             b_signs[s.n] = -1.0
     z = tau_iwasawa_minus(F_plus, s, tol=tol, constant_group=constant_group, form=form).z
-    lo, c = node_stack(z, z.mask)
+    lo, c, _, _ = node_stack(z, z.mask)
     h, lost = _gauge_factors(padded(lo, c, 0, 0)[:, 0], b_signs, tol)
     gauges = np.zeros(F_plus.grid.shape + (F_plus.dim,) * 2, dtype=complex)
     gauges[z.mask] = np.linalg.inv(h)
@@ -591,7 +589,8 @@ def gauge_parallel(F: FrameField):
 #
 # Stacks here are (lo, coeffs) pairs, coeffs (..., W, n, n) with every loop
 # trimmed to its own window, and each step trims where LaurentLoop arithmetic
-# would: after every product, scaling and sum.
+# would: after every product and sum.  A scaling by a nonzero scalar keeps
+# every loop's window, so it takes no trim.
 
 
 _MID_CENTER = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
@@ -619,7 +618,7 @@ def _trimmed(lo, c):
 
 
 def _scaled(s, x):
-    return _trimmed(x[0], complex(s) * x[1])
+    return x[0], complex(s) * x[1]
 
 
 def _plus(x, y):
@@ -724,8 +723,8 @@ def _left_times(g: LaurentLoop, F: FrameField) -> FrameField:
     """g F at every unmasked node of F, tagged like F."""
     if g.n != F.dim:
         raise DimensionMismatch(f"loop dimension {g.n} vs field dimension {F.dim}")
-    lo, c = node_stack(F, F.mask)
-    return on_nodes(F, F.mask, g.lo + lo, cauchy(g.coeffs, c))
+    x = node_stack(F, F.mask)
+    return on_nodes(F, F.mask, g.lo + x.lo, cauchy(g.coeffs, x.c))
 
 
 def dress_plus(g_minus: LaurentLoop, F_plus: FrameField, tol=TOL_BIRKHOFF) -> FrameField:

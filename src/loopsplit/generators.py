@@ -20,8 +20,8 @@ from .fields import FrameField, Grid2D
 from .loops import (
     GroupSpec,
     LaurentLoop,
-    Stack,
     constant,
+    copies,
     from_terms,
     loop_exp,
     mul,
@@ -90,12 +90,12 @@ def random_orthogonal_loop(rng, spec: GroupSpec, radius=2, scale=0.3) -> Laurent
     return loop_exp(from_terms(terms, n=spec.dim))
 
 
-def random_dressing_element(rng, n, side="minus", scale=0.18) -> LaurentLoop:
+def random_dressing_element(rng, n, side) -> LaurentLoop:
     """exp of a loop in Lambda^- (side 'minus') or Lambda^+ ('plus')."""
     sign = -1 if side == "minus" else 1
-    terms = {0: random_matrix(rng, n, scale * 0.5)}
+    terms = {0: random_matrix(rng, n, 0.18 * 0.5)}
     for d in (1, 2):
-        terms[sign * d] = random_matrix(rng, n, scale * 0.6 ** d)
+        terms[sign * d] = random_matrix(rng, n, 0.18 * 0.6 ** d)
     return loop_exp(from_terms(terms))
 
 
@@ -121,7 +121,7 @@ def random_tau_instance(rng, s: SymmetrySpec, radius=2, scale=0.18):
 # -- basic pairs on grids ------------------------------------------------------
 
 
-def nilpotent_family(rng, n, count=2, scale=0.4):
+def nilpotent_family(rng, n, count, scale):
     """Commuting two-step nilpotents a b_i^T with b_i orthogonal to a: all
     pairwise products vanish, so exp is affine and degree windows are exact."""
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -172,7 +172,7 @@ def random_basic_pair(rng, grid: Grid2D, n=4, scale=0.4):
 # -- flat frames and table instances ---------------------------------------
 
 
-def commuting_flat_pair(rng, target: GroupSpec, scale=0.8):
+def commuting_flat_pair(rng, target: GroupSpec, scale):
     """Two commuting lambda-linear generators with independent coframe
     directions: tangent row i points along w_i in the normal block
     {n, ..., n + k}, with w_1, w_2 form-orthogonal there (the Clifford-torus
@@ -236,18 +236,12 @@ def sphere_family_instance(rng, grid: Grid2D) -> FrameField:
     u, v = grid.parameters()
     count = u.size
     # the family is orthogonal-valued, so the inverse loop is the transpose
-    base_inv = _copies(example_sphere_frame(du, dv).transpose(), count)
-    cr, cl = _copies(constant(rot), count), _copies(constant(rot.T), count)
+    base_inv = copies(example_sphere_frame(du, dv).transpose(), count)
+    cr, cl = copies(constant(rot), count), copies(constant(rot.T), count)
     g = stack_mul(base_inv, sphere_frame_stack(du + su * u, dv + sv * v))
     return FrameField.from_stack(grid, stack_mul(cl, stack_mul(g, cr)),
                                  symmetry=SymmetrySpec(2, 1, "Rm1"),
                                  target=GroupSpec("orthogonal", 2, 1))
-
-
-def _copies(g: LaurentLoop, count) -> Stack:
-    """The Stack of count copies of a loop."""
-    return Stack(g.lo, np.repeat(g.coeffs[None], count, axis=0),
-                 np.full(count, g.lo), np.full(count, g.hi))
 
 
 def table_instance(rng, target_kind, reality, grid: Grid2D) -> FrameField:

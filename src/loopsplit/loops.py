@@ -208,6 +208,10 @@ class Stack(NamedTuple):
     def rows(self, index):
         return Stack(self.lo, self.c[index], self.los[index], self.his[index])
 
+    def mirror(self):
+        """The loops lambda -> value at 1/lambda."""
+        return Stack(*mirror_stack(self.lo, self.c), -self.his, -self.los)
+
 
 def trim_stack(lo, coeffs) -> Stack:
     """Trim every loop of a stack as LaurentLoop does: coefficients outside
@@ -239,6 +243,13 @@ def trim_stack(lo, coeffs) -> Stack:
     return Stack(new_lo, out, los, his)
 
 
+def copies(g: LaurentLoop, count) -> Stack:
+    """The Stack of count copies of a loop, each over the loop's window;
+    copies(g, 1) is how a lone loop enters the stack kernels."""
+    return Stack(g.lo, np.repeat(g.coeffs[None], count, axis=0),
+                 np.full(count, g.lo), np.full(count, g.hi))
+
+
 def constant_stack(m) -> Stack:
     """The stack of the constant loops m (B, n, n), each over [0, 0] (a zero
     loop too)."""
@@ -264,12 +275,12 @@ def gather(parts, shape, n):
     return lo, out
 
 
-def node_stack(F, mask):
-    """(lo, coeffs): the loops of a sampled field at the nodes of mask,
-    row-major (and by direction, for a form), each trimmed to its own
-    window (see trim_stack)."""
+def node_stack(F, mask) -> Stack:
+    """The loops of a sampled field at the nodes of mask, row-major (and by
+    direction, for a form), each trimmed to its own window (see
+    trim_stack)."""
     rows = F.coeffs.reshape((-1,) + F.coeffs.shape[2:]) if mask.all() else F.coeffs[mask]
-    return trim_stack(F.lo, rows)[:2]
+    return trim_stack(F.lo, rows)
 
 
 def padded(lo, coeffs, a, b):
@@ -452,7 +463,7 @@ def mul(x: LaurentLoop, y: LaurentLoop) -> LaurentLoop:
 
 def loop_exp(x: LaurentLoop) -> LaurentLoop:
     """exp(x) by its power series: stack_exp of the stack of one loop."""
-    out = stack_exp(Stack(x.lo, x.coeffs[None], np.array([x.lo]), np.array([x.hi])))
+    out = stack_exp(copies(x, 1))
     return LaurentLoop(out.lo, out.c[0], trim=False)
 
 
@@ -626,10 +637,9 @@ def _neumann_inverse(lo, coeffs, N, los, his):
     return -top, out
 
 
-def inverse_stack(lo, coeffs, N, los, his):
-    """Truncated inverses of the loops of a trimmed stack (B, W, n, n), loop
-    b to the window [-N_b, N_b] (N an integer or one per loop); los and his
-    list the loops' own windows.
+def inverse_stack(x: Stack, N):
+    """Truncated inverses of the loops of a Stack, loop b to the window
+    [-N_b, N_b] (N an integer or one per loop).
 
     Constant loops are inverted directly, all at once (inverses).
     Normalized one-sided loops I + (strictly negative / strictly positive)
@@ -647,6 +657,7 @@ def inverse_stack(lo, coeffs, N, los, his):
     (quartiles 1.3-1.7) and the block-Toeplitz solves of the same windows
     34 ms (26-37), with equal coefficients.
     """
+    lo, coeffs, los, his = x.lo, x.c, x.los.tolist(), x.his.tolist()
     B, n = coeffs.shape[0], coeffs.shape[-1]
     Ns = [int(N)] * B if np.ndim(N) == 0 else np.asarray(N).tolist()
     # one-sided loops are normalized when |c_0 - I| <= 1e-13 max(1, |c_0|),
@@ -696,22 +707,25 @@ def inverse_stack(lo, coeffs, N, los, his):
 def truncated_inverse(g, N):
     """Inverse truncated to the window [-N, N] (see inverse_stack).
 
-    g is a LaurentLoop, or a sampled field (anything with a node mask and
-    an info dict, such as a FrameField) whose unmasked loops are inverted
-    together, N an integer or an integer array over the grid.  A loop
-    raises SingularLoop when its in-window residual exceeds TOL_INVERSE; a
-    field masks such nodes and records why, after the failures its info
-    already names.
+    g is a LaurentLoop, a Stack, or a sampled field (anything with a node
+    mask and an info dict, such as a FrameField) whose unmasked loops are
+    inverted together; N is an integer, or one per loop of a Stack, or an
+    integer array over a field's grid.  An inverse fails when its in-window
+    residual exceeds TOL_INVERSE: a loop raises SingularLoop; a Stack gives
+    (the inverses as a Stack, {row: message}), a failed row zero; a field
+    masks such nodes and records why, after the failures its info already
+    names.
     """
     if isinstance(g, LaurentLoop):
-        lo, x, failures = inverse_stack(g.lo, g.coeffs[None], N, [g.lo], [g.hi])
+        lo, x, failures = inverse_stack(copies(g, 1), N)
         if failures:
             raise SingularLoop(failures[0])
         return LaurentLoop(lo, x[0])
-    lo, c = node_stack(g, g.mask)
+    if isinstance(g, Stack):
+        lo, x, failures = inverse_stack(g, N)
+        return trim_stack(lo, x), failures
     N = np.asarray(N)
-    los, his = stack_windows(lo, c)
-    lo, x, failures = inverse_stack(lo, c, N[g.mask] if N.ndim else N, los.tolist(), his.tolist())
+    lo, x, failures = inverse_stack(node_stack(g, g.mask), N[g.mask] if N.ndim else N)
     return on_nodes(g, g.mask, lo, x, failures)
 
 

@@ -1,5 +1,7 @@
 """Pointwise Birkhoff and tau-Iwasawa factorizations."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -366,6 +368,62 @@ def test_adaptive_window_reports_a_structural_failure():
 
     assert _adaptive_window(attempt, [3], [100], [1.0]) == [structural]
     assert windows == [3, 5]
+
+
+def _bits(result):
+    """Every field of a factorization result, loops and arrays as bytes."""
+    def bits(v):
+        if isinstance(v, ls.LaurentLoop):
+            return v.lo, v.coeffs.tobytes()
+        return v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+    return {f.name: bits(getattr(result, f.name)) for f in fields(result)}
+
+
+@pytest.mark.parametrize("end", [0.0, 1e-17])
+def test_a_loop_stored_untrimmed_factors_as_its_trimmed_twin(end):
+    # zero or negligible end coefficients kept by trim=False (as a loaded
+    # file may hold them) change no factor, residual or condition
+    x, _, _ = random_tau_instance(rng_for(39), S, radius=2, scale=0.15)
+    for g in (x, mul(random_minus_unipotent(rng_for(40), 4, depth=3), x)):
+        c = np.full((g.coeffs.shape[0] + 3, 4, 4), end, dtype=complex)
+        c[2:-1] = g.coeffs
+        padded_g = ls.LaurentLoop(g.lo - 2, c, trim=False)
+        for fn in (birkhoff_left, birkhoff_right, lambda h: tau_iwasawa(h, S)):
+            assert _bits(fn(padded_g)) == _bits(fn(g))
+
+
+def test_tau_iwasawa_field_inverts_the_rows_it_holds(monkeypatch):
+    # one truncated_inverse call per window tried, each on the Stack of the
+    # rows at that window, and no intermediate field built on the way
+    from loopsplit import factorization, loops
+
+    windows, inverted, fields_built = [], [], []
+    kernel, inverse, on_nodes = (factorization._tau_iwasawa_at, factorization.truncated_inverse,
+                                 loops.on_nodes)
+
+    def at(x, s, N, *args):
+        windows.append((N, len(x.c)))
+        return kernel(x, s, N, *args)
+
+    def spy_inverse(g, N):
+        inverted.append((type(g), N, len(g.c) if isinstance(g, loops.Stack) else None))
+        return inverse(g, N)
+
+    def spy_on_nodes(*args, **kwargs):
+        fields_built.append(args[0])
+        return on_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(factorization, "_tau_iwasawa_at", at)
+    monkeypatch.setattr(factorization, "truncated_inverse", spy_inverse)
+    monkeypatch.setattr(loops, "on_nodes", spy_on_nodes)
+    grid = ls.Grid2D.centered(0.4, 5, 0.4, 5)
+    F = random_basic_pair(rng_for(38), grid)[1]
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[1, 3] = False
+    out = tau_iwasawa(replace(F, mask=mask), S, constant_group="general")
+    assert len(windows) > 1 and out.z.mask.sum() == 24
+    assert inverted == [(ls.loops.Stack, N, rows) for N, rows in windows]
+    assert fields_built == []
 
 
 def test_tau_iwasawa_field_stops_a_structural_failure_at_its_first_window(monkeypatch):

@@ -320,6 +320,29 @@ def test_cli_factorize_fails_a_window_substitute_above_the_cap(tmp_path, capsys)
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("side", ["left", "iwasawa"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_cli_factorize_rejects_a_bad_tol(tmp_path, capsys, side, tol):
+    # --tol 0 once fell back to the config tolerance and --tol -1 failed
+    # every window; both are usage errors, as nan is
+    from loopsplit.cli import main
+    argv = ["factorize", "--side", side, "--in", str(_iwasawa_loop_file(tmp_path)),
+            "--out", str(tmp_path / "out.json"), "--tol", tol]
+    assert main(argv) == 3
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("only", ["abc", "99", "1,abc", ","])
+def test_cli_verify_rejects_an_unknown_criterion(tmp_path, capsys, only):
+    # a usage error naming the criteria, before any criterion runs
+    from loopsplit.cli import main
+    assert main(["verify", "--only", only, "--out", str(tmp_path / "v.csv")]) == 3
+    captured = capsys.readouterr()
+    assert "--only" in captured.err and "1-10" in captured.err and only in captured.err
+    assert captured.out == "" and not (tmp_path / "v.csv").exists()
+
+
 @pytest.mark.parametrize("tol_scale", ["-1", "0", "nan"])
 def test_cli_rejects_bad_tol_scale_flag(tmp_path, capsys, tol_scale):
     # the flag goes through the same validation as the config key

@@ -148,6 +148,35 @@ def test_truncated_inverse_singular():
         truncated_inverse(g, 4)
 
 
+@pytest.mark.parametrize("N", [1, 3, 8])
+def test_truncated_inverse_of_a_stack_matches_each_loop_alone(rng, N):
+    # one stack of every kind of row: constant, normalized one-sided on
+    # either side, general, and a singular constant
+    a = 0.3 * rng.standard_normal((4, 4))
+    rows = [constant(np.eye(4) + 0.2 * rng.standard_normal((4, 4))),
+            from_terms({0: np.eye(4), 1: a, 2: 0.5 * a @ a}),
+            from_terms({0: np.eye(4), -1: a.T}),
+            identity(4) + random_loop(rng, radius=2, scale=0.3),
+            constant(np.diag([0.0, 1.0, 1.0, 1.0])),
+            from_terms({-1: 0.2 * np.eye(4), 0: np.eye(4), 3: 0.1 * a})]
+    stack = loops_module.trim_stack(*loops_module.gather(
+        [(b, g.lo, g.coeffs) for b, g in enumerate(rows)], (len(rows),), 4))
+    xi, failures = truncated_inverse(stack, N)
+    assert list(failures) == [4]
+    for b, g in enumerate(rows):
+        if b in failures:
+            with pytest.raises(ls.SingularLoop) as raised:
+                truncated_inverse(g, N)
+            assert failures[b] == str(raised.value)
+            assert not xi.c[b].any() and (xi.los[b], xi.his[b]) == (0, 0)
+            continue
+        alone = truncated_inverse(g, N)
+        assert (xi.los[b], xi.his[b]) == alone.window
+        own = xi.c[b, alone.lo - xi.lo : alone.hi - xi.lo + 1]
+        assert own.tobytes() == alone.coeffs.tobytes()
+        assert not np.delete(xi.c[b], np.arange(alone.lo, alone.hi + 1) - xi.lo, axis=0).any()
+
+
 def test_group_residual_identity_and_scaling():
     sph = GroupSpec("orthogonal", 2, 1)
     assert group_residual(identity(4), sph) == 0.0

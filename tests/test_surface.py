@@ -21,7 +21,7 @@ import loopsplit
 from loopsplit.cli import build_parser
 from loopsplit.config import DEFAULT_CONFIG
 
-PARAMETERS, CONFIG_KEYS, CLI_OPTIONS = 88, 16, 28
+PARAMETERS, CONFIG_KEYS, CLI_OPTIONS = 69, 16, 28
 
 
 def _optional(fn):
@@ -77,7 +77,7 @@ def test_settable_values():
     parameters, keys, options = optional_parameters(), config_leaf_keys(), cli_options()
     assert (len(parameters), len(keys), len(options)) == (PARAMETERS, CONFIG_KEYS, CLI_OPTIONS), (
         parameters, keys, options)
-    assert len(parameters) + len(keys) + len(options) == 132
+    assert len(parameters) + len(keys) + len(options) == 113
 
 
 def test_the_count_reads_each_kind():
