@@ -183,21 +183,21 @@ def _write_immersion(cfg, F, lam, target, mesh_path, diag_path, **meta) -> bool:
 
 def cmd_immerse(args) -> int:
     cfg = _load_config(args)
+    mesh_path = args.mesh or cfg.path("mesh")
+    diag_path = args.diag or cfg.path("diagnostics")
+    if not (mesh_path or diag_path):
+        print("immerse: nothing to write (give --mesh and/or --diag)", file=sys.stderr)
+        return EXIT_VALIDATION
     if cfg.path("in"):
         F = frame_field_from_obj(load_json(cfg.path("in")))
     else:
         F = example_sphere_field(cfg.grid())
     lam = parse_lambda(args.lam) if args.lam else cfg.lambdas()[0]
     target = F.target if F.target is not None else cfg.group()
-    mesh_path = args.mesh or cfg.path("mesh")
-    diag_path = args.diag or cfg.path("diagnostics")
     if not _write_immersion(cfg, F, lam, target, mesh_path, diag_path,
                             tolerances=json.dumps(cfg["tolerances"], sort_keys=True)):
         print("warning: fully masked grid, mesh contains no vertices", file=sys.stderr)
         return EXIT_PARTIAL
-    if not (mesh_path or diag_path):
-        print("immerse: nothing to write (give --mesh and/or --diag)", file=sys.stderr)
-        return EXIT_VALIDATION
     return _field_exit(F)
 
 

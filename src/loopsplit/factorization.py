@@ -11,11 +11,13 @@ number.
 
 Birkhoff factorizations run on stacks of loops (see loops): the systems of
 every loop at one window are assembled together.  Up to INVERSE_MAX_ORDER
-rows they are inverted together, which gives the exact one-norm condition
-number; larger systems are factored by LU one by one and take LAPACK's
-estimate of it, where one inverse costs more than one LU factorization
-even in a batch.  A loop is a stack of one, and birkhoff_left/right take
-a FrameField too, whose unmasked nodes are factored at once.
+(64) rows they are inverted together, which gives the exact one-norm
+condition number; larger systems are factored by LU one by one and take
+LAPACK's estimate of it, a lower bound, and only they load scipy.linalg.
+Per system, the inverse costs 1.5x an LU factorization at 36 rows, 2.3x at
+64 and 3.1x at 128 (table at INVERSE_MAX_ORDER).  A loop is a stack of
+one, and birkhoff_left/right take a FrameField too, whose unmasked nodes
+are factored at once.
 
 These are finite sections of block-Toeplitz operators (the projection
 method of Gohberg and Feldman), so the truncation error falls as the window
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -61,6 +62,7 @@ from .loops import (
     constant_stack,
     copies,
     degree_slice,
+    exponentials,
     fnorm,
     forward_substitution,
     inverses,
@@ -68,6 +70,7 @@ from .loops import (
     mul,
     node_stack,
     padded,
+    principal_roots,
     stack_distance,
     stack_mul,
     stack_wiener,
@@ -87,12 +90,20 @@ TOL_IWASAWA = 1e-8
 ROUNDOFF_FLOOR = 1e-13
 # largest block-Toeplitz system (rows of scalars) a window may lead to
 MAX_SYSTEM_ORDER = 1024
-# largest mode system (rows of scalars) solved through its inverse.  Per
-# system, a batched inverse is at least as fast as one LU factorization
-# after another up to 32 rows, alone or in batches of 8 or 56, and slower
-# from 48 rows on, 2-3x at 128 rows (BENCH_11.json); field_roundtrip solves
-# 12-row systems in batches, pointwise_factor lone systems of 24-156 rows
-INVERSE_MAX_ORDER = 32
+# largest mode system (rows of scalars) solved through its inverse, which
+# gives the exact condition; above it LU and LAPACK's estimate.  Per system
+# (microseconds, BLAS at 1 thread, median of 5x30 calls of _solve_modes):
+#   rows              36    48    64    96   128
+#   inverse, batch 1  129   188   268   783  1460
+#   LU, batch 1        84   103   119   294   467
+#   inverse, batch 8   90   128   269   947  1557
+#   LU, batch 8        58    66   118   263   491
+# Up to 32 rows the batched inverse is as fast as LU (BENCH_11.json).  The
+# cut at 64 slows pointwise_factor's 33-64-row systems, and keeps
+# scipy.linalg out of tau_merge on the 9x9 fields of cli_session (48-52
+# rows at most); field_roundtrip solves 12-row systems, pointwise_factor
+# lone systems of 24-156 rows
+INVERSE_MAX_ORDER = 64
 # first adaptive window: this many degrees past the one read off the input
 START_PAD = 2
 # fixed window: this many degrees past twice the widest input radius
@@ -344,10 +355,22 @@ def _solve_modes(big, rhs):
     right-hand side is not finite, gets an infinite condition and a zero
     solution."""
     anorm = np.abs(big).sum(axis=-2).max(axis=-1)
+    finite = np.isfinite(anorm) & np.isfinite(rhs).all(axis=(-2, -1))
+    small = big.shape[-1] <= INVERSE_MAX_ORDER
+    if small and finite.all():
+        # the common case, every system finite and regular, without copies;
+        # any other falls through to the row-by-row bookkeeping below
+        try:
+            inverse = np.linalg.inv(big)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            condition = anorm * np.abs(inverse).sum(axis=-2).max(axis=-1)
+            if np.isfinite(condition).all():
+                return condition, inverse @ rhs
     condition = np.full(len(big), np.inf)
     sol = np.zeros(rhs.shape, dtype=complex)
-    finite = np.isfinite(anorm) & np.isfinite(rhs).all(axis=(-2, -1))
-    if big.shape[-1] <= INVERSE_MAX_ORDER:
+    if small:
         inverse = np.zeros_like(big)
         inverse[finite], singular = inverses(big[finite])
         ok = finite.copy()
@@ -356,7 +379,7 @@ def _solve_modes(big, rhs):
         ok &= np.isfinite(condition)
         sol[ok] = inverse[ok] @ rhs[ok]
         return condition, sol
-    import scipy.linalg as sla  # local: systems of up to 32 rows never load scipy.linalg
+    import scipy.linalg as sla  # local: systems of up to 64 rows never load scipy.linalg
     # the routines lu_factor, its condition estimate and lu_solve call, looked up once
     getrf, gecon, getrs = sla.get_lapack_funcs(("getrf", "gecon", "getrs"), (big,))
     for b in np.flatnonzero(finite):
@@ -526,7 +549,7 @@ def _form_kinds(a, s: SymmetrySpec, group, form):
 
 def _shifts(a, s: SymmetrySpec, b, loop):
     """The constants c != I in the group of a with tau(c) = c^{-1} that the
-    constant solve retries with: exp(tX).
+    constant solve retries with, in order: exp(tX), a stack (S, m, m).
 
     X_ij = w g_ij and X_ji = -b_i b_j w g_ij for q_i = +1, q_j = -1 (b the
     form's signs, all ones for GL; w = i under Rhat, else 1): exp(tX) keeps
@@ -546,12 +569,12 @@ def _shifts(a, s: SymmetrySpec, b, loop):
         twisted = loop is not None and _twisted(loop, s)[0]
         pairs = [pairs[0] & np.equal.outer(p, p)] + ([] if twisted else pairs)
     w = 1j if s.reality in ("Rhat1", "Rhat2") else 1.0
-    import scipy.linalg as sla  # local: only a retried constant solve loads scipy.linalg
+    generators = []
     for chosen in pairs:
         X = w * (2.0 + np.cos(np.arange(m * m))).reshape(m, m) * chosen
         X = X - (1.0 if b is None else np.outer(b, b)) * X.T
-        for t in (0.5, 1.0, 1.5):
-            yield sla.expm(t * X)
+        generators += [t * X for t in (0.5, 1.0, 1.5)]
+    return exponentials(np.array(generators))
 
 
 def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None):
@@ -562,9 +585,10 @@ def solve_constant_tau(a, s: SymmetrySpec, group="auto", form=None):
     invertible tau-fixed R, and its defect is the precondition's whatever
     the rounding in R.  In GL, R = 2I (the Cayley form) keeps the reality
     and the sigma blocks of a.  With an invariant form, R = r + tau(r) for
-    r = sqrtm(a) makes k the principal root a^{-1/2}, which stays in every
-    matrix automorphism group a lies in (Higham, Mackey, Mackey & Tisseur,
-    SIAM J. Matrix Anal. Appl. 26, 2005) and keeps the form too.
+    r the principal square root of a (loops.principal_roots) makes k the
+    principal root a^{-1/2}, which stays in every matrix automorphism group
+    a lies in (Higham, Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl.
+    26, 2005) and keeps the form too.
 
     Near an eigenvalue -1 both forms lose accuracy, and on the cut they
     fail; then a' = c^{-1} a tau(c) is solved for constants c with
@@ -592,28 +616,38 @@ def _attempt(a, c, scale, s: SymmetrySpec, b):
     """One shift c of the constant solve of a stack (B, m, m) of matrices
     that keep the form diag(b) (None for GL): (k, defect), defect relative
     to scale and the larger of k's defect and its distance from the group,
-    inf where a solve is singular and NaN where k is singular to working
-    precision (its inverse overflows), so neither is ever accepted."""
+    inf where a solve is singular or a has no principal root, and NaN where
+    k is singular to working precision (its inverse overflows), so none is
+    ever accepted."""
     m = a.shape[-1]
     c_inv = tau_constant(c, s)
     shifted = c_inv @ a @ c_inv
-    R = 2.0 * np.eye(m)
-    if b is not None:
-        import scipy.linalg as sla  # local: only a solve under a form loads scipy.linalg
-        with warnings.catch_warnings():
-            # an eigenvalue on the cut or a singular root: checked below
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            r = sla.sqrtm(shifted)
-        R = r + tau_constant(r, s)
+    if b is None:
+        return _solved(a, shifted, np.broadcast_to(2.0 * np.eye(m), a.shape), c_inv, scale, s, b)
+    # only a matrix on the cut to round-off has no root here; near it, the
+    # defect decides whether the shifts are tried
+    r, _, cut = principal_roots(shifted, 1e-14)
+    k, defect = np.zeros_like(a), np.full(len(a), np.inf)
+    if not cut.all():
+        rows = ~cut
+        k[rows], defect[rows] = _solved(a[rows], shifted[rows], (r + tau_constant(r, s))[rows],
+                                        c_inv, scale[rows], s, b)
+    return k, defect
+
+
+def _solved(a, shifted, R, c_inv, scale, s: SymmetrySpec, b):
+    """_attempt's k = R^{-1} (I + tau(shifted)) c^{-1} and its defect, for
+    a stack of R (B, m, m); a singular R gives k = 0 and defect inf."""
     Q = s.tau_matrix
     try:
-        k = np.linalg.solve(R, np.eye(m) + tau_constant(shifted, s)) @ c_inv
+        k = np.linalg.solve(R, np.eye(a.shape[-1]) + tau_constant(shifted, s)) @ c_inv
         with np.errstate(invalid="ignore"):
             defect = _fnorms(np.linalg.inv(k) @ Q @ k @ Q - a) / scale
     except np.linalg.LinAlgError:
         if len(a) == 1:
             return np.zeros_like(a), np.full(1, np.inf)
-        parts = [_attempt(a[j : j + 1], c, scale[j : j + 1], s, b) for j in range(len(a))]
+        parts = [_solved(a[j : j + 1], shifted[j : j + 1], R[j : j + 1], c_inv,
+                         scale[j : j + 1], s, b) for j in range(len(a))]
         return np.concatenate([k for k, _ in parts]), np.concatenate([d for _, d in parts])
     if b is not None:
         off = (_fnorms(k.swapaxes(1, 2) @ (b[:, None] * k) - np.diag(b))
@@ -681,7 +715,7 @@ def _retry(a, s: SymmetrySpec, b, loop, scale, k, defect):
     if defect <= least:
         best, least = k, defect
     for c in _shifts(a, s, b, loop):
-        (k,), (defect,) = _attempt(a[None], c, scale, s, b)
+        (k,), (defect,) = _attempt(a[None], c, np.atleast_1d(scale), s, b)
         if defect <= TOL_CONST_PRE * 10:
             return k
         if defect <= least:

@@ -50,6 +50,7 @@ from .loops import (
     node_stack,
     on_nodes,
     padded,
+    principal_roots,
     trim_stack,
     truncated_inverse,
     wiener_norms,
@@ -495,7 +496,9 @@ def _gauge_factors(m, b_signs, tol):
     constant (Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 27,
     2006).  Returns (h, failures): failures maps the rows where m is
     singular, or B m^T B m has an eigenvalue within tol of the cut
-    (-inf, 0], to the message of their NotInIwasawaCell; their h is I.
+    (-inf, 0] (or loops.principal_roots does not converge), to the message
+    of their NotInIwasawaCell; their h is I.  h is one product of m with
+    the inverse root that principal_roots iterates beside the root.
     """
     h = np.array(m, dtype=complex)
     bad = np.linalg.cond(m) > CONDITION_LIMIT
@@ -504,17 +507,11 @@ def _gauge_factors(m, b_signs, tol):
     rows = np.flatnonzero(~bad)
     if b_signs is not None and rows.size:
         square = (b_signs[:, None] * m[rows].swapaxes(1, 2) * b_signs[None, :]) @ m[rows]
-        reach = (tol * np.maximum(1.0, np.linalg.norm(square, axis=(1, 2))))[:, None]
-        eig = np.linalg.eigvals(square)
-        cut = ((eig.real <= reach) & (np.abs(eig.imag) <= reach)).any(axis=1)
+        _, inverse_root, cut = principal_roots(square, tol)
         failures.update(dict.fromkeys(rows[cut].tolist(),
                                       "B z_0^T B z_0 has an eigenvalue on the cut (-inf, 0]; "
                                       "the gauge has no polar factor"))
-        if not cut.all():
-            import scipy.linalg as sla  # local: only a gauge under a form loads scipy.linalg
-            rows, square = rows[~cut], square[~cut]
-            h[rows] = np.linalg.solve(sla.sqrtm(square).swapaxes(1, 2),
-                                      m[rows].swapaxes(1, 2)).swapaxes(1, 2)
+        h[rows[~cut]] = m[rows[~cut]] @ inverse_root[~cut]
     h[list(failures)] = np.eye(m.shape[-1])
     return h, failures
 

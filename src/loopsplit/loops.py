@@ -537,6 +537,83 @@ def inverses(m):
         return out, singular
 
 
+# most Denman-Beavers steps principal_roots takes on one matrix: off the cut
+# a few scaled steps bring M near I, and near the cut the count grows like
+# log2 of the inverse distance to it
+ROOT_STEPS = 64
+
+
+def principal_roots(a, reach):
+    """Principal square roots x = a^{1/2} of a stack (B, m, m), their
+    inverses y = a^{-1/2}, and the rows that have none: an eigenvalue
+    within reach max(1, |a|_F) of the cut (-inf, 0], or no convergence
+    within ROOT_STEPS steps (their x and y are I).
+
+    The product form of the Denman-Beavers iteration with determinantal
+    scaling (Higham, Functions of Matrices, 2008, section 6.3): from
+    M = x = a and y = I, with mu = |det M|^{-1/(2m)} while |M - I|_F > 1e-2
+    and mu = 1 after,
+        P = mu (I + M^{-1} / mu^2) / 2,  x <- x P,  y <- y P,
+        M <- (I + (mu^2 M + M^{-1} / mu^2) / 2) / 2,
+    so M = xy -> I quadratically.  Each row stops on its own, after the step
+    from an M within 1e-8 of I: what is left of its error is below round-off.
+    """
+    B, m = a.shape[0], a.shape[-1]
+    eye = np.eye(m)
+    x_out = np.broadcast_to(eye, a.shape).astype(complex)
+    y_out = x_out.copy()
+    eig = np.linalg.eigvals(a)
+    near = (reach * np.maximum(1.0, np.linalg.norm(a, axis=(1, 2))))[:, None]
+    failed = ((eig.real <= near) & (np.abs(eig.imag) <= near)).any(axis=1)
+    rows = np.flatnonzero(~failed)
+    x, y, M = a[rows].astype(complex), x_out[rows], a[rows].astype(complex)
+    with np.errstate(all="ignore"):  # a row that overflows is lost, below
+        for _ in range(ROOT_STEPS):
+            if not rows.size:
+                break
+            M_inv, singular = inverses(M)
+            delta = np.linalg.norm(M - eye, axis=(1, 2))
+            far = delta > 1e-2
+            if far.any():
+                mu = np.ones((len(rows), 1, 1))
+                mu[far, 0, 0] = np.abs(np.linalg.det(M[far])) ** (-0.5 / m)
+                M, M_inv = mu ** 2 * M, M_inv / mu ** 2
+                P = (mu / 2) * (eye + M_inv)
+            else:
+                P = (eye + M_inv) / 2
+            x, y = x @ P, y @ P
+            M = (eye + (M + M_inv) / 2) / 2
+            done, lost = delta <= 1e-8, ~np.isfinite(delta)
+            lost[singular] = True
+            if done.any() or lost.any():
+                done &= ~lost
+                x_out[rows[done]], y_out[rows[done]] = x[done], y[done]
+                failed[rows[lost]] = True
+                going = ~done & ~lost
+                rows, x, y, M = rows[going], x[going], y[going], M[going]
+    failed[rows] = True
+    failed |= ~(np.isfinite(x_out).all(axis=(1, 2)) & np.isfinite(y_out).all(axis=(1, 2)))
+    x_out[failed] = y_out[failed] = eye
+    return x_out, y_out, failed
+
+
+def exponentials(a):
+    """exp of every matrix of a stack (B, m, m) by scaling and squaring:
+    the Taylor polynomial of degree 18 of a / 2^s, s the least with
+    |a / 2^s|_1 <= 1 (its remainder is below 1e-17), squared s times."""
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.maximum(0, np.frexp(norm)[1])  # norm < 2^s
+    x = a / np.ldexp(1.0, s)[:, None, None]
+    eye = np.eye(a.shape[-1])
+    out = eye + x / 18
+    for k in range(17, 0, -1):
+        out = eye + (x @ out) / k
+    for j in range(int(s.max(initial=0))):
+        more = s > j
+        out[more] = out[more] @ out[more]
+    return out
+
+
 def forward_substitution(c, N: int):
     """Inverses of the loops I + s of a stack c (B, r + 1, n, n) over the
     degrees [0, r], s strictly positive, truncated to degree N: their

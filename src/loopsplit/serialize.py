@@ -43,6 +43,9 @@ def loop_to_obj(g: LaurentLoop) -> dict:
 
 
 def loop_from_obj(d) -> LaurentLoop:
+    """The loop of a loop payload, trimmed as every loop is: zero or
+    negligible end coefficients a file keeps are dropped, so the loaded loop
+    gives what its trimmed twin gives."""
     try:
         arr = np.asarray(d["coeffs"], dtype=float)
         n, lo = int(d["n"]), int(d["lo"])
@@ -51,7 +54,7 @@ def loop_from_obj(d) -> LaurentLoop:
     if arr.ndim != 4 or arr.shape[0] == 0 or arr.shape[1:] != (n, n, 2):
         raise ParseError(f"loop coefficients have shape {arr.shape}, "
                          f"expected (W, {n}, {n}, 2) for n = {n}")
-    return LaurentLoop(lo, arr[..., 0] + 1j * arr[..., 1], trim=False)
+    return LaurentLoop(lo, arr[..., 0] + 1j * arr[..., 1])
 
 
 def save_loop(g: LaurentLoop, path):

@@ -555,6 +555,17 @@ def test_cli_immerse_fully_masked_field_writes_diagnostics(tmp_path):
     assert {row[header.index("mask")] for row in rows} == {"0"}
 
 
+def test_cli_immerse_with_nothing_to_write_does_no_work(monkeypatch, capsys):
+    # neither --mesh nor --diag and no config paths: exit 3 before any field
+    # is loaded or immersed
+    import loopsplit.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "extract_immersion", lambda *a, **kw: calls.append(a))
+    assert cli.main(["immerse", "--lambda", "1.0"]) == 3
+    assert calls == []
+    assert "nothing to write" in capsys.readouterr().err
+
+
 def test_cli_config_print(tmp_path):
     out = run_cli("config", "--out", str(tmp_path / "c.json"))
     assert out.returncode == 0

@@ -21,6 +21,7 @@ from loopsplit import (
     truncated_inverse,
     zero_loop,
 )
+from loopsplit.loops import exponentials, principal_roots
 from loopsplit.serialize import loop_from_obj, loop_to_obj
 
 from conftest import random_loop
@@ -287,9 +288,139 @@ def test_serialization_bit_exact(rng):
     assert np.array_equal(back.coeffs, g.coeffs)  # exact, not approximate
 
 
+def test_loaded_loops_compute_as_their_trimmed_twin(rng):
+    # a file may keep zero or negligible end coefficients; the loaded loop
+    # gives the trimmed loop's truncated inverse and exponential bit for bit
+    for _ in range(6):
+        g = ls.identity(4) + 0.3 * random_loop(rng, radius=2)
+        want = [truncated_inverse(g, 4), loop_exp(g)]
+        for end in (0.0, 1e-17):
+            for below, above in ((1, 0), (0, 1), (2, 2)):
+                c = np.full((below + len(g.coeffs) + above, g.n, g.n), end, dtype=complex)
+                c[below : below + len(g.coeffs)] = g.coeffs
+                stored = loop_to_obj(ls.LaurentLoop(g.lo - below, c, trim=False))
+                h = loop_from_obj(json.loads(json.dumps(stored)))
+                for a, b in zip([truncated_inverse(h, 4), loop_exp(h)], want):
+                    assert a.lo == b.lo and a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
 def test_mirror_and_transpose(rng):
     g = random_loop(rng, radius=3)
     lam = 1.7 - 0.3j
     np.testing.assert_allclose(g.mirror().eval(lam), g.eval(1.0 / lam), atol=1e-13)
     np.testing.assert_allclose(g.transpose().eval(lam), g.eval(lam).T, atol=1e-13)
     assert distance(g.mirror().mirror(), g) == 0.0
+
+
+# -- principal roots and exponentials of constant stacks ------------------------
+
+
+def spread_stack(rng, B, n):
+    """B complex matrices V diag(exp(z)) V^{-1}: eigenvalues from e^-3 to
+    e^3, at most 2.5 radians from the positive axis, so off the cut."""
+    V = np.eye(n) + 0.3 * (rng.standard_normal((B, n, n)) + 1j * rng.standard_normal((B, n, n)))
+    z = rng.uniform(-3, 3, (B, n)) + 1j * rng.uniform(-2.5, 2.5, (B, n))
+    return V @ (np.exp(z)[..., None] * np.linalg.inv(V))
+
+
+@pytest.mark.parametrize("B", [1, 2, 9, 81])
+def test_principal_roots_match_sqrtm(rng, B):
+    # the iteration's error grows with the condition of a, to about
+    # 7e-16 cond(a) here, where scipy's Schur method stays near 1e-14
+    from scipy.linalg import sqrtm
+    for n in (2, 4, 6):
+        a = spread_stack(rng, B, n)
+        x, y, failed = principal_roots(a, 1e-14)
+        assert not failed.any()
+        norm = np.linalg.norm(a, axis=(1, 2))
+        bound = np.maximum(1e-13, 1e-14 * np.linalg.cond(a))
+        assert (np.linalg.norm(x @ x - a, axis=(1, 2)) <= bound * norm).all()
+        ref = np.array([sqrtm(m) for m in a])
+        assert (np.linalg.norm(x - ref, axis=(1, 2))
+                <= 10 * bound * np.linalg.norm(ref, axis=(1, 2))).all()
+        assert (np.linalg.norm(x @ y - np.eye(n), axis=(1, 2)) <= 10 * bound).all()
+        # each row stops on its own: a row alone gets its stacked bits
+        for b in (0, B - 1):
+            alone = principal_roots(a[b : b + 1], 1e-14)
+            assert alone[0].tobytes() == x[b : b + 1].tobytes()
+            assert alone[1].tobytes() == y[b : b + 1].tobytes()
+
+
+@pytest.mark.parametrize("form", ["orthogonal", "lorentz"])
+def test_principal_roots_stay_in_the_group(rng, form):
+    # a = exp(S), S in the Lie algebra of the form J with |S|_2 < 2.5, and
+    # boosts up to rapidity 6 (eigenvalues e^-6 .. e^6)
+    from scipy.linalg import expm
+    n = 5
+    J = np.diag([1.0, 1.0, -1.0, 1.0, 1.0]) if form == "lorentz" else np.eye(n)
+    K = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+    S = J @ (K - K.swapaxes(1, 2))
+    S *= (rng.uniform(0.1, 2.5, 40) / np.linalg.norm(S, 2, axis=(1, 2)))[:, None, None]
+    a = np.array([expm(s) for s in S])
+    if form == "lorentz":
+        boost = np.zeros((n, n))
+        boost[0, 2] = boost[2, 0] = 1.0
+        a = np.concatenate([a, [expm(t * boost) @ m for t, m in zip(np.linspace(0, 6, 8), a)]])
+    x, y, failed = principal_roots(a, 1e-14)
+    assert not failed.any()
+    bound = np.maximum(1e-13, 1e-14 * np.linalg.cond(a))
+    size = np.maximum(1.0, np.linalg.norm(x, axis=(1, 2))) ** 2
+    assert (np.linalg.norm(x.swapaxes(1, 2) @ J @ x - J, axis=(1, 2)) <= bound * size).all()
+    assert (np.linalg.norm(x @ x - a, axis=(1, 2))
+            <= bound * np.linalg.norm(a, axis=(1, 2))).all()
+
+
+def test_principal_roots_report_the_cut(rng, monkeypatch):
+    # an eigenvalue on (-inf, 0] has no principal root: the row is reported
+    # with x = y = I, never returned as some other root, and the rows beside
+    # it keep their own results
+    from scipy.linalg import expm
+    V = np.eye(4) + 0.4 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    turn = np.zeros((4, 4))
+    turn[0, 1], turn[1, 0] = -np.pi, np.pi
+    on_cut = [
+        Q @ np.diag([-1.0, 2.0, 3.0, 0.5]) @ Q.T,                    # real, negative
+        V @ np.diag([-2.0, 1 + 1j, 3.0, 1.0]) @ np.linalg.inv(V),    # complex, negative
+        V @ np.diag([0.0, 1 + 1j, 3.0, 1.0]) @ np.linalg.inv(V),     # singular
+        V @ np.diag([-1.0, -1.0, 1.0, 1.0]) @ np.linalg.inv(V),      # a double -1
+        Q @ expm(turn) @ Q.T,                                        # a rotation by pi
+    ]
+    good = spread_stack(rng, 3, 4)
+    a = np.concatenate([good[:1], on_cut, good[1:]])
+    x, y, failed = principal_roots(a, 1e-14)
+    assert failed.tolist() == [False] + [True] * len(on_cut) + [False, False]
+    assert (x[failed] == np.eye(4)).all() and (y[failed] == np.eye(4)).all()
+    alone = principal_roots(good, 1e-14)[0]
+    assert x[~failed].tobytes() == alone.tobytes()
+    # a row that has not converged within ROOT_STEPS steps is reported too
+    monkeypatch.setattr(loops_module, "ROOT_STEPS", 2)
+    assert principal_roots(good, 1e-14)[2].all()
+
+
+def test_exponentials_match_expm_on_every_shift_generator(monkeypatch):
+    # the constants the constant solve retries with (factorization._shifts),
+    # for every symmetry, form and kind of middle term: within 1e-12 of
+    # scipy's expm, whose Pade approximant is itself off by up to 5.6e-13 on
+    # the boosts here (a 40-digit reference puts this kernel within 2e-15)
+    from scipy.linalg import expm
+    import loopsplit.factorization as factorization
+    seen = []
+    monkeypatch.setattr(factorization, "exponentials",
+                        lambda g: (seen.append(g), loops_module.exponentials(g))[1])
+    rng = ls.generators.rng_for(3)
+    for n in (1, 2, 3):
+        for k in (1, 2):
+            for reality in (None, "R1", "R2", "Rm1", "Rhat1", "Rhat2"):
+                s = ls.SymmetrySpec(n, k, reality)
+                m = s.dim
+                for b in (None, np.ones(m), np.where(np.arange(m) == n, -1.0, 1.0)):
+                    for a in (np.eye(m), rng.standard_normal((m, m))):
+                        c = factorization._shifts(a.astype(complex), s, b, None)
+                        assert len(c) in (3, 6)
+    assert len(seen) == 3 * 2 * 6 * 3 * 2
+    for generators in seen:
+        got = loops_module.exponentials(generators)
+        for x, e in zip(generators, got):
+            ref = expm(x)
+            assert np.linalg.norm(e - ref) <= 1e-12 * np.linalg.norm(ref)
