@@ -495,10 +495,11 @@ def _gauge_factors(m, b_signs, tol):
     so z h^{-1} is the same for every representative z, and I wherever z is
     constant (Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 27,
     2006).  Returns (h, failures): failures maps the rows where m is
-    singular, or B m^T B m has an eigenvalue within tol of the cut
-    (-inf, 0] (or loops.principal_roots does not converge), to the message
-    of their NotInIwasawaCell; their h is I.  h is one product of m with
-    the inverse root that principal_roots iterates beside the root.
+    singular, B m^T B m has an eigenvalue within tol of the cut (-inf, 0],
+    or loops.principal_roots does not converge on it, to the message of
+    their NotInIwasawaCell, one for each cause; their h is I.  h is one
+    product of m with the inverse root that principal_roots returns beside
+    the root.
     """
     h = np.array(m, dtype=complex)
     bad = np.linalg.cond(m) > CONDITION_LIMIT
@@ -507,11 +508,15 @@ def _gauge_factors(m, b_signs, tol):
     rows = np.flatnonzero(~bad)
     if b_signs is not None and rows.size:
         square = (b_signs[:, None] * m[rows].swapaxes(1, 2) * b_signs[None, :]) @ m[rows]
-        _, inverse_root, cut = principal_roots(square, tol)
+        _, inverse_root, cut, stalled = principal_roots(square, tol)
         failures.update(dict.fromkeys(rows[cut].tolist(),
                                       "B z_0^T B z_0 has an eigenvalue on the cut (-inf, 0]; "
                                       "the gauge has no polar factor"))
-        h[rows[~cut]] = m[rows[~cut]] @ inverse_root[~cut]
+        failures.update(dict.fromkeys(rows[stalled].tolist(),
+                                      "the principal square root of B z_0^T B z_0 did not "
+                                      "converge; the gauge has no polar factor"))
+        ok = ~cut & ~stalled
+        h[rows[ok]] = m[rows[ok]] @ inverse_root[ok]
     h[list(failures)] = np.eye(m.shape[-1])
     return h, failures
 

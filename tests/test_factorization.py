@@ -587,6 +587,29 @@ def test_a_right_factorization_failure_names_the_right_side():
     assert field.info["failures"] == {(1, 1): str(lone.value)}
 
 
+@pytest.mark.parametrize("m", [12, 64])
+def test_small_mode_systems_keep_their_singular_handling(rng, m):
+    """Up to INVERSE_MAX_ORDER rows the systems are inverted together: a
+    singular one, or one whose matrix or right-hand side is not finite,
+    gets an infinite condition and a zero solution, without a warning, and
+    a regular one its exact 1-norm condition and the solution it gets
+    alone."""
+    from loopsplit.factorization import INVERSE_MAX_ORDER, _solve_modes
+    assert m <= INVERSE_MAX_ORDER
+    big = rng.standard_normal((4, m, m)) + 1j * rng.standard_normal((4, m, m))
+    big[1, :, 5] = 0.0
+    big[2, 0, 0] = np.nan
+    rhs = rng.standard_normal((4, m, 2)) + 0j
+    rhs[3, 1, 0] = np.inf
+    condition, sol = _solve_modes(big, rhs)
+    assert np.isinf(condition[1:]).all() and not sol[1:].any()
+    exact = np.linalg.norm(big[0], 1) * np.linalg.norm(np.linalg.inv(big[0]), 1)
+    assert abs(condition[0] - exact) <= 1e-12 * exact
+    alone = _solve_modes(big[:1], rhs[:1])
+    assert alone[0][0] == condition[0] and alone[1].tobytes() == sol[:1].tobytes()
+    np.testing.assert_allclose(big[0] @ sol[0], rhs[0], atol=1e-10)
+
+
 def test_large_mode_systems_keep_their_singular_handling(rng):
     """Over INVERSE_MAX_ORDER rows each system takes LU: a singular one gets
     an infinite condition and a zero solution, without a warning, and a

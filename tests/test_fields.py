@@ -362,6 +362,18 @@ def test_gauge_factor_polar_and_its_failures():
     assert np.array_equal(h[1:], np.broadcast_to(np.eye(4), (2, 4, 4)))
 
 
+def test_gauge_factor_names_a_root_that_did_not_converge(monkeypatch):
+    # a row principal_roots gives up on is not said to be on the cut
+    import loopsplit.loops as loops_module
+    monkeypatch.setattr(loops_module, "ROOT_STEPS", 1)
+    h, failures = _gauge_factors(np.stack([np.diag([100.0, 1, 1, 1]), SWAP_12]), LORENTZ,
+                                 TOL_IWASAWA)
+    assert sorted(failures) == [0, 1]
+    assert "did not converge" in failures[0] and "cut" not in failures[0]
+    assert "cut" in failures[1]
+    assert np.array_equal(h, np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+
 @pytest.mark.parametrize("case", ["singular", "cut"])
 def test_tau_merge_masks_a_node_without_gauge(case):
     if case == "singular":

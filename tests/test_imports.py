@@ -19,7 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Runs one case and prints the functions that executed an
 # `import scipy.linalg` line of loopsplit, in order of first execution, then
-# the numpy root and exponential kernels it called.
+# the numpy root kernel and the function holding the shifts' exponentials
+# that it ran.
 SCRIPT = r"""
 import linecache, os, sys
 import numpy as np
@@ -28,7 +29,7 @@ from loopsplit.generators import random_basic_pair, random_flat_field, rng_for
 
 assert "scipy.linalg" not in sys.modules, "imported by import loopsplit"
 SRC = os.path.dirname(ls.__file__)
-KERNELS = {"principal_roots", "exponentials"}
+KERNELS = {"principal_roots", "_shifts"}
 sites, kernels = [], set()
 
 def local(frame, event, arg):
@@ -111,12 +112,13 @@ def test_each_local_import_loads_scipy_linalg(case, site):
     assert sites == [site] and loaded
 
 
-# the numpy kernels each case runs in place of scipy.linalg's sqrtm and expm
+# the numpy code each case runs in place of scipy.linalg's sqrtm and expm
+# (_shifts takes the exponentials of constants from stack_exp)
 KERNELS_USED = {
-    "constant_root": ["principal_roots"],                   # the constant solve
-    "constant_shift": ["exponentials", "principal_roots"],  # its retried shifts
-    "polar_gauge": ["principal_roots"],                     # tau_merge's polar gauge
-    "iwasawa_merge_immerse": ["principal_roots"],           # the CLI, then immerse
+    "constant_root": ["principal_roots"],               # the constant solve
+    "constant_shift": ["_shifts", "principal_roots"],   # its retried shifts
+    "polar_gauge": ["principal_roots"],                 # tau_merge's polar gauge
+    "iwasawa_merge_immerse": ["principal_roots"],       # the CLI, then immerse
 }
 
 
